@@ -22,7 +22,7 @@ from .errors import (
 )
 from .models import GammaPolicy, Exact, SumHamiltonian, exact_spectrum, gamma_for
 from .operators import QuantumState, expectation, validate_and_normalize
-from .trotter import branch_unitaries, kraus_blocks
+from .trotter import apply_branches, branch_unitaries, kraus_blocks
 
 BRANCH_PROB_FLOOR = 1e-14
 DEFAULT_F_TOL = 1e-3  # fidelity tolerance for converged-to-target verification
@@ -102,13 +102,16 @@ class CoolingStepResult:
     p1: float
 
 
+def _pure_branch(y: np.ndarray) -> tuple[Optional[QuantumState], float]:
+    p = float(np.vdot(y, y).real)
+    if p < BRANCH_PROB_FLOOR:
+        return None, max(p, 0.0)
+    return QuantumState(y / math.sqrt(p)), p
+
+
 def _branch(k: np.ndarray, state: QuantumState) -> tuple[Optional[QuantumState], float]:
     if state.is_pure:
-        y = k @ state.data
-        p = float(np.vdot(y, y).real)
-        if p < BRANCH_PROB_FLOOR:
-            return None, max(p, 0.0)
-        return QuantumState(y / math.sqrt(p)), p
+        return _pure_branch(k @ state.data)
     m = k @ state.data @ k.conj().T
     p = float(np.trace(m).real)
     if p < BRANCH_PROB_FLOOR:
@@ -124,15 +127,23 @@ def cooling_step(
 ) -> CoolingStepResult:
     """Apply W_gamma(tau) with the ancilla in |0> and record both outcomes.
 
-    The |0>/|1> blocks are K0 = (U+ + U-)/2 and K1 = (U+ - U-)/2 built from
-    the (exact or Trotterized) branch unitaries, so p0 + p1 = 1 to rounding
-    regardless of the Trotter step count."""
+    The |0>/|1> blocks are K0 = (U+ + U-)/2 and K1 = (U+ - U-)/2 of the
+    (exact or Trotterized) branch unitaries, so p0 + p1 = 1 to rounding
+    regardless of the Trotter step count. In Trotter mode a pure state gets
+    K0 psi and K1 psi from the branches applied to psi, factor by factor;
+    K0 and K1 are built as dense matrices only in exact mode and for mixed
+    states."""
     if state.dim != h.dim:
         raise ValidationError(f"state dim {state.dim} != Hamiltonian dim {h.dim}")
-    u_plus, u_minus = branch_unitaries(h, tau, _trotter_r(operator_mode))
-    k0, k1 = kraus_blocks(u_plus, u_minus)
-    state0, p0 = _branch(k0, state)
-    state1, p1 = _branch(k1, state)
+    r = _trotter_r(operator_mode)
+    if r is not None and state.is_pure:
+        y0, y1 = kraus_blocks(*apply_branches(h, tau, r, state.data))
+        state0, p0 = _pure_branch(y0)
+        state1, p1 = _pure_branch(y1)
+    else:
+        k0, k1 = kraus_blocks(*branch_unitaries(h, tau, r))
+        state0, p0 = _branch(k0, state)
+        state1, p1 = _branch(k1, state)
     if state0 is None and state1 is None:
         raise CertainFailureError("both branch probabilities vanish; state is corrupt")
     return CoolingStepResult(state0=state0, p0=p0, state1=state1, p1=p1)

@@ -26,13 +26,14 @@ def as_square_matrix(m: object) -> np.ndarray:
 
 
 class HermitianOperator:
-    """A Hermitian matrix with a lazily cached eigendecomposition.
+    """A Hermitian matrix with a lazily cached eigendecomposition and
+    monomial structure.
 
-    The cache is written once and never mutated; concurrent readers observe
-    either no cache or the completed (eigenvalues, eigenvectors) pair.
+    Each cache is written once and never mutated; concurrent readers observe
+    either no cache or the completed value.
     """
 
-    __slots__ = ("mat", "dim", "_eig")
+    __slots__ = ("mat", "dim", "_eig", "_mono")
 
     def __init__(self, mat: object) -> None:
         a = as_square_matrix(mat)
@@ -44,6 +45,7 @@ class HermitianOperator:
         self.mat = a
         self.dim = int(a.shape[0])
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._mono: tuple[np.ndarray, np.ndarray] | bool | None = None
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues in ascending order and matching orthonormal columns."""
@@ -63,8 +65,37 @@ class HermitianOperator:
         fl = np.array([complex(f(float(x))) for x in evals])
         return (v * fl) @ v.conj().T
 
+    def monomial(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(perm, vals)`` with ``A x == vals * x[perm]``, or None.
+
+        Set when every row has at most one nonzero, ``perm`` is an involution
+        and ``vals[perm] == vals.conj()`` holds exactly: diagonal terms and
+        signed Pauli strings. Then ``A @ A == diag(|vals|^2)``, so matrix
+        functions of ``A`` have closed forms. A matrix that is Hermitian only
+        within HERMITICITY_ATOL fails the exact check and gets None."""
+        if self._mono is None:
+            nz = self.mat != 0
+            rows = np.arange(self.dim)
+            perm = np.where(nz.any(axis=1), nz.argmax(axis=1), rows)
+            vals = self.mat[rows, perm]
+            ok = (
+                bool((nz.sum(axis=1) <= 1).all())
+                and bool((perm[perm] == rows).all())
+                and bool((vals[perm] == vals.conj()).all())
+            )
+            if ok:
+                perm.setflags(write=False)
+                vals.setflags(write=False)
+            self._mono = (perm, vals) if ok else False
+        return self._mono or None
+
     def norm2(self) -> float:
-        """Spectral norm, i.e. the largest eigenvalue magnitude."""
+        """Spectral norm, i.e. the largest eigenvalue magnitude.
+
+        Monomial operators read it as ``max |vals|`` without an ``eigh``."""
+        mono = self.monomial()
+        if mono is not None:
+            return float(np.abs(mono[1]).max())
         evals, _ = self.eigensystem()
         return float(np.abs(evals).max())
 

@@ -2,6 +2,14 @@
 gamma decomposition, the primitive system-ancilla couplings, and the
 CNOT/analog-block circuit identities that verify the gate decompositions.
 
+In Trotter mode the branch unitaries U_pm are never built factor by factor
+as dense matrices: `apply_branches` applies the sequence of single-term
+exponentials to a vector or a block of columns. Monomial terms (diagonal
+terms and Jordan-Wigner Pauli strings) use a closed form at O(d) per
+column; other terms use their cached eigensystem. `branch_unitaries` and
+`trotter_W` are that sequence applied to the identity, kept for the joint
+unitary, the Trotter error and mixed-state steps.
+
 Wire convention everywhere: system factors first, ancilla qubit last."""
 
 from __future__ import annotations
@@ -55,9 +63,84 @@ class JointUnitary:
 # branch construction of W_gamma(tau) = exp(-i (H + gamma) sigma_x tau)
 
 
-def _term_exp(term: HermitianOperator, angle: float) -> np.ndarray:
-    """exp(-i * angle * term) through the term's cached eigendecomposition."""
-    return term.matfunc(lambda lam: cmath.exp(-1j * lam * angle))
+def _term_factor(term: HermitianOperator, angle: float, block: bool):
+    """exp(-i * angle * term) as an in-place update ``factor(y, scratch)`` of
+    a vector, or of the columns of a matrix when ``block`` is set.
+
+    A monomial term M (M @ M == diag(|m|^2)) uses the closed form
+    cos(angle |m|) y - i angle sinc(angle |m| / pi) m y[perm], O(d) per
+    column and a single multiply when M is diagonal. Any other term goes
+    through its cached eigensystem: V (phase * V^H y) for a vector, and for
+    a matrix a dense factor formed once and multiplied in at every sweep.
+    Updating in place through one scratch array keeps large blocks from
+    allocating per factor."""
+    mono = term.monomial()
+    if mono is not None:
+        perm, vals = mono
+        mag = np.abs(vals)
+        c = np.cos(angle * mag)
+        s = -1j * angle * np.sinc(angle * mag / math.pi) * vals
+        if block:
+            c, s = c[:, None], s[:, None]
+        if (perm == np.arange(term.dim)).all():
+            e = c + s
+
+            def diagonal(y: np.ndarray, scratch: np.ndarray) -> None:
+                y *= e
+
+            return diagonal
+
+        def monomial(y: np.ndarray, scratch: np.ndarray) -> None:
+            y.take(perm, axis=0, out=scratch)
+            scratch *= s
+            y *= c
+            y += scratch
+
+        return monomial
+    evals, v = term.eigensystem()
+    phase = np.exp(-1j * angle * evals)
+    if block:
+        f = (v * phase) @ v.conj().T
+
+        def dense(y: np.ndarray, scratch: np.ndarray) -> None:
+            np.matmul(f, y, out=scratch)
+            y[...] = scratch
+
+        return dense
+    vh = v.conj().T
+
+    def eigen(y: np.ndarray, scratch: np.ndarray) -> None:
+        y[...] = v @ (phase * (vh @ y))
+
+    return eigen
+
+
+def apply_branches(
+    h: SumHamiltonian, tau: float, r: int, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(U_plus x, U_minus x) for the r-step second-order Trotter branches.
+
+    ``x`` is a state vector or a matrix whose columns are transformed. Each
+    branch applies r symmetric sweeps over the ordered terms (half steps
+    around the last term at a full step) one single-term exponential at a
+    time, then the exact gamma phase; no d x d branch unitary is formed."""
+    if r < 1:
+        raise ValidationError(f"Trotter steps r must be >= 1, got {r}")
+    terms = [term for _, term in h.terms]
+    block = x.ndim == 2
+    out = []
+    for sign in (+1.0, -1.0):
+        dt = sign * tau / r
+        halves = [_term_factor(t, dt / 2, block) for t in terms[:-1]]
+        sweep = halves + [_term_factor(terms[-1], dt, block)] + halves[::-1]
+        y = np.array(x, dtype=complex)
+        scratch = np.empty_like(y)
+        for _ in range(r):
+            for factor in sweep:
+                factor(y, scratch)
+        y *= cmath.exp(-1j * sign * h.gamma * tau)
+        out.append(y)
+    return out[0], out[1]
 
 
 def branch_unitaries(
@@ -67,34 +150,24 @@ def branch_unitaries(
 
     U_pm = exp(∓ i (H + gamma) tau) act on the ancilla sigma-x = ±1 branches.
     With ``r`` set, each branch is the r-fold symmetric (second-order)
-    Trotter product over the ordered terms, times the exact gamma phase.
+    Trotter product over the ordered terms, times the exact gamma phase:
+    `apply_branches` on the identity. These dense forms serve the joint
+    unitary, the Trotter error and mixed-state steps; pure-state cooling
+    applies the Trotter branches to the state directly.
     """
     if r is None:
         evals, v = h.total.eigensystem()
         up = (v * np.exp(-1j * (evals + h.gamma) * tau)) @ v.conj().T
         um = (v * np.exp(+1j * (evals + h.gamma) * tau)) @ v.conj().T
         return up, um
-    if r < 1:
-        raise ValidationError(f"Trotter steps r must be >= 1, got {r}")
-    dt = tau / r
-    out = []
-    for sign in (+1.0, -1.0):
-        terms = [term for _, term in h.terms]
-        if len(terms) == 1:
-            slab = _term_exp(terms[0], sign * dt)
-        else:
-            halves = [_term_exp(t, sign * dt / 2) for t in terms[:-1]]
-            middle = _term_exp(terms[-1], sign * dt)
-            left = reduce(np.matmul, halves)
-            right = reduce(np.matmul, halves[::-1])
-            slab = left @ middle @ right
-        u = np.linalg.matrix_power(slab, r) * cmath.exp(-1j * sign * h.gamma * tau)
-        out.append(u)
-    return out[0], out[1]
+    return apply_branches(h, tau, r, np.eye(h.dim, dtype=complex))
 
 
 def kraus_blocks(u_plus: np.ndarray, u_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ancilla |0> -> |0>/|1> blocks of the joint unitary: K0, K1."""
+    """Ancilla |0> -> |0>/|1> blocks of the joint unitary: K0, K1.
+
+    Given the applied branches (U_plus x, U_minus x) instead, returns
+    (K0 x, K1 x)."""
     return (u_plus + u_minus) / 2, (u_plus - u_minus) / 2
 
 

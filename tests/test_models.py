@@ -183,6 +183,18 @@ def test_gamma_norm_bound_dominates_ground():
     assert gamma_for(h2, NormBound()) >= math.sqrt(5) - 1  # >= -E0
 
 
+@pytest.mark.parametrize(
+    "spec", [Hubbard1D(sites=3, t=0.7, u=1.3), RABI_DSC], ids=["hubbard3", "rabi"]
+)
+def test_norm_bound_reads_monomial_norms_without_eigh(spec):
+    h = build_model(spec)
+    want = sum(np.abs(np.linalg.eigvalsh(term.mat)).max() for _, term in h.terms)
+    assert abs(gamma_for(h, NormBound()) - want) < 1e-12
+    # hops, on-site and the Rabi free term are monomial: no eigh for them
+    for label, term in h.terms:
+        assert (term._eig is None) == (label != "coupling")
+
+
 def test_gamma_fixed_warns_when_spectrum_stays_negative():
     h = build_custom(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
     with warnings.catch_warnings(record=True) as w:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 
 import numpy as np
@@ -7,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peigen import (
+    Custom,
+    Hubbard1D,
+    QuantumState,
     Rabi,
+    TrotterW,
     TruncationLeakageError,
     ValidationError,
+    apply_branches,
+    branch_unitaries,
     build_model,
+    cooling_step,
     exact_W,
     trotter_W,
     trotter_error,
@@ -37,6 +45,7 @@ from peigen.trotter import (
     gate_unitary,
     primitive_unitary,
 )
+from tests.conftest import random_hermitian, random_state_vector
 
 RABI = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
 
@@ -246,3 +255,124 @@ def test_dipole_primitive_couples_qubit_and_mode():
     u = primitive_unitary(DipoleXX(0), 0.4, lay).matrix
     assert u.shape == (40, 40)
     assert _norm(u @ u.conj().T - np.eye(40)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# matrix-free Trotter branches against a dense scipy product formula
+
+
+def _custom_terms(seed):
+    """A diagonal, a complex signed-permutation and a dense Hermitian term."""
+    rng = np.random.default_rng(seed)
+    dim = 6
+    diag = np.diag(rng.normal(size=dim)).astype(complex)
+    perm = np.zeros((dim, dim), dtype=complex)
+    # pairs (0,3) and (1,5); 2 a fixed point, 4 a zero row
+    perm[[0, 1], [3, 5]] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    perm += perm.conj().T
+    perm[2, 2] = rng.normal()
+    return (("diag", diag), ("perm", perm), ("dense", random_hermitian(rng, dim)))
+
+
+def _reference_branches(h, tau, r):
+    """Symmetric product of expm term exponentials, to the r-th power."""
+    from scipy.linalg import expm
+
+    mats = [term.mat for _, term in h.terms]
+    out = []
+    for sign in (1.0, -1.0):
+        dt = sign * tau / r
+        slab = expm(-1j * dt * mats[-1])
+        for m in mats[-2::-1]:
+            half = expm(-0.5j * dt * m)
+            slab = half @ slab @ half
+        phase = np.exp(-1j * sign * h.gamma * tau)
+        out.append(np.linalg.matrix_power(slab, r) * phase)
+    return out
+
+
+def _reference_step(state, u_plus, u_minus):
+    """[(p0, rho0), (p1, rho1)] of one cooling step from dense branch unitaries."""
+    rho = state.density()
+    out = []
+    for k in ((u_plus + u_minus) / 2, (u_plus - u_minus) / 2):
+        m = k @ rho @ k.conj().T
+        out.append((float(np.trace(m).real), m / np.trace(m).real))
+    return out
+
+
+def _check_step(state, h, tau, r, tol=1e-10):
+    u_plus, u_minus = _reference_branches(h, tau, r)
+    step = cooling_step(state, h, tau, TrotterW(r))
+    for (p_ref, rho_ref), p, out in zip(
+        _reference_step(state, u_plus, u_minus),
+        (step.p0, step.p1),
+        (step.state0, step.state1),
+    ):
+        assert abs(p - p_ref) <= tol
+        assert out.is_pure == state.is_pure
+        assert np.abs(out.density() - rho_ref).max() <= tol
+    return u_plus, u_minus
+
+
+DIFFERENTIAL_MODELS = {
+    "custom": Custom(_custom_terms(5)),
+    "rabi8": Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=8),
+    "hubbard2": Hubbard1D(2, t=1.0, u=2.0),
+    "hubbard3": Hubbard1D(3, t=0.7, u=1.3),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MODELS))
+def test_trotter_apply_matches_dense_product_formula(name, r):
+    h = build_model(DIFFERENTIAL_MODELS[name]).with_gamma(0.37)
+    tau = 0.83
+    rng = np.random.default_rng(r)
+    psi = random_state_vector(rng, h.dim)
+    w = random_hermitian(rng, h.dim)
+    rho = w @ w.conj().T
+    rho /= np.trace(rho).real
+
+    u_plus, u_minus = _check_step(QuantumState(psi), h, tau, r)
+    _check_step(QuantumState(rho), h, tau, r)
+    for got, want in zip(branch_unitaries(h, tau, r), (u_plus, u_minus)):
+        assert np.abs(got - want).max() <= 1e-10
+    for got, want in zip(apply_branches(h, tau, r, psi), (u_plus @ psi, u_minus @ psi)):
+        assert np.abs(got - want).max() <= 1e-10
+
+
+def test_custom_terms_structure():
+    h = build_model(DIFFERENTIAL_MODELS["custom"])
+    kinds = {label: term.monomial() is not None for label, term in h.terms}
+    assert kinds == {"diag": True, "perm": True, "dense": False}
+
+
+def test_fresh_models_never_reuse_stale_term_structure():
+    # Models are built and freed in a loop, so CPython recycles the ids of
+    # their terms; each step must still use its own terms' structure.
+    psi = QuantumState(random_state_vector(np.random.default_rng(11), 16))
+    for i in range(30):
+        h = build_model(Hubbard1D(2, t=0.5 + 0.1 * i, u=3.0 - 0.07 * i))
+        _check_step(psi, h.with_gamma(0.2 * i), 0.6, 2)
+        del h
+        gc.collect()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 1): 1e-13}, {(0, 1): 1e-13, (1, 0): 2e-13}],
+    ids=["mirror-zero", "mirror-unequal"],
+)
+def test_nearly_hermitian_term_falls_back_to_eigensystem(entries):
+    # Hermitian only within HERMITICITY_ATOL: the closed form would use a
+    # wrong pattern or wrong values, so the term must not be monomial.
+    diag = np.diag([1.0, -0.5, 0.3, 0.9]).astype(complex)
+    odd = np.diag([0.0, 0.0, 0.4, -1.2]).astype(complex)
+    for ij, v in entries.items():
+        odd[ij] = v
+    h = build_model(Custom((("diag", diag), ("odd", odd)))).with_gamma(0.1)
+    assert h.terms[1][1].monomial() is None
+    psi = QuantumState(random_state_vector(np.random.default_rng(3), 4))
+    for r in (1, 3):
+        _check_step(psi, h, 0.9, r)
