@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -130,11 +129,14 @@ class SumHamiltonian:
 
     @property
     def total(self) -> HermitianOperator:
-        """The bare total H = sum_m H_m (gamma excluded), cached."""
+        """The bare total H = sum_m H_m (gamma excluded), cached.
+
+        Terms are added in order, monomial terms by scattering their
+        structure, so no per-term dense matrix is formed for them."""
         if self._total is None:
             acc = np.zeros((self.dim, self.dim), dtype=complex)
             for _, term in self.terms:
-                acc = acc + term.mat
+                term.add_to(acc)
             self._total = HermitianOperator(acc)
         return self._total
 
@@ -150,27 +152,35 @@ class SumHamiltonian:
 # builders
 
 
+def _diagonal(vals: np.ndarray) -> HermitianOperator:
+    return HermitianOperator.from_monomial(np.arange(len(vals)), vals)
+
+
 def build_harmonic(spec: HarmonicOscillator) -> SumHamiltonian:
     n = np.arange(spec.cutoff, dtype=float)
-    term = HermitianOperator(np.diag(spec.omega * n))
-    return SumHamiltonian((("omega*n", term),))
+    return SumHamiltonian((("omega*n", _diagonal(spec.omega * n)),))
 
 
 def build_rabi(spec: Rabi) -> SumHamiltonian:
     nfock = spec.cutoff
     a = np.diag(np.sqrt(np.arange(1, nfock, dtype=float)), k=1)
     x_mode = a + a.conj().T
-    num = np.diag(np.arange(nfock, dtype=float))
-    h1 = 0.5 * spec.omega0 * np.kron(PAULI_Z, np.eye(nfock)) + spec.omega * np.kron(I2, num)
+    sz = np.repeat([1.0, -1.0], nfock)
+    num = np.tile(np.arange(nfock, dtype=float), 2)
+    h1 = 0.5 * spec.omega0 * sz + spec.omega * num
     h2 = spec.g * np.kron(PAULI_X, x_mode)
-    return SumHamiltonian(
-        (("free", HermitianOperator(h1)), ("coupling", HermitianOperator(h2)))
-    )
+    return SumHamiltonian((("free", _diagonal(h1)), ("coupling", HermitianOperator(h2))))
 
 
-def _pauli_string(n_spins: int, ops: dict[int, np.ndarray]) -> np.ndarray:
-    mats = [ops.get(i, I2) for i in range(n_spins)]
-    return reduce(np.kron, mats)
+def _hubbard_occupations(L: int) -> np.ndarray:
+    """``occ[m, idx]`` is 1 when Jordan-Wigner mode m is occupied in basis
+    state idx, else 0.
+
+    Mode m is bit ``2L-1-m`` of the index (mode 0 is the leading tensor
+    factor) and an occupied mode is the sz = +1 state, bit 0."""
+    n = 2 * L
+    shifts = (n - 1 - np.arange(n))[:, None]
+    return 1 - ((np.arange(2**n) >> shifts) & 1)
 
 
 def build_hubbard_jw(spec: Hubbard1D) -> SumHamiltonian:
@@ -181,27 +191,30 @@ def build_hubbard_jw(spec: Hubbard1D) -> SumHamiltonian:
     bond and spin species contributes the two Pauli strings
     -(t/2) X Z..Z X and -(t/2) Y Z..Z Y (string over the modes in between);
     each site contributes one on-site term u * n_up n_dn.
+
+    Every term is built in monomial form ``(perm, vals)`` by bit arithmetic
+    on basis indices, without a dense matrix: a hop maps index i to i with
+    bits p and q flipped, with sign (-1)^(empty modes between p and q) from
+    the Z string, times -1 for Y Y when bits p and q agree; an on-site term
+    is the diagonal u * occ_up * occ_dn.
     """
     L, t, u = spec.sites, spec.t, spec.u
     n = 2 * L
+    occ = _hubbard_occupations(L)
+    idx = np.arange(2**n)
     terms: list[tuple[str, HermitianOperator]] = []
     for i in range(L - 1):
         for s, sname in ((0, "up"), (1, "dn")):
             p, q = 2 * i + s, 2 * (i + 1) + s
-            mid = {r: PAULI_Z for r in range(p + 1, q)}
-            xs = _pauli_string(n, {p: PAULI_X, **mid, q: PAULI_X})
-            ys = _pauli_string(n, {p: PAULI_Y, **mid, q: PAULI_Y})
-            terms.append(
-                (f"hop({i + 1}-{i + 2},{sname},xx)", HermitianOperator(-t / 2 * xs))
-            )
-            terms.append(
-                (f"hop({i + 1}-{i + 2},{sname},yy)", HermitianOperator(-t / 2 * ys))
-            )
-    eye = np.eye(2**n)
+            flipped = idx ^ (1 << (n - 1 - p)) ^ (1 << (n - 1 - q))
+            zsign = np.prod(2 * occ[p + 1 : q] - 1, axis=0)
+            ysign = np.where(occ[p] == occ[q], -1, 1)
+            xx = HermitianOperator.from_monomial(flipped, -t / 2 * zsign)
+            yy = HermitianOperator.from_monomial(flipped, -t / 2 * (zsign * ysign))
+            terms.append((f"hop({i + 1}-{i + 2},{sname},xx)", xx))
+            terms.append((f"hop({i + 1}-{i + 2},{sname},yy)", yy))
     for i in range(L):
-        n_up = (eye + _pauli_string(n, {2 * i: PAULI_Z})) / 2
-        n_dn = (eye + _pauli_string(n, {2 * i + 1: PAULI_Z})) / 2
-        terms.append((f"int(site{i + 1})", HermitianOperator(u * (n_up @ n_dn))))
+        terms.append((f"int(site{i + 1})", _diagonal(u * (occ[2 * i] * occ[2 * i + 1]))))
     return SumHamiltonian(terms)
 
 
@@ -299,24 +312,29 @@ def exact_spectrum(h: SumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return h.total.eigensystem()
 
 
+def _hubbard_counts(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of the particle-number operators (N_up, N_dn)."""
+    occ = _hubbard_occupations(L)
+    return occ[0::2].sum(axis=0), occ[1::2].sum(axis=0)
+
+
 def hubbard_number_operators(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Total particle-number operators (N_up, N_dn) in the JW spin basis."""
-    n = 2 * L
-    eye = np.eye(2**n)
-    n_up = sum((eye + _pauli_string(n, {2 * i: PAULI_Z})) / 2 for i in range(L))
-    n_dn = sum((eye + _pauli_string(n, {2 * i + 1: PAULI_Z})) / 2 for i in range(L))
-    return n_up, n_dn
+    n_up, n_dn = _hubbard_counts(L)
+    return np.diag(n_up.astype(complex)), np.diag(n_dn.astype(complex))
 
 
 def hubbard_sector_label(state: QuantumState, L: int) -> str:
-    """Particle-number sector of a state, or 'indefinite' if not sharp."""
-    n_up, n_dn = hubbard_number_operators(L)
-    rho = state.density()
+    """Particle-number sector of a state, or 'indefinite' if not sharp.
+
+    N_up and N_dn are diagonal, so <N> and <N^2> are exact sums over the
+    basis populations |psi|^2 (or diag rho)."""
+    data = state.data
+    weights = np.abs(data) ** 2 if state.is_pure else np.diag(data).real
     vals = []
-    for op in (n_up, n_dn):
-        mean = float(np.einsum("ij,ji->", rho, op).real)
-        second = float(np.einsum("ij,ji->", rho, op @ op).real)
-        var = second - mean**2
+    for counts in _hubbard_counts(L):
+        mean = float(weights @ counts)
+        var = float(weights @ counts**2) - mean**2
         if var > 1e-9 or abs(mean - round(mean)) > 1e-9:
             return "indefinite"
         vals.append(int(round(mean)))
@@ -325,20 +343,9 @@ def hubbard_sector_label(state: QuantumState, L: int) -> str:
 
 def hubbard_sector_minimum(h: SumHamiltonian, L: int, n_up: int, n_dn: int) -> float:
     """Lowest eigenvalue within a fixed (n_up, n_dn) particle-number sector."""
-    n = 2 * L
-    idxs = []
-    for idx in range(2**n):
-        ups = dns = 0
-        for m in range(n):
-            occupied = ((idx >> (n - 1 - m)) & 1) == 0
-            if occupied:
-                if m % 2 == 0:
-                    ups += 1
-                else:
-                    dns += 1
-        if ups == n_up and dns == n_dn:
-            idxs.append(idx)
-    if not idxs:
+    ups, dns = _hubbard_counts(L)
+    idxs = np.flatnonzero((ups == n_up) & (dns == n_dn))
+    if not idxs.size:
         raise ConfigError(f"empty sector n_up={n_up}, n_dn={n_dn} for L={L}")
     sub = h.total.mat[np.ix_(idxs, idxs)]
     return float(np.linalg.eigvalsh(sub).min())

@@ -1,5 +1,7 @@
-"""Dense complex-matrix algebra: Hermitian matrix functions, tensor products,
-and pure/mixed state bookkeeping that every other module builds on."""
+"""Complex-matrix algebra: Hermitian operators (dense, or built from their
+monomial structure with the dense matrix formed on demand), matrix
+functions, tensor products, and pure/mixed state bookkeeping that every
+other module builds on."""
 
 from __future__ import annotations
 
@@ -25,15 +27,31 @@ def as_square_matrix(m: object) -> np.ndarray:
     return a
 
 
+def _monomial_defect(perm: np.ndarray, vals: np.ndarray) -> str | None:
+    """Why an in-range ``(perm, vals)`` is not a Hermitian monomial, or None.
+
+    Both checks are exact: ``perm`` must be an involution and
+    ``vals[perm] == vals.conj()`` must hold bit for bit."""
+    if not (perm[perm] == np.arange(perm.size)).all():
+        return "perm is not an involution"
+    if not (vals[perm] == vals.conj()).all():
+        return "vals[perm] != conj(vals): the operator is not Hermitian"
+    return None
+
+
 class HermitianOperator:
     """A Hermitian matrix with a lazily cached eigendecomposition and
     monomial structure.
 
-    Each cache is written once and never mutated; concurrent readers observe
-    either no cache or the completed value.
+    Built from a dense matrix, or by `from_monomial` from its structure
+    ``(perm, vals)`` alone (diagonal terms, signed Pauli strings); the dense
+    ``mat`` of the latter is materialised only when first read. Each cache
+    (``mat``, eigensystem, monomial structure) is written once, read-only and
+    never mutated; concurrent readers observe either no cache or the
+    completed value.
     """
 
-    __slots__ = ("mat", "dim", "_eig", "_mono")
+    __slots__ = ("_mat", "dim", "_eig", "_mono")
 
     def __init__(self, mat: object) -> None:
         a = as_square_matrix(mat)
@@ -42,10 +60,59 @@ class HermitianOperator:
             raise ValidationError(
                 f"matrix is not Hermitian (max |A - A^H| = {defect:.3e})"
             )
-        self.mat = a
+        self._mat: np.ndarray | None = a
         self.dim = int(a.shape[0])
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._mono: tuple[np.ndarray, np.ndarray] | bool | None = None
+
+    @classmethod
+    def from_monomial(cls, perm: object, vals: object) -> "HermitianOperator":
+        """The operator with ``A x == vals * x[perm]``, i.e. ``A[i, perm[i]] ==
+        vals[i]`` and zeros elsewhere, without forming the dense matrix.
+
+        Applies the exact checks of `monomial`: ``perm`` is an in-range
+        involution, ``vals[perm] == vals.conj()`` holds exactly (so ``A`` is
+        exactly Hermitian) and ``vals`` is finite."""
+        p, v = np.array(perm), np.array(vals, dtype=complex)
+        if p.ndim != 1 or not p.size or v.shape != p.shape:
+            raise DimensionError(
+                f"perm and vals must be non-empty 1-D arrays of one length, "
+                f"got shapes {p.shape} and {v.shape}"
+            )
+        if not np.issubdtype(p.dtype, np.integer) or not ((p >= 0) & (p < p.size)).all():
+            raise ValidationError(f"perm must hold integer indices in [0, {p.size})")
+        if not np.isfinite(v).all():
+            raise ValidationError("vals has non-finite entries")
+        p = p.astype(np.intp)
+        defect = _monomial_defect(p, v)
+        if defect is not None:
+            raise ValidationError(defect)
+        p.setflags(write=False)
+        v.setflags(write=False)
+        op = cls.__new__(cls)
+        op._mat, op.dim, op._eig, op._mono = None, int(p.size), None, (p, v)
+        return op
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense read-only matrix, materialised from the monomial
+        structure on first access when the operator was built without it."""
+        if self._mat is None:
+            perm, vals = self._mono
+            a = np.zeros((self.dim, self.dim), dtype=complex)
+            a[np.arange(self.dim), perm] = vals
+            a.setflags(write=False)
+            self._mat = a
+        return self._mat
+
+    def add_to(self, acc: np.ndarray) -> None:
+        """``acc += A`` in place; an unmaterialised monomial operator scatters
+        its ``dim`` nonzeros instead of forming ``mat``."""
+        if self._mat is None:
+            perm, vals = self._mono
+            acc[np.arange(self.dim), perm] += vals
+        else:
+            acc += self._mat
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues in ascending order and matching orthonormal columns."""
@@ -78,11 +145,7 @@ class HermitianOperator:
             rows = np.arange(self.dim)
             perm = np.where(nz.any(axis=1), nz.argmax(axis=1), rows)
             vals = self.mat[rows, perm]
-            ok = (
-                bool((nz.sum(axis=1) <= 1).all())
-                and bool((perm[perm] == rows).all())
-                and bool((vals[perm] == vals.conj()).all())
-            )
+            ok = bool((nz.sum(axis=1) <= 1).all()) and _monomial_defect(perm, vals) is None
             if ok:
                 perm.setflags(write=False)
                 vals.setflags(write=False)

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,8 +19,13 @@ from peigen import (
     Hubbard1D,
     NegativeShiftWarning,
     NormBound,
+    QuantumState,
     Rabi,
+    RunConfig,
     TargetLevel,
+    TrotterW,
+    Variational,
+    apply_branches,
     basis_state,
     build_model,
     exact_spectrum,
@@ -26,9 +33,17 @@ from peigen import (
     gamma_for,
     hubbard_sector_label,
     hubbard_sector_minimum,
+    run,
     thermal_state,
 )
-from peigen.models import build_custom, hubbard_number_operators
+from peigen.models import (
+    I2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    build_custom,
+    hubbard_number_operators,
+)
 
 RABI_DSC = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
 
@@ -153,6 +168,125 @@ def test_hubbard_sector_label_indefinite():
     from peigen import QuantumState
 
     assert hubbard_sector_label(QuantumState(mix), 2) == "indefinite"
+
+
+# Dense reference: the Jordan-Wigner chain as reduce(np.kron) Pauli strings.
+
+
+def _pauli_string_ref(n_spins, ops):
+    return reduce(np.kron, [ops.get(i, I2) for i in range(n_spins)])
+
+
+def _hubbard_terms_ref(spec):
+    L, t, u = spec.sites, spec.t, spec.u
+    n = 2 * L
+    terms = []
+    for i in range(L - 1):
+        for s, sname in ((0, "up"), (1, "dn")):
+            p, q = 2 * i + s, 2 * (i + 1) + s
+            mid = {r: PAULI_Z for r in range(p + 1, q)}
+            xs = _pauli_string_ref(n, {p: PAULI_X, **mid, q: PAULI_X})
+            ys = _pauli_string_ref(n, {p: PAULI_Y, **mid, q: PAULI_Y})
+            terms.append((f"hop({i + 1}-{i + 2},{sname},xx)", -t / 2 * xs))
+            terms.append((f"hop({i + 1}-{i + 2},{sname},yy)", -t / 2 * ys))
+    eye = np.eye(2**n)
+    for i in range(L):
+        n_up = (eye + _pauli_string_ref(n, {2 * i: PAULI_Z})) / 2
+        n_dn = (eye + _pauli_string_ref(n, {2 * i + 1: PAULI_Z})) / 2
+        terms.append((f"int(site{i + 1})", u * (n_up @ n_dn)))
+    return terms
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+@pytest.mark.parametrize("t, u", [(1.0, 2.0), (0.7, -1.3)])
+def test_hubbard_structured_terms_match_pauli_strings(sites, t, u):
+    spec = Hubbard1D(sites=sites, t=t, u=u)
+    h = build_model(spec)
+    ref = _hubbard_terms_ref(spec)
+    assert [label for label, _ in h.terms] == [label for label, _ in ref]
+    acc = np.zeros_like(ref[0][1])
+    for _, m in ref:
+        acc = acc + m
+    assert np.array_equal(h.total.mat, acc)
+    # the total scatters the structure; no term formed its dense matrix
+    assert all(term._mat is None for _, term in h.terms)
+    for (_, term), (_, m) in zip(h.terms, ref):
+        assert np.array_equal(term.mat, m)
+
+
+@pytest.mark.parametrize("cutoff", [8, 100])
+def test_rabi_terms_match_dense_build(cutoff):
+    spec = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=cutoff)
+    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1)
+    num = np.diag(np.arange(cutoff, dtype=float))
+    free = 0.5 * spec.omega0 * np.kron(PAULI_Z, np.eye(cutoff)) + spec.omega * np.kron(I2, num)
+    coupling = spec.g * np.kron(PAULI_X, a + a.conj().T)
+    h = build_model(spec)
+    assert [label for label, _ in h.terms] == ["free", "coupling"]
+    assert np.array_equal(h.total.mat, free + coupling)
+    assert h.terms[0][1]._mat is None
+    assert np.array_equal(h.terms[0][1].mat, free)
+    assert np.array_equal(h.terms[1][1].mat, coupling)
+
+
+def test_harmonic_total_matches_dense_build():
+    spec = HarmonicOscillator(omega=0.37, cutoff=30)
+    h = build_model(spec)
+    assert np.array_equal(h.total.mat, np.diag(spec.omega * np.arange(30.0)))
+    assert h.terms[0][1]._mat is None
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3])
+def test_hubbard_sector_helpers_match_pauli_strings(sites):
+    n = 2 * sites
+    eye = np.eye(2**n)
+    want = [
+        sum((eye + _pauli_string_ref(n, {2 * i + s: PAULI_Z})) / 2 for i in range(sites))
+        for s in (0, 1)
+    ]
+    got = hubbard_number_operators(sites)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    counts = [np.diag(w).real.astype(int) for w in want]
+    h = build_model(Hubbard1D(sites=sites, t=1.0, u=2.0))
+    for idx in range(2**n):
+        psi = QuantumState(np.eye(2**n)[idx])
+        assert hubbard_sector_label(psi, sites) == f"n_up={counts[0][idx]} n_dn={counts[1][idx]}"
+    for nu in range(sites + 1):
+        for nd in range(sites + 1):
+            keep = np.flatnonzero((counts[0] == nu) & (counts[1] == nd))
+            want_min = np.linalg.eigvalsh(h.total.mat[np.ix_(keep, keep)]).min()
+            assert abs(hubbard_sector_minimum(h, sites, nu, nd) - want_min) < 1e-12
+
+
+def test_hubbard_l5_builds_and_steps_without_dense_terms():
+    # d = 1024: one dense complex term is 16.8 MB; the chain has 21 terms
+    tracemalloc.start()
+    try:
+        h = build_model(Hubbard1D(sites=5, t=1.0, u=2.0))
+        gamma = gamma_for(h, NormBound())
+        psi = basis_state(Hubbard1D(sites=5, t=1.0, u=2.0), "uddu" + "duud" + "ud").data
+        up, um = apply_branches(h, 0.3, 2, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h.terms) == 21 and h.dim == 1024
+    assert all(term._mat is None for _, term in h.terms)
+    assert peak < 16 * 2**20
+    assert abs(gamma - (16 * 0.5 + 5 * 2.0)) < 1e-12
+    assert abs(np.linalg.norm(up) - 1) < 1e-12 and abs(np.linalg.norm(um) - 1) < 1e-12
+
+
+def test_hubbard_trotter_run_forms_no_dense_term():
+    # one variational TrotterW(3) stage with gamma = -E0 on the L=4 chain
+    spec = Hubbard1D(sites=4, t=1.0, u=2.0)
+    h = build_model(spec)
+    config = RunConfig(
+        mode=Variational(), gamma_policy=Exact(), max_stages=1, operator_mode=TrotterW(3)
+    )
+    trace = run(basis_state(spec, "uudduddu"), h, config)
+    assert trace.n_stages == 1
+    assert all(term._mat is None for _, term in h.terms)
 
 
 def test_hubbard_size_guard():

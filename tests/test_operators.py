@@ -138,3 +138,79 @@ def test_validate_and_normalize_mixed():
 def test_basis_vector_bounds():
     with pytest.raises(DimensionError):
         basis_vector(3, 3)
+
+
+# ---------------------------------------------------------------------------
+# operators built from their monomial structure
+
+
+def _random_monomial(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random Hermitian signed permutation: ``perm`` an involution with
+    fixed points, ``vals[perm] == vals.conj()`` exactly."""
+    perm = np.arange(dim)
+    order = rng.permutation(dim)
+    for a, b in zip(order[0 : dim - 2 : 2], order[1 : dim - 1 : 2]):
+        perm[a], perm[b] = b, a
+    vals = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    fixed = perm == np.arange(dim)
+    vals[fixed] = vals[fixed].real
+    low = np.arange(dim) < perm
+    vals[perm[low]] = vals[low].conj()
+    return perm, vals
+
+
+@pytest.mark.parametrize(
+    "perm, vals, error",
+    [
+        ([1, 2, 0], [1.0, 1.0, 1.0], ValidationError),  # a 3-cycle, not an involution
+        ([0, 3, 2], [1.0, 1.0, 1.0], ValidationError),  # index past the end
+        ([-1, 1], [1.0, 1.0], ValidationError),  # negative index
+        ([0.0, 1.0], [1.0, 1.0], ValidationError),  # non-integer perm
+        ([1, 0], [1j, 1j], ValidationError),  # vals[perm] != conj(vals)
+        ([0, 1], [1j, 1.0], ValidationError),  # complex diagonal
+        ([0, 1], [np.nan, 1.0], ValidationError),
+        ([1, 0], [np.inf, np.inf], ValidationError),
+        ([0, 1], [1.0, 2.0, 3.0], DimensionError),  # mismatched lengths
+        ([], [], DimensionError),
+        ([[0]], [[1.0]], DimensionError),
+    ],
+)
+def test_from_monomial_rejects_bad_structure(perm, vals, error):
+    with pytest.raises(error):
+        HermitianOperator.from_monomial(perm, vals)
+
+
+def test_from_monomial_materialises_lazily():
+    rng = np.random.default_rng(13)
+    perm, vals = _random_monomial(rng, 9)
+    op = HermitianOperator.from_monomial(perm, vals)
+    assert op.dim == 9 and op._mat is None
+    p, v = op.monomial()
+    assert np.array_equal(p, perm) and np.array_equal(v, vals)
+    assert abs(op.norm2() - np.abs(vals).max()) < 1e-15
+    assert op._mat is None  # the structure and the norm need no dense matrix
+    dense = np.zeros((9, 9), dtype=complex)
+    for i in range(9):
+        dense[i, perm[i]] = vals[i]
+    m = op.mat
+    assert np.array_equal(m, dense) and op.mat is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0  # read-only
+    # the dense constructor derives the same structure
+    q, w = HermitianOperator(dense).monomial()
+    assert np.array_equal(q, perm) and np.array_equal(w, vals)
+    x = random_state_vector(rng, 9)
+    assert np.allclose(vals * x[perm], dense @ x, atol=1e-15)
+
+
+def test_add_to_scatters_or_adds_dense():
+    rng = np.random.default_rng(17)
+    ops = [
+        HermitianOperator.from_monomial(*_random_monomial(rng, 6)),
+        HermitianOperator(random_hermitian(rng, 6)),
+    ]
+    acc = np.zeros((6, 6), dtype=complex)
+    for op in ops:
+        op.add_to(acc)
+    assert ops[0]._mat is None
+    assert np.array_equal(acc, ops[0].mat + ops[1].mat)
