@@ -24,7 +24,7 @@ from .config import (
     parse_experiment,
     resolve_config_path,
 )
-from .cooling import CoolingTrace, prepare_eigenstate, stochastic_trajectory
+from .cooling import CoolingTrace, stochastic_trajectory
 from .errors import CertainFailureError, ConfigError, UndefinedOperatorError
 from .models import (
     Exact,
@@ -136,9 +136,9 @@ def _run_from_config(cfg: ExperimentConfig) -> CoolingTrace:
         if isinstance(cfg.model, Hubbard1D)
         else None
     )
-    if cfg.target_level == 0:
-        return run_protocol(initial, h, cfg.run, sector_info=sector)
-    return prepare_eigenstate(cfg.target_level, initial, h, cfg.run, sector_info=sector)
+    return run_protocol(
+        initial, h, cfg.run, target_level=cfg.target_level or None, sector_info=sector
+    )
 
 
 def cmd_run(args) -> int:

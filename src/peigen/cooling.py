@@ -1,10 +1,11 @@
-"""The core protocol: conditional cooling step, ejection of selected
-eigenstates, fixed-step loop, excited-state pipeline, success-probability
-accounting, and a stochastic restart-on-failure trajectory mode.
+"""The protocol's physics: the conditional cooling step, ejection of
+selected eigenstates, the stage and trace records, and a stochastic
+restart-on-failure trajectory mode. The classical outer loop that drives
+them lives in `variational.run`.
 
-All expectation-mode runs follow the post-selected (ancilla |0>) branch
-deterministically and record the branch probabilities; only
-`stochastic_trajectory` actually samples outcomes."""
+Traces follow the post-selected (ancilla |0>) branch deterministically and
+record the branch probabilities; only `stochastic_trajectory` actually
+samples outcomes."""
 
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from .errors import (
     UndefinedOperatorError,
     ValidationError,
 )
-from .models import GammaPolicy, Exact, SumHamiltonian, exact_spectrum, gamma_for
-from .operators import QuantumState, expectation, validate_and_normalize
+from .models import GammaPolicy, Exact, SumHamiltonian, gamma_for
+from .operators import QuantumState, validate_and_normalize
 from .trotter import apply_branches, branch_unitaries, kraus_blocks
 
 BRANCH_PROB_FLOOR = 1e-14
@@ -83,6 +84,10 @@ class RunConfig:
 
 def _trotter_r(mode: OperatorMode) -> int | None:
     return mode.r if isinstance(mode, TrotterW) else None
+
+
+def _resolve(h: SumHamiltonian, config: RunConfig) -> SumHamiltonian:
+    return h.with_gamma(gamma_for(h, config.gamma_policy))
 
 
 # ---------------------------------------------------------------------------
@@ -231,190 +236,6 @@ class CoolingTrace:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
-
-
-def success_probability(trace: CoolingTrace, k: int) -> float:
-    """Cumulative success probability after stage k (1-based)."""
-    if not 1 <= k <= len(trace.stages):
-        raise IndexError(f"stage {k} out of range 1..{len(trace.stages)}")
-    return trace.stages[k - 1].p_suc
-
-
-# ---------------------------------------------------------------------------
-# expectation-mode runs
-
-
-def _resolve(h: SumHamiltonian, config: RunConfig) -> SumHamiltonian:
-    return h.with_gamma(gamma_for(h, config.gamma_policy))
-
-
-def _cooling_loop(
-    state: QuantumState,
-    h: SumHamiltonian,
-    config: RunConfig,
-    stages: list[StageRecord],
-    p_cum: float,
-    e_prev: float,
-) -> tuple[QuantumState, float, bool, str]:
-    """Shared fixed-step / variational stage loop; appends to ``stages``."""
-    total = h.total
-    converged = False
-    if isinstance(config.mode, FixedStep):
-        def next_tau(_state: QuantumState):
-            return config.mode.tau, (), False
-    else:
-        from .variational import minimize_stage, resolve_optimizer
-
-        opt = resolve_optimizer(config.mode.optimizer)
-
-        def next_tau(state_: QuantumState):
-            res = minimize_stage(state_, h, opt, operator_mode=config.operator_mode)
-            return res.tau_star, res.trials, res.budget_exhausted
-
-    remaining = config.max_stages - len(stages)
-    for _ in range(remaining):
-        tau, trials, exhausted = next_tau(state)
-        step = cooling_step(state, h, tau, config.operator_mode)
-        if step.state0 is None:
-            raise CertainFailureError(
-                f"cooling stage at tau={tau:.6g} has zero success probability"
-            )
-        state = step.state0
-        p_cum *= step.p0
-        energy = expectation(state, total)
-        stages.append(
-            StageRecord(
-                k=len(stages) + 1,
-                kind="cool",
-                tau=float(tau),
-                energy=energy,
-                p0=step.p0,
-                p_suc=p_cum,
-                trials=trials,
-                opt_budget_exhausted=exhausted,
-            )
-        )
-        if abs(e_prev - energy) <= config.epsilon:
-            converged = True
-            break
-        e_prev = energy
-    reason = "epsilon" if converged else "max_stages"
-    return state, p_cum, converged, reason
-
-
-def fixed_step_run(
-    initial: QuantumState,
-    h: SumHamiltonian,
-    config: RunConfig,
-    *,
-    sector_info: Optional[str] = None,
-) -> CoolingTrace:
-    """Iterate cooling steps at constant tau until |E_{k-1} - E_k| <= epsilon.
-
-    Non-convergence at max_stages yields converged=False, not an exception."""
-    if not isinstance(config.mode, FixedStep):
-        raise ConfigError("fixed_step_run requires a FixedStep mode")
-    return _expectation_run(initial, h, config, sector_info)
-
-
-def _expectation_run(
-    initial: QuantumState,
-    h: SumHamiltonian,
-    config: RunConfig,
-    sector_info: Optional[str],
-) -> CoolingTrace:
-    state = validate_and_normalize(initial)
-    hg = _resolve(h, config)
-    e0 = expectation(state, hg.total)
-    stages: list[StageRecord] = []
-    state, p_cum, converged, reason = _cooling_loop(state, hg, config, stages, 1.0, e0)
-    return CoolingTrace(
-        stages=tuple(stages),
-        converged=converged,
-        stop_reason=reason,
-        final_state=state,
-        final_energy=stages[-1].energy if stages else e0,
-        initial_energy=e0,
-        p_success=p_cum,
-        gamma=hg.gamma,
-        f_tol=config.f_tol,
-        sector_info=sector_info,
-    )
-
-
-def _eigenspace_fidelity(
-    state: QuantumState, evals: np.ndarray, evecs: np.ndarray, level: int
-) -> float:
-    """Overlap with the full eigenspace containing level ``level``."""
-    members = np.abs(evals - evals[level]) < 1e-9
-    v = evecs[:, members]
-    if state.is_pure:
-        amps = v.conj().T @ state.data
-        return float(np.vdot(amps, amps).real)
-    return float(np.trace(v.conj().T @ state.data @ v).real)
-
-
-def prepare_eigenstate(
-    j: int,
-    initial: QuantumState,
-    h: SumHamiltonian,
-    config: RunConfig,
-    *,
-    sector_info: Optional[str] = None,
-) -> CoolingTrace:
-    """Eject the levels below target ``j`` (oracle energies), then cool.
-
-    Each ejection is recorded as a stage carrying its branch probability;
-    the trace reports the fidelity with the target eigenspace and whether
-    the run converged onto it (within f_tol)."""
-    if j < 0:
-        raise ConfigError(f"target level must be >= 0, got {j}")
-    evals, evecs = exact_spectrum(h)
-    if j >= len(evals):
-        raise ConfigError(f"target level {j} out of range for dim {len(evals)}")
-    state = validate_and_normalize(initial)
-    hg = _resolve(h, config)
-    total = hg.total
-    e0 = expectation(state, total)
-    stages: list[StageRecord] = []
-    p_cum = 1.0
-    for jp in range(j):
-        e_s = float(evals[jp])
-        try:
-            state, p = eject(state, hg, e_s, shifted=config.eject_shifted)
-        except CertainFailureError as exc:
-            raise CertainFailureError(f"ejection of level {jp} failed: {exc}") from exc
-        p_cum *= p
-        stages.append(
-            StageRecord(
-                k=len(stages) + 1,
-                kind="eject",
-                tau=None,
-                energy=expectation(state, total),
-                p0=p,
-                p_suc=p_cum,
-                e_s=e_s,
-                shifted=config.eject_shifted,
-            )
-        )
-    e_prev = stages[-1].energy if stages else e0
-    state, p_cum, converged, reason = _cooling_loop(state, hg, config, stages, p_cum, e_prev)
-    fidelity = _eigenspace_fidelity(state, evals, evecs, j)
-    return CoolingTrace(
-        stages=tuple(stages),
-        converged=converged,
-        stop_reason=reason,
-        final_state=state,
-        final_energy=stages[-1].energy if stages else e0,
-        initial_energy=e0,
-        p_success=p_cum,
-        gamma=hg.gamma,
-        f_tol=config.f_tol,
-        sector_info=sector_info,
-        target_level=j,
-        target_fidelity=fidelity,
-        converged_to_target=bool(converged and fidelity >= 1.0 - config.f_tol),
-    )
 
 
 # ---------------------------------------------------------------------------

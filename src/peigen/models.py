@@ -384,11 +384,12 @@ def gamma_for(h: SumHamiltonian, policy: GammaPolicy) -> float:
     """Resolve a shift policy to a concrete gamma for this Hamiltonian."""
     if isinstance(policy, NormBound):
         return float(sum(term.norm2() for _, term in h.terms))
-    evals, _ = h.total.eigensystem()
-    if isinstance(policy, Exact):
-        return float(-evals[0])
     if isinstance(policy, Fixed):
         _check_finite("gamma", policy.value)
+        # E0 >= -sum ||H_m||, so a value at or above the bound cannot warn
+        if policy.value >= gamma_for(h, NormBound()):
+            return float(policy.value)
+        evals, _ = h.total.eigensystem()
         if evals[0] + policy.value < 0:
             warnings.warn(
                 f"E0 + gamma = {evals[0] + policy.value:.6g} < 0; "
@@ -397,6 +398,9 @@ def gamma_for(h: SumHamiltonian, policy: GammaPolicy) -> float:
                 stacklevel=2,
             )
         return float(policy.value)
+    evals, _ = h.total.eigensystem()
+    if isinstance(policy, Exact):
+        return float(-evals[0])
     if isinstance(policy, TargetLevel):
         if not 0 <= policy.level < len(evals):
             raise ConfigError(

@@ -166,11 +166,6 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def hermitian_matfunc(h: HermitianOperator, f: Callable[[float], complex]) -> np.ndarray:
-    """Matrix function of a Hermitian operator via its eigendecomposition."""
-    return h.matfunc(f)
-
-
 def tensor_product(a: object, b: object) -> np.ndarray:
     """Kronecker product with a guard on the resulting dimension."""
     am = a.mat if isinstance(a, HermitianOperator) else np.asarray(a, dtype=complex)

@@ -1,6 +1,8 @@
-"""Hybrid classical loop: per-stage bounded scalar minimization of the
+"""The classical outer loop: per-stage bounded scalar minimization of the
 post-selected average energy over tau (coarse grid + golden-section
-refinement), and the variational run driver built on it."""
+refinement), and `run`, the one protocol driver. A run optionally ejects
+the levels below a target, then repeats cooling steps at a fixed or
+optimized tau until the stage energy settles."""
 
 from __future__ import annotations
 
@@ -15,13 +17,15 @@ from .cooling import (
     ExactW,
     OperatorMode,
     RunConfig,
+    StageRecord,
     Variational,
-    _expectation_run,
+    _resolve,
     cooling_step,
+    eject,
 )
-from .errors import ConfigError
-from .models import SumHamiltonian
-from .operators import QuantumState, expectation
+from .errors import CertainFailureError, ConfigError
+from .models import SumHamiltonian, exact_spectrum
+from .operators import QuantumState, expectation, validate_and_normalize
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -153,21 +157,16 @@ def minimize_stage(
     )
 
 
-def variational_run(
-    initial: QuantumState,
-    h: SumHamiltonian,
-    config: RunConfig,
-    *,
-    sector_info: Optional[str] = None,
-) -> CoolingTrace:
-    """Optimize tau anew at every stage, advancing along the 0-branch.
-
-    Stop rule and trace layout match fixed_step_run; each stage additionally
-    carries its full trial log and the optimized schedule is recoverable
-    from `trace.schedule`."""
-    if not isinstance(config.mode, Variational):
-        raise ConfigError("variational_run requires a Variational mode")
-    return _expectation_run(initial, h, config, sector_info)
+def _eigenspace_fidelity(
+    state: QuantumState, evals: np.ndarray, evecs: np.ndarray, level: int
+) -> float:
+    """Overlap with the full eigenspace containing level ``level``."""
+    members = np.abs(evals - evals[level]) < 1e-9
+    v = evecs[:, members]
+    if state.is_pure:
+        amps = v.conj().T @ state.data
+        return float(np.vdot(amps, amps).real)
+    return float(np.trace(v.conj().T @ state.data @ v).real)
 
 
 def run(
@@ -175,11 +174,101 @@ def run(
     h: SumHamiltonian,
     config: RunConfig,
     *,
+    target_level: Optional[int] = None,
     sector_info: Optional[str] = None,
 ) -> CoolingTrace:
-    """Dispatch on the configured mode (fixed-step or variational)."""
-    from .cooling import fixed_step_run
+    """Cool along the 0-branch until |E_{k-1} - E_k| <= epsilon.
 
-    if isinstance(config.mode, Variational):
-        return variational_run(initial, h, config, sector_info=sector_info)
-    return fixed_step_run(initial, h, config, sector_info=sector_info)
+    Each stage's tau is the fixed step or the minimizer of that stage's
+    post-selected energy, whose trial log the stage carries. With a
+    ``target_level`` j, the levels below j are first ejected (oracle
+    energies), each recorded as a stage counting toward max_stages, and the
+    trace reports the fidelity with the target eigenspace and whether the
+    run converged onto it (within f_tol). Non-convergence at max_stages
+    yields converged=False, not an exception."""
+    if target_level is not None:
+        if target_level < 0:
+            raise ConfigError(f"target level must be >= 0, got {target_level}")
+        evals, evecs = exact_spectrum(h)
+        if target_level >= len(evals):
+            raise ConfigError(f"target level {target_level} out of range for dim {len(evals)}")
+    state = validate_and_normalize(initial)
+    hg = _resolve(h, config)
+    total = hg.total
+    e0 = e_prev = expectation(state, total)
+    stages: list[StageRecord] = []
+    p_cum = 1.0
+    for level in range(target_level or 0):
+        e_s = float(evals[level])
+        try:
+            state, p = eject(state, hg, e_s, shifted=config.eject_shifted)
+        except CertainFailureError as exc:
+            raise CertainFailureError(f"ejection of level {level} failed: {exc}") from exc
+        p_cum *= p
+        e_prev = expectation(state, total)
+        stages.append(
+            StageRecord(
+                k=len(stages) + 1,
+                kind="eject",
+                tau=None,
+                energy=e_prev,
+                p0=p,
+                p_suc=p_cum,
+                e_s=e_s,
+                shifted=config.eject_shifted,
+            )
+        )
+
+    opt = resolve_optimizer(config.mode.optimizer) if isinstance(config.mode, Variational) else None
+    converged = False
+    while len(stages) < config.max_stages:
+        if opt is None:
+            tau, trials, exhausted = config.mode.tau, (), False
+        else:
+            res = minimize_stage(state, hg, opt, operator_mode=config.operator_mode)
+            tau, trials, exhausted = res.tau_star, res.trials, res.budget_exhausted
+        step = cooling_step(state, hg, tau, config.operator_mode)
+        if step.state0 is None:
+            raise CertainFailureError(
+                f"cooling stage at tau={tau:.6g} has zero success probability"
+            )
+        state = step.state0
+        p_cum *= step.p0
+        energy = expectation(state, total)
+        stages.append(
+            StageRecord(
+                k=len(stages) + 1,
+                kind="cool",
+                tau=float(tau),
+                energy=energy,
+                p0=step.p0,
+                p_suc=p_cum,
+                trials=trials,
+                opt_budget_exhausted=exhausted,
+            )
+        )
+        if abs(e_prev - energy) <= config.epsilon:
+            converged = True
+            break
+        e_prev = energy
+
+    fidelity = None
+    if target_level is not None:
+        fidelity = _eigenspace_fidelity(state, evals, evecs, target_level)
+    return CoolingTrace(
+        stages=tuple(stages),
+        converged=converged,
+        stop_reason="epsilon" if converged else "max_stages",
+        final_state=state,
+        final_energy=stages[-1].energy,
+        initial_energy=e0,
+        p_success=p_cum,
+        gamma=hg.gamma,
+        f_tol=config.f_tol,
+        sector_info=sector_info,
+        target_level=target_level,
+        target_fidelity=fidelity,
+        converged_to_target=(
+            None if fidelity is None else bool(converged and fidelity >= 1.0 - config.f_tol)
+        ),
+    )

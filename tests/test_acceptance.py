@@ -32,8 +32,6 @@ from peigen import (
     Variational,
     basis_vector,
     build_model,
-    fixed_step_run,
-    prepare_eigenstate,
     run,
     thermal_state,
 )
@@ -83,7 +81,7 @@ def test_criterion_01_harmonic_fixed_step():
         mode=FixedStep(tau=0.3), gamma_policy=Fixed(0.0), epsilon=1e-3, max_stages=150
     )
     t0 = time.monotonic()
-    tr = fixed_step_run(init, h, cfg)
+    tr = run(init, h, cfg)
     dt = time.monotonic() - t0
     # closed-form thermal weights (renormalised on the cutoff) and levels
     # E_n = omega n, put through the law under the same epsilon rule
@@ -259,10 +257,10 @@ def test_criterion_07_trotter_order():
     h = build_model(RABI_SPEC)
     init = basis_vector(40, rabi_basis_index(RABI_SPEC, "down", 0))
     base = dict(epsilon=1e-3, max_stages=150)
-    e_exact = fixed_step_run(
+    e_exact = run(
         init, h, RunConfig(mode=FixedStep(tau=0.3), operator_mode=ExactW(), **base)
     ).final_energy
-    e_r3 = fixed_step_run(
+    e_r3 = run(
         init, h, RunConfig(mode=FixedStep(tau=0.3), operator_mode=TrotterW(r=3), **base)
     ).final_energy
     agree = abs(e_r3 - e_exact)
@@ -304,7 +302,7 @@ def test_criterion_09_excited_state_pipeline():
         gamma_policy=Fixed(1.0),
         eject_shifted=True,
     )
-    tr = prepare_eigenstate(1, init, h, cfg)
+    tr = run(init, h, cfg, target_level=1)
     rep = eject_support_suite(n_instances=100)
     _report(
         9,

@@ -170,6 +170,20 @@ def test_seed_flag_echoed_in_trace(tmp_path):
     assert doc["config"]["run"]["seed"] == 42
 
 
+def test_target_keys_only_in_targeted_traces(tmp_path):
+    keys = {"target_level", "target_fidelity", "converged_to_target"}
+    assert _run_cli(_write_cfg(tmp_path, "plain.json", _harmonic_cfg()), tmp_path) == 0
+    doc, _ = _read_trace(tmp_path, "t")
+    assert not keys & doc.keys()
+    targeted = _harmonic_cfg(
+        gamma={"policy": "fixed", "value": 1.0}, eject_shifted=True, target_level=1
+    )
+    assert _run_cli(_write_cfg(tmp_path, "targeted.json", targeted), tmp_path) == 0
+    doc, rows = _read_trace(tmp_path, "t")
+    assert keys <= doc.keys() and doc["target_level"] == 1
+    assert rows[0]["tau"] == ""  # the ejection stage
+
+
 # ---------------------------------------------------------------------------
 # non-convergence and certain failure
 

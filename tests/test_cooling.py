@@ -22,10 +22,8 @@ from peigen import (
     cooling_step,
     eject,
     expectation,
-    fixed_step_run,
-    prepare_eigenstate,
+    run,
     stochastic_trajectory,
-    success_probability,
     trajectory_probabilities,
 )
 from peigen.models import build_custom
@@ -144,7 +142,7 @@ def test_eject_shifted_annihilates_even_levels(harmonic, thermal_half):
 
 def test_ground_state_converges_immediately(harmonic):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3)
-    tr = fixed_step_run(basis_vector(30, 0), harmonic, cfg)
+    tr = run(basis_vector(30, 0), harmonic, cfg)
     assert tr.converged and tr.n_stages == 1
     assert abs(tr.p_success - 1.0) < 1e-12
     assert abs(tr.final_energy) < 1e-12
@@ -152,41 +150,32 @@ def test_ground_state_converges_immediately(harmonic):
 
 def test_trace_success_probability_telescopes(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-4, max_stages=60)
-    tr = fixed_step_run(thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg)
     prod = 1.0
-    for k, s in enumerate(tr.stages, start=1):
+    for s in tr.stages:
         prod *= s.p0
         assert abs(s.p_suc - prod) < 1e-10
-        assert success_probability(tr, k) == s.p_suc
     assert abs(tr.p_success - prod) < 1e-10
-    with pytest.raises(IndexError):
-        success_probability(tr, tr.n_stages + 1)
 
 
 def test_trace_energies_non_increasing(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-5, max_stages=150)
-    tr = fixed_step_run(thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg)
     energies = [tr.initial_energy] + [s.energy for s in tr.stages]
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
 
 
 def test_non_convergence_is_flagged_not_raised(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-12, max_stages=5)
-    tr = fixed_step_run(thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg)
     assert not tr.converged
     assert tr.stop_reason == "max_stages"
     assert tr.n_stages == 5
 
 
-def test_fixed_run_rejects_variational_mode(harmonic, thermal_half):
-    cfg = RunConfig(mode=Variational(), epsilon=1e-3)
-    with pytest.raises(ConfigError):
-        fixed_step_run(thermal_half, harmonic, cfg)
-
-
 def test_schedule_replay_reproduces_probabilities_and_energies(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-4, max_stages=60)
-    tr = fixed_step_run(thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg)
     p0s = trajectory_probabilities(thermal_half, harmonic, cfg, tr.schedule)
     assert np.abs(p0s - np.array([s.p0 for s in tr.stages])).max() < 1e-10
     state = thermal_half
@@ -200,13 +189,28 @@ def test_schedule_replay_reproduces_probabilities_and_energies(harmonic, thermal
 # excited-state pipeline
 
 
+def test_targeted_run_ejections_count_toward_max_stages(harmonic, thermal_half):
+    cfg = RunConfig(
+        mode=FixedStep(tau=0.3),
+        gamma_policy=Fixed(value=1.0),
+        max_stages=1,
+        eject_shifted=True,
+    )
+    tr = run(thermal_half, harmonic, cfg, target_level=1)
+    assert [s.kind for s in tr.stages] == ["eject"]
+    assert tr.converged is False and tr.converged_to_target is False
+    assert tr.stop_reason == "max_stages"
+    assert tr.final_energy == tr.stages[0].energy
+
+
 def test_prepare_level_zero_equals_plain_run(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3)
-    a = fixed_step_run(thermal_half, harmonic, cfg)
-    b = prepare_eigenstate(0, thermal_half, harmonic, cfg)
+    a = run(thermal_half, harmonic, cfg)
+    b = run(thermal_half, harmonic, cfg, target_level=0)
     assert a.n_stages == b.n_stages
     assert abs(a.final_energy - b.final_energy) < 1e-14
     assert b.target_level == 0 and b.target_fidelity > 0.98
+    assert a.target_level is a.target_fidelity is a.converged_to_target is None
 
 
 def test_prepare_first_excited(harmonic, thermal_half):
@@ -217,7 +221,7 @@ def test_prepare_first_excited(harmonic, thermal_half):
         max_stages=60,
         eject_shifted=True,
     )
-    tr = prepare_eigenstate(1, thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg, target_level=1)
     assert tr.stages[0].kind == "eject"
     assert tr.stages[0].tau is None
     assert abs(tr.final_energy - 1.0) < 1e-3
@@ -234,7 +238,7 @@ def test_prepare_orthogonal_initial_flags_failure(harmonic):
         max_stages=40,
         eject_shifted=True,
     )
-    tr = prepare_eigenstate(1, basis_vector(30, 3), harmonic, cfg)
+    tr = run(basis_vector(30, 3), harmonic, cfg, target_level=1)
     assert tr.converged
     assert not tr.converged_to_target
     assert tr.target_fidelity < 1e-10
@@ -248,15 +252,15 @@ def test_prepare_certain_ejection_failure(harmonic):
         eject_shifted=True,
     )
     with pytest.raises(CertainFailureError):
-        prepare_eigenstate(1, basis_vector(30, 0), harmonic, cfg)
+        run(basis_vector(30, 0), harmonic, cfg, target_level=1)
 
 
 def test_prepare_level_out_of_range(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3)
     with pytest.raises(ConfigError):
-        prepare_eigenstate(30, thermal_half, harmonic, cfg)
+        run(thermal_half, harmonic, cfg, target_level=30)
     with pytest.raises(ConfigError):
-        prepare_eigenstate(-1, thermal_half, harmonic, cfg)
+        run(thermal_half, harmonic, cfg, target_level=-1)
 
 
 # ---------------------------------------------------------------------------

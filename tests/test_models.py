@@ -340,6 +340,17 @@ def test_gamma_fixed_warns_when_spectrum_stays_negative():
         assert gamma_for(h, Fixed(value=3.5)) == 3.5  # no warning
 
 
+def test_gamma_fixed_at_norm_bound_skips_dense_total():
+    # E0 >= -sum ||H_m||: no warning is possible, so no dense H and no eigh
+    h = build_model(Hubbard1D(sites=5, t=1.0, u=2.0))
+    bound = gamma_for(h, NormBound())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_for(h, Fixed(value=bound)) == bound
+    assert h._total is None
+    assert all(term._mat is None and term._eig is None for _, term in h.terms)
+
+
 def test_gamma_target_level():
     h = build_custom(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
     assert gamma_for(h, TargetLevel(level=0)) == 3.0

@@ -17,9 +17,7 @@ from peigen import (
     basis_vector,
     cooling_step,
     expectation,
-    fixed_step_run,
     run,
-    variational_run,
 )
 from peigen.models import build_custom
 from peigen.variational import minimize_stage, stage_objective
@@ -123,7 +121,7 @@ def test_optimizer_config_validation():
 
 def test_variational_run_harmonic_converges_in_eight_stages(harmonic, thermal_half):
     cfg = RunConfig(mode=Variational(), epsilon=1e-3)
-    tr = variational_run(thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg)
     assert tr.converged
     assert tr.n_stages == 8
     assert sum(len(s.trials) for s in tr.stages) == 96  # 12 per stage
@@ -134,15 +132,15 @@ def test_variational_run_harmonic_converges_in_eight_stages(harmonic, thermal_ha
 
 def test_variational_stage_energies_strictly_decrease(harmonic, thermal_half):
     cfg = RunConfig(mode=Variational(), epsilon=1e-3)
-    tr = variational_run(thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg)
     energies = [tr.initial_energy] + [s.energy for s in tr.stages]
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
 def test_variational_beats_fixed_step_on_stage_count(harmonic, thermal_half):
     eps = 1e-3
-    var = variational_run(thermal_half, harmonic, RunConfig(mode=Variational(), epsilon=eps))
-    fix = fixed_step_run(
+    var = run(thermal_half, harmonic, RunConfig(mode=Variational(), epsilon=eps))
+    fix = run(
         thermal_half, harmonic, RunConfig(mode=FixedStep(tau=0.3), epsilon=eps)
     )
     assert var.n_stages <= fix.n_stages
@@ -150,7 +148,7 @@ def test_variational_beats_fixed_step_on_stage_count(harmonic, thermal_half):
 
 def test_variational_replay_reproduces_energies(harmonic, thermal_half):
     cfg = RunConfig(mode=Variational(), epsilon=1e-3)
-    tr = variational_run(thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg)
     state = thermal_half
     for s in tr.stages:
         state = cooling_step(state, harmonic, s.tau).state0
@@ -159,7 +157,7 @@ def test_variational_replay_reproduces_energies(harmonic, thermal_half):
 
 def test_variational_trial_logs_are_contiguous(harmonic, thermal_half):
     cfg = RunConfig(mode=Variational(), epsilon=1e-2)
-    tr = variational_run(thermal_half, harmonic, cfg)
+    tr = run(thermal_half, harmonic, cfg)
     for s in tr.stages:
         assert [t.trial_index for t in s.trials] == list(range(len(s.trials)))
         assert any(t.tau == s.tau for t in s.trials)  # chosen tau was evaluated
@@ -169,10 +167,3 @@ def test_run_dispatches_on_mode(harmonic, thermal_half):
     v = run(thermal_half, harmonic, RunConfig(mode=Variational(), epsilon=1e-2))
     f = run(thermal_half, harmonic, RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-2))
     assert v.stages[0].trials and not f.stages[0].trials
-
-
-def test_variational_run_rejects_fixed_mode(harmonic, thermal_half):
-    with pytest.raises(ConfigError):
-        variational_run(
-            thermal_half, harmonic, RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3)
-        )
