@@ -103,9 +103,11 @@ class SumHamiltonian:
 
     `gamma` is kept separate from the terms: the cooling unitary acts with
     H + gamma while spectra and recorded energies always refer to the bare H.
+    `with_gamma` copies share the terms, the total and, through `_base`, the
+    Trotter sweep plan that `trotter.apply_branches` builds on first use.
     """
 
-    __slots__ = ("terms", "gamma", "dim", "_total")
+    __slots__ = ("terms", "gamma", "dim", "_total", "_base", "_plan")
 
     def __init__(
         self,
@@ -113,6 +115,7 @@ class SumHamiltonian:
         gamma: float = 0.0,
         *,
         _total: HermitianOperator | None = None,
+        _base: "SumHamiltonian | None" = None,
     ) -> None:
         if not terms:
             raise ValidationError("SumHamiltonian needs at least one term")
@@ -126,6 +129,7 @@ class SumHamiltonian:
         self.gamma = float(gamma)
         self.dim = dims.pop()
         self._total = _total
+        self._base, self._plan = _base, None
 
     @property
     def total(self) -> HermitianOperator:
@@ -141,8 +145,8 @@ class SumHamiltonian:
         return self._total
 
     def with_gamma(self, gamma: float) -> "SumHamiltonian":
-        """Copy with a different shift; the eigendecomposition cache is shared."""
-        return SumHamiltonian(self.terms, gamma, _total=self.total)
+        """Copy with a different shift, sharing the total H and Trotter plan."""
+        return SumHamiltonian(self.terms, gamma, _total=self.total, _base=self._base or self)
 
     def __repr__(self) -> str:
         return f"SumHamiltonian(dim={self.dim}, terms={len(self.terms)}, gamma={self.gamma})"
@@ -316,12 +320,6 @@ def _hubbard_counts(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of the particle-number operators (N_up, N_dn)."""
     occ = _hubbard_occupations(L)
     return occ[0::2].sum(axis=0), occ[1::2].sum(axis=0)
-
-
-def hubbard_number_operators(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Total particle-number operators (N_up, N_dn) in the JW spin basis."""
-    n_up, n_dn = _hubbard_counts(L)
-    return np.diag(n_up.astype(complex)), np.diag(n_dn.astype(complex))
 
 
 def hubbard_sector_label(state: QuantumState, L: int) -> str:

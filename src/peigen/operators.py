@@ -1,7 +1,7 @@
 """Complex-matrix algebra: Hermitian operators (dense, or built from their
 monomial structure with the dense matrix formed on demand), matrix
-functions, tensor products, and pure/mixed state bookkeeping that every
-other module builds on."""
+functions, and pure/mixed state bookkeeping that every other module
+builds on."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 from .errors import DimensionError, EigenDecompositionError, ValidationError
 
 HERMITICITY_ATOL = 1e-12
-KRON_DIM_LIMIT = 2**20
 
 
 def as_square_matrix(m: object) -> np.ndarray:
@@ -166,19 +165,6 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def tensor_product(a: object, b: object) -> np.ndarray:
-    """Kronecker product with a guard on the resulting dimension."""
-    am = a.mat if isinstance(a, HermitianOperator) else np.asarray(a, dtype=complex)
-    bm = b.mat if isinstance(b, HermitianOperator) else np.asarray(b, dtype=complex)
-    rows = am.shape[0] * bm.shape[0]
-    cols = (am.shape[1] if am.ndim > 1 else 1) * (bm.shape[1] if bm.ndim > 1 else 1)
-    if rows > KRON_DIM_LIMIT or cols > KRON_DIM_LIMIT:
-        raise DimensionError(
-            f"tensor product dimension {rows}x{cols} exceeds limit {KRON_DIM_LIMIT}"
-        )
-    return np.kron(am, bm)
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """System state: pure (1-D amplitude vector) or mixed (2-D density matrix).
@@ -220,13 +206,9 @@ class QuantumState:
 MatrixLike = Union[HermitianOperator, np.ndarray]
 
 
-def _matrix_of(h: MatrixLike) -> np.ndarray:
-    return h.mat if isinstance(h, HermitianOperator) else np.asarray(h, dtype=complex)
-
-
 def expectation(state: QuantumState, h: MatrixLike) -> float:
     """<H> for a pure or mixed state; asserts the imaginary residue is tiny."""
-    m = _matrix_of(h)
+    m = h.mat if isinstance(h, HermitianOperator) else np.asarray(h, dtype=complex)
     if m.shape[0] != state.dim:
         raise DimensionError(f"operator dim {m.shape[0]} != state dim {state.dim}")
     if state.is_pure:

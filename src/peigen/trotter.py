@@ -3,12 +3,13 @@ gamma decomposition, the primitive system-ancilla couplings, and the
 CNOT/analog-block circuit identities that verify the gate decompositions.
 
 In Trotter mode the branch unitaries U_pm are never built factor by factor
-as dense matrices: `apply_branches` applies the sequence of single-term
-exponentials to a vector or a block of columns. Monomial terms (diagonal
-terms and Jordan-Wigner Pauli strings) use a closed form at O(d) per
-column; other terms use their cached eigensystem. `branch_unitaries` and
-`trotter_W` are that sequence applied to the identity, kept for the joint
-unitary, the Trotter error and mixed-state steps.
+as dense matrices. A model's terms compile once into a sweep plan, shared
+by its `with_gamma` copies: adjacent monomial terms (diagonals, Pauli
+strings) with one pattern that commute exactly fuse into one group, and the
+half steps at the seam of two sweeps merge. `apply_branches` runs the plan
+on a vector or a block, monomial groups in closed form at O(d) per column,
+dense terms through their cached eigensystem; `branch_unitaries` and
+`trotter_W` run it on the identity.
 
 Wire convention everywhere: system factors first, ancilla qubit last."""
 
@@ -63,56 +64,68 @@ class JointUnitary:
 # branch construction of W_gamma(tau) = exp(-i (H + gamma) sigma_x tau)
 
 
-def _term_factor(term: HermitianOperator, angle: float, block: bool):
-    """exp(-i * angle * term) as an in-place update ``factor(y, scratch)`` of
-    a vector, or of the columns of a matrix when ``block`` is set.
+class _SweepPlan:
+    """A model's ordered terms compiled for the symmetric product formula.
 
-    A monomial term M (M @ M == diag(|m|^2)) uses the closed form
-    cos(angle |m|) y - i angle sinc(angle |m| / pi) m y[perm], O(d) per
-    column and a single multiply when M is diagonal. Any other term goes
-    through its cached eigensystem: V (phase * V^H y) for a vector, and for
-    a matrix a dense factor formed once and multiplied in at every sweep.
-    Updating in place through one scratch array keeps large blocks from
-    allocating per factor."""
-    mono = term.monomial()
-    if mono is not None:
-        perm, vals = mono
-        mag = np.abs(vals)
-        c = np.cos(angle * mag)
-        s = -1j * angle * np.sinc(angle * mag / math.pi) * vals
-        if block:
-            c, s = c[:, None], s[:, None]
-        if (perm == np.arange(term.dim)).all():
-            e = c + s
+    Adjacent monomial terms with one ``perm`` that commute exactly (``a *
+    b[perm] == b * a[perm]`` bit for bit with every member) fuse into one
+    group with the summed ``vals``. A group is ``(perm, eig, mag, unit)``:
+    ``perm`` if a non-diagonal monomial, ``(V, V^H)`` if dense, else None;
+    ``|vals|`` and ``vals / |vals|`` (0 at zeros), or eigenvalues and ones."""
 
-            def diagonal(y: np.ndarray, scratch: np.ndarray) -> None:
-                y *= e
+    def __init__(self, terms) -> None:
+        runs: list = []  # (perm, [vals, ...]) per monomial run, (None, term) per dense term
+        for _, term in terms:
+            mono = term.monomial()
+            p = runs[-1][0] if runs else None
+            if mono is not None and p is not None and np.array_equal(p, mono[0]) and all(
+                (a * mono[1][p] == mono[1] * a[p]).all() for a in runs[-1][1]
+            ):
+                runs[-1][1].append(mono[1])
+            else:
+                runs.append((mono[0], [mono[1]]) if mono is not None else (None, term))
+        self.groups = []
+        for p, parts in runs:
+            if p is None:
+                evals, v = parts.eigensystem()
+                eig = (v, np.ascontiguousarray(v.conj().T))
+                self.groups.append((None, eig, evals, np.ones_like(evals)))
+                continue
+            vals = reduce(np.add, parts)
+            mag = np.abs(vals)
+            unit = np.divide(vals, mag, out=np.zeros_like(vals), where=mag > 0)
+            self.groups.append((None if (p == np.arange(p.size)).all() else p, None, mag, unit))
+        self._programs: dict = {}
 
-            return diagonal
+    def program(self, r: int):
+        """``(steps, kmag, nunit)`` of r sweeps: half steps over the groups,
+        a full step on the last, the half steps in reverse, with the seam of
+        two sweeps merged into one full step. Row i of ``kmag = k * mag``
+        and ``nunit = -1j * unit`` is slot i, a (group, multiple k of tau /
+        2r) pair; ``steps`` lists ``(perm, eig, slot)`` in order."""
+        if r not in self._programs:
+            n = len(self.groups)
+            sweep = [(g, 1) for g in range(n - 1)] + [(n - 1, 2)]
+            seq: list[tuple[int, int]] = []
+            for g, k in (sweep + sweep[-2::-1]) * r:
+                if seq and seq[-1][0] == g:
+                    seq[-1] = (g, seq[-1][1] + k)
+                else:
+                    seq.append((g, k))
+            slots = {gk: i for i, gk in enumerate(dict.fromkeys(seq))}
+            steps = [self.groups[g][:2] + (slots[g, k],) for g, k in seq]
+            kmag = np.array([k * self.groups[g][2] for g, k in slots])
+            nunit = np.array([-1j * self.groups[g][3] for g, _ in slots])
+            self._programs[r] = (steps, kmag, nunit)
+        return self._programs[r]
 
-        def monomial(y: np.ndarray, scratch: np.ndarray) -> None:
-            y.take(perm, axis=0, out=scratch)
-            scratch *= s
-            y *= c
-            y += scratch
 
-        return monomial
-    evals, v = term.eigensystem()
-    phase = np.exp(-1j * angle * evals)
-    if block:
-        f = (v * phase) @ v.conj().T
-
-        def dense(y: np.ndarray, scratch: np.ndarray) -> None:
-            np.matmul(f, y, out=scratch)
-            y[...] = scratch
-
-        return dense
-    vh = v.conj().T
-
-    def eigen(y: np.ndarray, scratch: np.ndarray) -> None:
-        y[...] = v @ (phase * (vh @ y))
-
-    return eigen
+def _plan(h: SumHamiltonian) -> _SweepPlan:
+    """The sweep plan of h's terms, built once and shared by with_gamma copies."""
+    base = h._base or h
+    if base._plan is None:
+        base._plan = _SweepPlan(base.terms)
+    return base._plan
 
 
 def apply_branches(
@@ -120,24 +133,37 @@ def apply_branches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(U_plus x, U_minus x) for the r-step second-order Trotter branches.
 
-    ``x`` is a state vector or a matrix whose columns are transformed. Each
-    branch applies r symmetric sweeps over the ordered terms (half steps
-    around the last term at a full step) one single-term exponential at a
-    time, then the exact gamma phase; no d x d branch unitary is formed."""
+    ``x`` is a state vector or a matrix whose columns are transformed, by
+    one code path: the model's sweep plan, then the exact gamma phase. A
+    monomial group acts as cos(theta |m|) y - i sin(theta |m|) (m / |m|)
+    y[perm], one multiply if diagonal, a dense group as V (e^{-i theta
+    lambda} V^H y). The cos/sin tables of all slots are computed once per
+    call and shared by both branches (U_minus flips the sin part's sign);
+    factors update y in place through one scratch array."""
     if r < 1:
         raise ValidationError(f"Trotter steps r must be >= 1, got {r}")
-    terms = [term for _, term in h.terms]
-    block = x.ndim == 2
+    steps, kmag, nunit = _plan(h).program(r)
+    theta = (0.5 * tau / r) * kmag
+    cols = (1,) * (x.ndim - 1)  # tables broadcast over the columns of a block
+    c = np.cos(theta).astype(complex).reshape(kmag.shape + cols)  # complex: faster y *= c
+    off = (np.sin(theta) * nunit).reshape(c.shape)
     out = []
-    for sign in (+1.0, -1.0):
-        dt = sign * tau / r
-        halves = [_term_factor(t, dt / 2, block) for t in terms[:-1]]
-        sweep = halves + [_term_factor(terms[-1], dt, block)] + halves[::-1]
+    for sign, s in ((+1.0, off), (-1.0, -off)):
+        e = c + s
         y = np.array(x, dtype=complex)
         scratch = np.empty_like(y)
-        for _ in range(r):
-            for factor in sweep:
-                factor(y, scratch)
+        for perm, eig, i in steps:
+            if eig is not None:
+                np.matmul(eig[1], y, out=scratch)
+                scratch *= e[i]
+                np.matmul(eig[0], scratch, out=y)
+            elif perm is None:
+                y *= e[i]
+            else:
+                y.take(perm, axis=0, out=scratch)
+                scratch *= s[i]
+                y *= c[i]
+                y += scratch
         y *= cmath.exp(-1j * sign * h.gamma * tau)
         out.append(y)
     return out[0], out[1]
@@ -150,10 +176,10 @@ def branch_unitaries(
 
     U_pm = exp(∓ i (H + gamma) tau) act on the ancilla sigma-x = ±1 branches.
     With ``r`` set, each branch is the r-fold symmetric (second-order)
-    Trotter product over the ordered terms, times the exact gamma phase:
-    `apply_branches` on the identity. These dense forms serve the joint
-    unitary, the Trotter error and mixed-state steps; pure-state cooling
-    applies the Trotter branches to the state directly.
+    Trotter product, times the exact gamma phase: the model's sweep plan
+    (fused commuting groups, merged seams) run by `apply_branches` on the
+    identity. These dense forms serve the joint unitary, the Trotter error
+    and mixed-state steps; pure-state cooling applies the plan to the state.
     """
     if r is None:
         evals, v = h.total.eigensystem()
@@ -480,12 +506,8 @@ def dipole_circuit(phi: float, cutoff: int, *, drop_cnots: bool = False) -> Circ
 
 def _boson_index_sets(system_qubits: int, cutoff: int, n_max: int) -> np.ndarray:
     """Flat joint-space indices whose boson occupation is below ``n_max``."""
-    idxs = []
-    for q in range(2**system_qubits):
-        for n in range(n_max):
-            for a in range(2):
-                idxs.append((q * cutoff + n) * 2 + a)
-    return np.array(idxs, dtype=int)
+    q, n, a = np.indices((2**system_qubits, n_max, 2))
+    return ((q * cutoff + n) * 2 + a).ravel()
 
 
 def verify_fig2b(phi: float, cutoff: int, *, drop_cnots: bool = False) -> float:

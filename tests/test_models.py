@@ -42,7 +42,6 @@ from peigen.models import (
     PAULI_Y,
     PAULI_Z,
     build_custom,
-    hubbard_number_operators,
 )
 
 RABI_DSC = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
@@ -135,13 +134,6 @@ def test_hubbard_two_site_ground_energy_analytic():
     h = build_model(Hubbard1D(sites=2, t=1.0, u=2.0))
     evals, _ = exact_spectrum(h)
     assert abs(evals[0] - (1 - math.sqrt(5))) < 1e-12
-
-
-def test_hubbard_number_operators_commute():
-    h = build_model(Hubbard1D(sites=2, t=1.0, u=2.0)).total.mat
-    n_up, n_dn = hubbard_number_operators(2)
-    assert np.linalg.norm(h @ n_up - n_up @ h, 2) < 1e-12
-    assert np.linalg.norm(h @ n_dn - n_dn @ h, 2) < 1e-12
 
 
 def test_hubbard_basis_labels_and_sectors():
@@ -244,9 +236,6 @@ def test_hubbard_sector_helpers_match_pauli_strings(sites):
         sum((eye + _pauli_string_ref(n, {2 * i + s: PAULI_Z})) / 2 for i in range(sites))
         for s in (0, 1)
     ]
-    got = hubbard_number_operators(sites)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
     counts = [np.diag(w).real.astype(int) for w in want]
     h = build_model(Hubbard1D(sites=sites, t=1.0, u=2.0))
     for idx in range(2**n):

@@ -12,7 +12,6 @@ from peigen import (
     ValidationError,
     basis_vector,
     expectation,
-    tensor_product,
     validate_and_normalize,
 )
 from tests.conftest import random_hermitian, random_state_vector
@@ -63,20 +62,6 @@ def test_eigensystem_sorted_and_cached():
     assert evals is evals2 and vecs is vecs2  # cached, not recomputed
     with pytest.raises(ValueError):
         evals[0] = 99.0  # read-only
-
-
-def test_tensor_product_matches_kron():
-    rng = np.random.default_rng(3)
-    a = random_hermitian(rng, 3)
-    b = random_hermitian(rng, 4)
-    t = tensor_product(HermitianOperator(a), HermitianOperator(b))
-    assert np.allclose(t, np.kron(a, b), atol=1e-14)
-
-
-def test_tensor_product_dimension_guard():
-    big = HermitianOperator(np.eye(2**11))
-    with pytest.raises(DimensionError):
-        tensor_product(big, big)  # 2^22 > 2^20
 
 
 def test_pure_state_basics():

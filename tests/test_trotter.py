@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,24 +10,30 @@ from hypothesis import strategies as st
 
 from peigen import (
     Custom,
+    FixedStep,
     Hubbard1D,
     QuantumState,
     Rabi,
+    RunConfig,
     TrotterW,
     TruncationLeakageError,
     ValidationError,
     apply_branches,
+    basis_state,
     branch_unitaries,
     build_model,
     cooling_step,
     exact_W,
+    run,
+    stochastic_trajectory,
     trotter_W,
     trotter_error,
     verify_fig2a,
     verify_fig2b,
     wgamma_decompose,
 )
-from peigen.models import PAULI_X
+from peigen import trotter
+from peigen.models import PAULI_X, PAULI_Y, PAULI_Z
 from peigen.trotter import (
     MS,
     XXX,
@@ -301,8 +308,8 @@ def _reference_step(state, u_plus, u_minus):
     return out
 
 
-def _check_step(state, h, tau, r, tol=1e-10):
-    u_plus, u_minus = _reference_branches(h, tau, r)
+def _check_step(state, h, tau, r, tol=1e-10, reference=None):
+    u_plus, u_minus = reference or _reference_branches(h, tau, r)
     step = cooling_step(state, h, tau, TrotterW(r))
     for (p_ref, rho_ref), p, out in zip(
         _reference_step(state, u_plus, u_minus),
@@ -315,11 +322,39 @@ def _check_step(state, h, tau, r, tol=1e-10):
     return u_plus, u_minus
 
 
+def _pauli(*factors):
+    return functools.reduce(np.kron, factors)
+
+
+def _noncommuting_terms():
+    """sigma_x then sigma_y on one qubit: one flip pattern, but they do not
+    commute, so they must stay separate factors."""
+    i2 = np.eye(2)
+    return (
+        ("x", 0.7 * _pauli(PAULI_X, i2)),
+        ("y", -0.4 * _pauli(PAULI_Y, i2)),
+        ("zz", 0.9 * _pauli(PAULI_Z, PAULI_Z)),
+    )
+
+
+def _diagonal_tail_terms(seed):
+    """A Pauli string, then three diagonals that fuse into the last,
+    full-step group."""
+    rng = np.random.default_rng(seed)
+    i2 = np.eye(2)
+    hop = (("xzx", 0.8 * _pauli(PAULI_X, PAULI_Z, PAULI_X)), ("yiy", 0.5 * _pauli(PAULI_Y, i2, PAULI_Y)))
+    return hop + tuple((f"d{k}", np.diag(rng.normal(size=8)).astype(complex)) for k in range(3))
+
+
 DIFFERENTIAL_MODELS = {
     "custom": Custom(_custom_terms(5)),
+    "noncommuting": Custom(_noncommuting_terms()),
+    "diagonal_tail": Custom(_diagonal_tail_terms(7)),
+    "single_term": Custom(_custom_terms(9)[1:2]),
     "rabi8": Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=8),
     "hubbard2": Hubbard1D(2, t=1.0, u=2.0),
     "hubbard3": Hubbard1D(3, t=0.7, u=1.3),
+    "hubbard4": Hubbard1D(4, t=0.9, u=1.7),
 }
 
 
@@ -335,7 +370,7 @@ def test_trotter_apply_matches_dense_product_formula(name, r):
     rho /= np.trace(rho).real
 
     u_plus, u_minus = _check_step(QuantumState(psi), h, tau, r)
-    _check_step(QuantumState(rho), h, tau, r)
+    _check_step(QuantumState(rho), h, tau, r, reference=(u_plus, u_minus))
     for got, want in zip(branch_unitaries(h, tau, r), (u_plus, u_minus)):
         assert np.abs(got - want).max() <= 1e-10
     for got, want in zip(apply_branches(h, tau, r, psi), (u_plus @ psi, u_minus @ psi)):
@@ -346,6 +381,69 @@ def test_custom_terms_structure():
     h = build_model(DIFFERENTIAL_MODELS["custom"])
     kinds = {label: term.monomial() is not None for label, term in h.terms}
     assert kinds == {"diag": True, "perm": True, "dense": False}
+
+
+def _group_count(name):
+    return len(trotter._plan(build_model(DIFFERENTIAL_MODELS[name])).groups)
+
+
+def test_sweep_plan_fuses_only_commuting_neighbours():
+    # XX/YY of each Hubbard bond and spin fuse, and so do the on-site terms
+    assert [_group_count(f"hubbard{n}") for n in (2, 3, 4)] == [3, 5, 7]
+    assert _group_count("noncommuting") == 3
+    assert _group_count("diagonal_tail") == 2
+    assert _group_count("custom") == 3
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_sweep_plan_merges_seams(r):
+    h = build_model(Hubbard1D(4, t=1.0, u=2.0))
+    steps, kmag, _ = trotter._plan(h).program(r)
+    # 7 groups: 12 factors per sweep plus one, against 31 per sweep unfused
+    assert len(steps) == 12 * r + 1
+    assert len(kmag) == 7 + (r > 1)  # the seams add a full step on group 0
+    single, _, _ = trotter._plan(build_model(DIFFERENTIAL_MODELS["single_term"])).program(r)
+    assert len(single) == 1  # r full steps of one term merge into one
+
+
+def test_with_gamma_copies_share_the_plan():
+    h = build_model(Hubbard1D(2, t=1.0, u=2.0))
+    hg = h.with_gamma(0.4)
+    plan = trotter._plan(hg)
+    assert trotter._plan(h) is plan
+    assert trotter._plan(hg.with_gamma(-0.2)) is plan
+    assert trotter._plan(h.with_gamma(1.0)) is plan
+
+
+def test_run_and_trajectories_build_the_plan_once(monkeypatch):
+    built = []
+
+    class CountingPlan(trotter._SweepPlan):
+        def __init__(self, terms):
+            built.append(terms)
+            super().__init__(terms)
+
+    monkeypatch.setattr(trotter, "_SweepPlan", CountingPlan)
+    spec = Hubbard1D(4, t=1.0, u=2.0)
+    h = build_model(spec)
+    psi = basis_state(spec, "uuddudud")
+    config = RunConfig(mode=FixedStep(0.4), max_stages=2, operator_mode=TrotterW(3))
+    trace = run(psi, h, config)
+    for seed in (1, 2):
+        stochastic_trajectory(psi, h, replace(config, seed=seed), trace.schedule)
+    assert len(built) == 1
+
+
+def test_fresh_models_never_get_a_stale_plan():
+    psi = QuantumState(random_state_vector(np.random.default_rng(12), 16))
+    for i in range(30):
+        h = build_model(Hubbard1D(2, t=0.4 + 0.1 * i, u=2.5 - 0.07 * i))
+        assert h._plan is None
+        hg = h.with_gamma(0.1 * i)
+        _check_step(psi, hg, 0.7, 3)
+        assert hg._plan is None and h._plan is trotter._plan(hg)
+        del h, hg
+        gc.collect()
 
 
 def test_fresh_models_never_reuse_stale_term_structure():
