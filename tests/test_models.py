@@ -238,6 +238,8 @@ def test_hubbard_sector_helpers_match_pauli_strings(sites):
     ]
     counts = [np.diag(w).real.astype(int) for w in want]
     h = build_model(Hubbard1D(sites=sites, t=1.0, u=2.0))
+    for w in want:  # H conserves N_up and N_dn
+        assert np.abs(h.total.mat @ w - w @ h.total.mat).max() < 1e-12
     for idx in range(2**n):
         psi = QuantumState(np.eye(2**n)[idx])
         assert hubbard_sector_label(psi, sites) == f"n_up={counts[0][idx]} n_dn={counts[1][idx]}"

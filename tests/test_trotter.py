@@ -342,7 +342,10 @@ def _diagonal_tail_terms(seed):
     full-step group."""
     rng = np.random.default_rng(seed)
     i2 = np.eye(2)
-    hop = (("xzx", 0.8 * _pauli(PAULI_X, PAULI_Z, PAULI_X)), ("yiy", 0.5 * _pauli(PAULI_Y, i2, PAULI_Y)))
+    hop = (
+        ("xzx", 0.8 * _pauli(PAULI_X, PAULI_Z, PAULI_X)),
+        ("yiy", 0.5 * _pauli(PAULI_Y, i2, PAULI_Y)),
+    )
     return hop + tuple((f"d{k}", np.diag(rng.normal(size=8)).astype(complex)) for k in range(3))
 
 
@@ -434,26 +437,18 @@ def test_run_and_trajectories_build_the_plan_once(monkeypatch):
     assert len(built) == 1
 
 
-def test_fresh_models_never_get_a_stale_plan():
-    psi = QuantumState(random_state_vector(np.random.default_rng(12), 16))
-    for i in range(30):
-        h = build_model(Hubbard1D(2, t=0.4 + 0.1 * i, u=2.5 - 0.07 * i))
-        assert h._plan is None
-        hg = h.with_gamma(0.1 * i)
-        _check_step(psi, hg, 0.7, 3)
-        assert hg._plan is None and h._plan is trotter._plan(hg)
-        del h, hg
-        gc.collect()
-
-
 def test_fresh_models_never_reuse_stale_term_structure():
     # Models are built and freed in a loop, so CPython recycles the ids of
-    # their terms; each step must still use its own terms' structure.
+    # their terms; each step must still use its own terms' structure, and
+    # each fresh model gets its own sweep plan.
     psi = QuantumState(random_state_vector(np.random.default_rng(11), 16))
     for i in range(30):
         h = build_model(Hubbard1D(2, t=0.5 + 0.1 * i, u=3.0 - 0.07 * i))
-        _check_step(psi, h.with_gamma(0.2 * i), 0.6, 2)
-        del h
+        assert h._plan is None
+        hg = h.with_gamma(0.2 * i)
+        _check_step(psi, hg, 0.6, 2)
+        assert hg._plan is None and h._plan is trotter._plan(hg)
+        del h, hg
         gc.collect()
 
 
