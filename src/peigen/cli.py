@@ -8,14 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional
-
-import numpy as np
 
 from .config import (
     ExperimentConfig,
@@ -25,7 +21,7 @@ from .config import (
     resolve_config_path,
 )
 from .cooling import CoolingTrace, stochastic_trajectory
-from .errors import CertainFailureError, ConfigError, UndefinedOperatorError
+from .errors import CertainFailureError, ConfigError, PeigenError, UndefinedOperatorError
 from .models import (
     Exact,
     HarmonicOscillator,
@@ -75,7 +71,9 @@ def _state_dict(state: QuantumState) -> dict:
     }
 
 
-def _trace_json(trace: CoolingTrace, raw_config: Any, cfg: ExperimentConfig) -> str:
+def _trace_json(
+    trace: CoolingTrace, raw_config: Any, cfg: ExperimentConfig, sector_info: Optional[str]
+) -> str:
     stages = []
     for s in trace.stages:
         row: dict[str, Any] = {
@@ -111,8 +109,8 @@ def _trace_json(trace: CoolingTrace, raw_config: Any, cfg: ExperimentConfig) -> 
         "stages": stages,
         "final_state": _state_dict(trace.final_state),
     }
-    if trace.sector_info is not None:
-        doc["sector_info"] = trace.sector_info
+    if sector_info is not None:
+        doc["sector_info"] = sector_info
     if trace.target_level is not None:
         doc["target_level"] = trace.target_level
         doc["target_fidelity"] = trace.target_fidelity
@@ -128,19 +126,6 @@ def _trace_csv(trace: CoolingTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_from_config(cfg: ExperimentConfig) -> CoolingTrace:
-    h = build_model(cfg.model)
-    initial = build_initial_state(cfg)
-    sector = (
-        hubbard_sector_label(initial, cfg.model.sites)
-        if isinstance(cfg.model, Hubbard1D)
-        else None
-    )
-    return run_protocol(
-        initial, h, cfg.run, target_level=cfg.target_level or None, sector_info=sector
-    )
-
-
 def cmd_run(args) -> int:
     path = resolve_config_path(args.config)
     raw = _read_json(path)
@@ -149,12 +134,19 @@ def cmd_run(args) -> int:
             raise ConfigError("cannot apply --seed: config has no 'run' object")
         raw = {**raw, "run": {**raw["run"], "seed": args.seed}}
     cfg = parse_experiment(raw, source=path.name)
-    trace = _run_from_config(cfg)
+    h = build_model(cfg.model)
+    initial = build_initial_state(cfg)
+    sector = (
+        hubbard_sector_label(initial, cfg.model.sites)
+        if isinstance(cfg.model, Hubbard1D)
+        else None
+    )
+    trace = run_protocol(initial, h, cfg.run, target_level=cfg.target_level or None)
     outdir = Path(args.out) if args.out else Path.cwd()
     outdir.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
         p = outdir / f"{cfg.output_stem}.json"
-        p.write_text(_trace_json(trace, raw, cfg))
+        p.write_text(_trace_json(trace, raw, cfg, sector))
         print(f"wrote {p}")
     if args.format in ("csv", "both"):
         p = outdir / f"{cfg.output_stem}.csv"
@@ -282,20 +274,6 @@ def _patched(raw: Any, dotted: str, value: Any) -> Any:
     return copy
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("PEIGEN_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"PEIGEN_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError(f"PEIGEN_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()] if args.values else []
     if not values:
@@ -306,8 +284,8 @@ def cmd_sweep(args) -> int:
     parsed = [_parse_sweep_value(v) for v in values]
     patched = [_patched(raw, args.param, v) for v in parsed]  # validates the path
 
-    def one_value(item: tuple[str, Any]) -> list[str]:
-        text, doc = item
+    lines = ["value,seed,stages,converged,final_energy,p_success,restarts"]
+    for text, doc in zip(values, patched):
         cfg = parse_experiment(doc, source=path.name)
         h = build_model(cfg.model)
         initial = build_initial_state(cfg)
@@ -315,20 +293,10 @@ def cmd_sweep(args) -> int:
         conv = "true" if trace.converged else "false"
         base = f"{trace.n_stages},{conv},{trace.final_energy:.9g},{trace.p_success:.9g}"
         if not args.seeds:
-            return [f"{text},,{base},"]
-        rows = []
+            lines.append(f"{text},,{base},")
         for seed in range(args.seeds):
-            run_cfg = replace(cfg.run, seed=seed)
-            traj = stochastic_trajectory(initial, h, run_cfg, trace.schedule)
-            rows.append(f"{text},{seed},{base},{traj.restarts}")
-        return rows
-
-    jobs = list(zip(values, patched))
-    with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
-        blocks = list(pool.map(one_value, jobs))
-    lines = ["value,seed,stages,converged,final_energy,p_success,restarts"]
-    for block in blocks:
-        lines.extend(block)
+            traj = stochastic_trajectory(initial, h, replace(cfg.run, seed=seed), trace.schedule)
+            lines.append(f"{text},{seed},{base},{traj.restarts}")
     csv_text = "\n".join(lines) + "\n"
     sys.stdout.write(csv_text)
     if args.out:
@@ -414,6 +382,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CertainFailureError, UndefinedOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PeigenError as exc:  # invalid model or state values
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

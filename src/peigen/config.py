@@ -215,20 +215,16 @@ def _parse_operator(node: _Node, key: str):
 
 
 def _parse_optimizer(node: Optional[_Node]) -> OptimizerConfig:
+    d = OptimizerConfig()
     if node is None:
-        return OptimizerConfig()
-    kwargs = {}
-    for name, conv in (
-        ("tau_lo", _number),
-        ("tau_hi", _number),
-        ("x_tol", _number),
-        ("max_evals", _integer),
-        ("coarse_grid", _integer),
-    ):
-        raw = node.take(name, None)
-        if raw is not None:
-            node.data[name] = raw  # put back for typed re-take
-            kwargs[name] = conv(node, name)
+        return d
+    kwargs = dict(
+        tau_lo=_number(node, "tau_lo", d.tau_lo),
+        tau_hi=_number(node, "tau_hi", d.tau_hi),
+        x_tol=_number(node, "x_tol", d.x_tol),
+        max_evals=_integer(node, "max_evals", d.max_evals),
+        coarse_grid=_integer(node, "coarse_grid", d.coarse_grid),
+    )
     node.close()
     return OptimizerConfig(**kwargs)
 

@@ -222,8 +222,6 @@ class CoolingTrace:
     initial_energy: float
     p_success: float
     gamma: float
-    f_tol: float = DEFAULT_F_TOL
-    sector_info: Optional[str] = None
     target_level: Optional[int] = None
     target_fidelity: Optional[float] = None
     converged_to_target: Optional[bool] = None

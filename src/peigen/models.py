@@ -103,8 +103,8 @@ class SumHamiltonian:
 
     `gamma` is kept separate from the terms: the cooling unitary acts with
     H + gamma while spectra and recorded energies always refer to the bare H.
-    `with_gamma` copies share the terms, the total and, through `_base`, the
-    Trotter sweep plan that `trotter.apply_branches` builds on first use.
+    `with_gamma` copies share the terms and, through `_base`, the total and
+    the Trotter sweep plan, each built on first use.
     """
 
     __slots__ = ("terms", "gamma", "dim", "_total", "_base", "_plan")
@@ -114,7 +114,6 @@ class SumHamiltonian:
         terms: Sequence[tuple[str, HermitianOperator]],
         gamma: float = 0.0,
         *,
-        _total: HermitianOperator | None = None,
         _base: "SumHamiltonian | None" = None,
     ) -> None:
         if not terms:
@@ -128,25 +127,26 @@ class SumHamiltonian:
         )
         self.gamma = float(gamma)
         self.dim = dims.pop()
-        self._total = _total
-        self._base, self._plan = _base, None
+        self._base, self._total, self._plan = _base, None, None
 
     @property
     def total(self) -> HermitianOperator:
-        """The bare total H = sum_m H_m (gamma excluded), cached.
+        """The bare total H = sum_m H_m (gamma excluded), formed on first read
+        and cached on the base model that `with_gamma` copies share.
 
         Terms are added in order, monomial terms by scattering their
         structure, so no per-term dense matrix is formed for them."""
-        if self._total is None:
+        base = self._base or self
+        if base._total is None:
             acc = np.zeros((self.dim, self.dim), dtype=complex)
             for _, term in self.terms:
                 term.add_to(acc)
-            self._total = HermitianOperator(acc)
-        return self._total
+            base._total = HermitianOperator(acc)
+        return base._total
 
     def with_gamma(self, gamma: float) -> "SumHamiltonian":
         """Copy with a different shift, sharing the total H and Trotter plan."""
-        return SumHamiltonian(self.terms, gamma, _total=self.total, _base=self._base or self)
+        return SumHamiltonian(self.terms, gamma, _base=self._base or self)
 
     def __repr__(self) -> str:
         return f"SumHamiltonian(dim={self.dim}, terms={len(self.terms)}, gamma={self.gamma})"

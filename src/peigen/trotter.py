@@ -1,6 +1,7 @@
 """Second-order Trotter construction of the joint cooling unitary, its
-gamma decomposition, the primitive system-ancilla couplings, and the
-CNOT/analog-block circuit identities that verify the gate decompositions.
+gamma decomposition, and the two gate decompositions of the paper's Fig. 2
+(a CNOT ladder for exp(-i phi/2 XXX), a CNOT-conjugated analog block for
+exp(-i phi/2 (a+a^dag) X X)), checked as dense products of lifted gates.
 
 In Trotter mode the branch unitaries U_pm are never built factor by factor
 as dense matrices. A model's terms compile once into a sweep plan, shared
@@ -19,7 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Union
 
 import numpy as np
 
@@ -220,8 +220,7 @@ def trotter_error(h: SumHamiltonian, tau: float, r: int) -> float:
 
 def ancilla_x_rotation(system_dim: int, angle: float) -> np.ndarray:
     """R_x(angle) on the ancilla, identity on the system: exp(-i angle X/2)."""
-    rx = math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * PAULI_X
-    return np.kron(np.eye(system_dim), rx)
+    return np.kron(np.eye(system_dim), _rotation(PAULI_X, angle))
 
 
 def wgamma_decompose(h: SumHamiltonian, tau: float) -> tuple[JointUnitary, float]:
@@ -235,57 +234,13 @@ def wgamma_decompose(h: SumHamiltonian, tau: float) -> tuple[JointUnitary, float
 
 
 # ---------------------------------------------------------------------------
-# register layout and primitive couplings
-
-
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Wire order: system qubits 0..n-1, optional boson mode, ancilla last.
-
-    Qubit index n (== system_qubits) addresses the ancilla."""
-
-    system_qubits: int
-    boson_cutoff: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.system_qubits < 0:
-            raise ValidationError("system_qubits must be >= 0")
-        if self.boson_cutoff is not None and self.boson_cutoff < 2:
-            raise ValidationError(f"boson cutoff must be >= 2, got {self.boson_cutoff}")
-
-    @property
-    def factor_dims(self) -> tuple[int, ...]:
-        boson = (self.boson_cutoff,) if self.boson_cutoff is not None else ()
-        return (2,) * self.system_qubits + boson + (2,)
-
-    @property
-    def system_dims(self) -> tuple[int, ...]:
-        return self.factor_dims[:-1]
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.factor_dims))
-
-    def qubit_factor(self, qubit: int) -> int:
-        """Tensor-factor position of a qubit index (ancilla = system_qubits)."""
-        if not 0 <= qubit <= self.system_qubits:
-            raise DimensionError(
-                f"qubit {qubit} outside layout (ancilla index is {self.system_qubits})"
-            )
-        if qubit == self.system_qubits:
-            return len(self.factor_dims) - 1
-        return qubit
-
-    @property
-    def boson_factor(self) -> int:
-        if self.boson_cutoff is None:
-            raise DimensionError("layout has no bosonic mode")
-        return self.system_qubits
+# Fig. 2 gate decompositions, checked as dense products of lifted gates
 
 
 def _lift(dims: tuple[int, ...], ops: dict[int, np.ndarray]) -> np.ndarray:
-    mats = [ops.get(i, np.eye(d)) for i, d in enumerate(dims)]
-    return reduce(np.kron, mats) if mats else np.eye(1)
+    """Kronecker product over the factors ``dims``: ``ops[i]`` on factor i,
+    identity elsewhere."""
+    return reduce(np.kron, [ops.get(i, np.eye(d)) for i, d in enumerate(dims)])
 
 
 def _mode_x(cutoff: int) -> np.ndarray:
@@ -293,171 +248,25 @@ def _mode_x(cutoff: int) -> np.ndarray:
     return a + a.conj().T
 
 
-@dataclass(frozen=True)
-class ZX:
-    """Coupling sigma_z(qubit) * sigma_x(ancilla)."""
-
-    qubit: int
-
-
-@dataclass(frozen=True)
-class NumberX:
-    """Coupling n(mode) * sigma_x(ancilla)."""
-
-
-@dataclass(frozen=True)
-class XXX:
-    """Coupling sigma_x(q1) sigma_x(q2) * sigma_x(ancilla)."""
-
-    q1: int
-    q2: int
-
-
-@dataclass(frozen=True)
-class DipoleXX:
-    """Coupling (a + a^dag) sigma_x(qubit) * sigma_x(ancilla)."""
-
-    qubit: int
-
-
-PrimitiveKind = Union[ZX, NumberX, XXX, DipoleXX]
-
-
-def _system_coupling(kind: PrimitiveKind, layout: RegisterLayout) -> np.ndarray:
-    dims = layout.system_dims
-    if isinstance(kind, ZX):
-        return _lift(dims, {layout.qubit_factor(kind.qubit): PAULI_Z})
-    if isinstance(kind, NumberX):
-        return _lift(
-            dims, {layout.boson_factor: np.diag(np.arange(layout.boson_cutoff, dtype=float))}
-        )
-    if isinstance(kind, XXX):
-        if kind.q1 == kind.q2:
-            raise DimensionError("XXX coupling needs two distinct qubits")
-        return _lift(
-            dims,
-            {layout.qubit_factor(kind.q1): PAULI_X, layout.qubit_factor(kind.q2): PAULI_X},
-        )
-    if isinstance(kind, DipoleXX):
-        return _lift(
-            dims,
-            {
-                layout.boson_factor: _mode_x(layout.boson_cutoff),
-                layout.qubit_factor(kind.qubit): PAULI_X,
-            },
-        )
-    raise ValidationError(f"unknown primitive kind {type(kind).__name__}")
-
-
-def primitive_unitary(kind: PrimitiveKind, phi: float, layout: RegisterLayout) -> JointUnitary:
-    """exp(-i (phi/2) O sigma_x^A) for the named system coupling O."""
-    if not np.isfinite(phi):
-        raise ValidationError(f"phi must be finite, got {phi!r}")
-    coupling = HermitianOperator(_system_coupling(kind, layout))
-    u_plus = coupling.matfunc(lambda lam: cmath.exp(-1j * phi / 2 * lam))
-    u_minus = coupling.matfunc(lambda lam: cmath.exp(+1j * phi / 2 * lam))
-    return JointUnitary(_assemble(u_plus, u_minus))
-
-
-# ---------------------------------------------------------------------------
-# gate-level circuits
-
-
-@dataclass(frozen=True)
-class CNOT:
-    control: int
-    target: int
-
-
-@dataclass(frozen=True)
-class SingleQubitRotation:
-    """exp(-i angle sigma_axis / 2) on one qubit; axis in {'x','y','z'}."""
-
-    axis: str
-    angle: float
-    qubit: int
-
-
-@dataclass(frozen=True)
-class MS:
-    """Molmer-Sorensen style two-qubit rotation exp(-i angle XX / 2)."""
-
-    angle: float
-    qubit_a: int
-    qubit_b: int
-
-
-@dataclass(frozen=True)
-class AnalogBlockUR:
-    """U_R(phi) = exp(-i (phi/2) (a + a^dag) sigma_x^A) on mode + ancilla."""
-
-    phi: float
-
-
-Gate = Union[CNOT, SingleQubitRotation, MS, AnalogBlockUR]
-
-
-@dataclass(frozen=True)
-class CircuitSpec:
-    """Time-ordered gate list over a register layout."""
-
-    layout: RegisterLayout
-    gates: tuple[Gate, ...]
-
-
-_AXES = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
-
-
-def _rotation(axis: str, angle: float) -> np.ndarray:
-    sigma = _AXES.get(axis)
-    if sigma is None:
-        raise ValidationError(f"rotation axis must be x/y/z, got {axis!r}")
-    if not np.isfinite(angle):
-        raise ValidationError(f"rotation angle must be finite, got {angle!r}")
+def _rotation(sigma: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i angle sigma / 2) for a Pauli matrix sigma."""
     return math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * sigma
 
 
-def gate_unitary(gate: Gate, layout: RegisterLayout) -> np.ndarray:
-    dims = layout.factor_dims
-    if isinstance(gate, SingleQubitRotation):
-        return _lift(dims, {layout.qubit_factor(gate.qubit): _rotation(gate.axis, gate.angle)})
-    if isinstance(gate, CNOT):
-        c, t = layout.qubit_factor(gate.control), layout.qubit_factor(gate.target)
-        if c == t:
-            raise DimensionError("CNOT control and target must differ")
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        return _lift(dims, {c: p0}) + _lift(dims, {c: p1, t: PAULI_X})
-    if isinstance(gate, MS):
-        a, b = layout.qubit_factor(gate.qubit_a), layout.qubit_factor(gate.qubit_b)
-        if a == b:
-            raise DimensionError("MS qubits must differ")
-        eye = _lift(dims, {})
-        xx = _lift(dims, {a: PAULI_X, b: PAULI_X})
-        return math.cos(gate.angle / 2) * eye - 1j * math.sin(gate.angle / 2) * xx
-    if isinstance(gate, AnalogBlockUR):
-        cutoff = layout.boson_cutoff
-        if cutoff is None:
-            raise DimensionError("analog block needs a bosonic mode in the layout")
-        mode_x = HermitianOperator(_mode_x(cutoff))
-        u_plus = mode_x.matfunc(lambda lam: cmath.exp(-1j * gate.phi / 2 * lam))
-        u_minus = mode_x.matfunc(lambda lam: cmath.exp(+1j * gate.phi / 2 * lam))
-        block = np.kron(u_plus, _PX_PLUS) + np.kron(u_minus, _PX_MINUS)
-        pre = int(np.prod(dims[: layout.boson_factor])) if layout.boson_factor else 1
-        return np.kron(np.eye(pre), block)
-    raise ValidationError(f"unknown gate {type(gate).__name__}")
+def _cnot(dims: tuple[int, ...], c: int, t: int) -> np.ndarray:
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return _lift(dims, {c: p0}) + _lift(dims, {c: p1, t: PAULI_X})
 
 
-def circuit_unitary(circuit: CircuitSpec) -> np.ndarray:
-    """Compose the time-ordered gate list into one unitary."""
-    u = np.eye(circuit.layout.dim, dtype=complex)
-    for gate in circuit.gates:
-        u = gate_unitary(gate, circuit.layout) @ u
-    return u
+def _coupled(o: np.ndarray, phi: float) -> np.ndarray:
+    """exp(-i (phi/2) O sigma_x^A) on O's space (x) ancilla."""
+    if not np.isfinite(phi):
+        raise ValidationError(f"phi must be finite, got {phi!r}")
+    coupling = HermitianOperator(o)
+    u_plus = coupling.matfunc(lambda lam: cmath.exp(-1j * phi / 2 * lam))
+    u_minus = coupling.matfunc(lambda lam: cmath.exp(+1j * phi / 2 * lam))
+    return _assemble(u_plus, u_minus)
 
-
-# ---------------------------------------------------------------------------
-# decomposition identities
 
 # V = exp(i pi sigma_y / 4) == R_y(-pi/2); V^H Z V = X, so conjugating each
 # wire of the CNOT/Rz phase gadget by V turns exp(-i phi/2 ZZZ) into
@@ -465,53 +274,39 @@ def circuit_unitary(circuit: CircuitSpec) -> np.ndarray:
 _RY_TO_X = -math.pi / 2
 
 
-def xxx_circuit(phi: float, *, drop_final_cnot: bool = False) -> CircuitSpec:
-    """CNOT + single-qubit-rotation decomposition of exp(-i phi/2 XXX)."""
-    layout = RegisterLayout(2)
-    anc = 2
-    pre = tuple(SingleQubitRotation("y", _RY_TO_X, q) for q in (0, 1, anc))
-    core: tuple[Gate, ...] = (
-        CNOT(0, anc),
-        CNOT(1, anc),
-        SingleQubitRotation("z", phi, anc),
-        CNOT(1, anc),
-        CNOT(0, anc),
-    )
+def verify_fig2a(phi: float, *, drop_final_cnot: bool = False) -> float:
+    """Operator-norm distance of the XXX gate decomposition from its target.
+
+    Wires: system qubits 0 and 1, ancilla 2. The circuit is R_y(-pi/2) on
+    every wire, CNOTs 0->A and 1->A, R_z(phi) on the ancilla, CNOTs 1->A and
+    0->A (the last one omitted with ``drop_final_cnot``), R_y(pi/2) on every
+    wire; the target is exp(-i phi/2 X X X)."""
+    target = _coupled(np.kron(PAULI_X, PAULI_X), phi)
+    dims = (2, 2, 2)
+    ladder = [_cnot(dims, 0, 2), _cnot(dims, 1, 2)]
+    core = ladder + [_lift(dims, {2: _rotation(PAULI_Z, phi)})] + ladder[::-1]
     if drop_final_cnot:
         core = core[:-1]
-    post = tuple(SingleQubitRotation("y", -_RY_TO_X, q) for q in (0, 1, anc))
-    return CircuitSpec(layout, pre + core + post)
-
-
-def verify_fig2a(phi: float, *, drop_final_cnot: bool = False) -> float:
-    """Operator-norm distance of the XXX gate decomposition from its target."""
-    layout = RegisterLayout(2)
-    u = circuit_unitary(xxx_circuit(phi, drop_final_cnot=drop_final_cnot))
-    target = primitive_unitary(XXX(0, 1), phi, layout).matrix
+    v = _lift(dims, dict.fromkeys(range(3), _rotation(PAULI_Y, _RY_TO_X)))
+    u = reduce(lambda acc, g: g @ acc, [v, *core, v.conj().T])
     return float(np.linalg.norm(u - target, 2))
 
 
-def dipole_circuit(phi: float, cutoff: int, *, drop_cnots: bool = False) -> CircuitSpec:
-    """CNOT pair around the analog block: realizes exp(-i phi/2 (a+a^dag) X X).
-
-    The ancilla-controlled CNOTs conjugate the block's sigma_x^A into
-    sigma_x^A sigma_x^(system qubit)."""
-    layout = RegisterLayout(1, cutoff)
-    anc = 1
-    gates: tuple[Gate, ...] = (CNOT(anc, 0), AnalogBlockUR(phi), CNOT(anc, 0))
-    if drop_cnots:
-        gates = (AnalogBlockUR(phi),)
-    return CircuitSpec(layout, gates)
-
-
-def _boson_index_sets(system_qubits: int, cutoff: int, n_max: int) -> np.ndarray:
-    """Flat joint-space indices whose boson occupation is below ``n_max``."""
-    q, n, a = np.indices((2**system_qubits, n_max, 2))
+def _boson_index_sets(cutoff: int, n_max: int) -> np.ndarray:
+    """Flat (qubit, mode, ancilla) indices whose boson occupation is below
+    ``n_max``."""
+    q, n, a = np.indices((2, n_max, 2))
     return ((q * cutoff + n) * 2 + a).ravel()
 
 
 def verify_fig2b(phi: float, cutoff: int, *, drop_cnots: bool = False) -> float:
     """Subspace distance of the analog-block decomposition from its target.
+
+    Wires: one system qubit, a boson mode truncated at ``cutoff``, the
+    ancilla. The circuit is the analog block exp(-i phi/2 (a+a^dag)
+    sigma_x^A) between two ancilla-controlled CNOTs onto the qubit, which
+    conjugate its sigma_x^A into sigma_x^A sigma_x^(qubit); ``drop_cnots``
+    leaves the bare block. The target is exp(-i phi/2 (a+a^dag) X X).
 
     The reference unitary is evaluated at twice the working cutoff and the
     comparison is restricted to a truncation-safe zone of low boson
@@ -523,15 +318,17 @@ def verify_fig2b(phi: float, cutoff: int, *, drop_cnots: bool = False) -> float:
     conclusive, raises TruncationLeakageError."""
     if cutoff < 8:
         raise ValidationError(f"cutoff must be >= 8 for a conclusive check, got {cutoff}")
-    u = circuit_unitary(dipole_circuit(phi, cutoff, drop_cnots=drop_cnots))
+    block = np.kron(np.eye(2), _coupled(_mode_x(cutoff), phi))
+    cnot = _cnot((2, cutoff, 2), 2, 0)
+    u = block if drop_cnots else cnot @ (block @ cnot)
     big = 2 * cutoff
-    target = primitive_unitary(DipoleXX(0), phi, RegisterLayout(1, big)).matrix
-    rows_small = _boson_index_sets(1, cutoff, cutoff)  # the whole working space
-    rows_big = _boson_index_sets(1, big, cutoff)
+    target = _coupled(np.kron(PAULI_X, _mode_x(big)), phi)
+    rows_small = _boson_index_sets(cutoff, cutoff)  # the whole working space
+    rows_big = _boson_index_sets(big, cutoff)
     outside = np.setdiff1d(np.arange(target.shape[0]), rows_big)
     leakage = math.inf
     for n_safe in range(cutoff // 2, 1, -1):
-        cols_big = _boson_index_sets(1, big, n_safe)
+        cols_big = _boson_index_sets(big, n_safe)
         leakage = float(np.linalg.norm(target[np.ix_(outside, cols_big)], 2))
         if leakage <= 1e-8:
             break
@@ -541,6 +338,6 @@ def verify_fig2b(phi: float, cutoff: int, *, drop_cnots: bool = False) -> float:
             f"{cutoff} at phi={phi} even from the smallest subspace; increase "
             f"the cutoff for a conclusive check"
         )
-    cols_small = _boson_index_sets(1, cutoff, n_safe)
+    cols_small = _boson_index_sets(cutoff, n_safe)
     diff = u[np.ix_(rows_small, cols_small)] - target[np.ix_(rows_big, cols_big)]
     return float(np.linalg.norm(diff, 2))

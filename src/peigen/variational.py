@@ -175,7 +175,6 @@ def run(
     config: RunConfig,
     *,
     target_level: Optional[int] = None,
-    sector_info: Optional[str] = None,
 ) -> CoolingTrace:
     """Cool along the 0-branch until |E_{k-1} - E_k| <= epsilon.
 
@@ -264,8 +263,6 @@ def run(
         initial_energy=e0,
         p_success=p_cum,
         gamma=hg.gamma,
-        f_tol=config.f_tol,
-        sector_info=sector_info,
         target_level=target_level,
         target_fidelity=fidelity,
         converged_to_target=(

@@ -138,6 +138,14 @@ def test_bad_epsilon_names_the_field(tmp_path, capsys):
     assert "run.epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["tau_lo", "max_evals"])
+def test_null_optimizer_field_names_the_field(field, tmp_path, capsys):
+    doc = _harmonic_cfg(mode="variational", optimizer={field: None})
+    del doc["run"]["tau"]
+    assert _run_cli(_write_cfg(tmp_path, "null_opt.json", doc), tmp_path) == 1
+    assert f"run.optimizer.{field}" in capsys.readouterr().err
+
+
 def test_unknown_key_is_rejected(tmp_path, capsys):
     doc = _harmonic_cfg()
     doc["run"]["typo_field"] = 1
@@ -161,6 +169,42 @@ def test_missing_config_file(tmp_path, capsys):
 def test_usage_error_exits_one():
     assert main(["run"]) == 1  # missing config argument
     assert main(["frobnicate"]) == 1
+
+
+def _basis_cfg(model, initial):
+    return {
+        "schema": 1,
+        "model": model,
+        "initial_state": initial,
+        "run": {"mode": "fixed", "tau": 0.3},
+        "output": {"stem": "t"},
+    }
+
+
+HARMONIC_5 = {"kind": "harmonic", "omega": 1.0, "cutoff": 5}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _basis_cfg({**HARMONIC_5, "cutoff": 1}, {"kind": "basis", "label": "0"}),
+        _basis_cfg(
+            {"kind": "hubbard", "sites": 7, "t": 1.0, "u": 2.0},
+            {"kind": "basis", "label": "ud" * 7},
+        ),
+        _basis_cfg(HARMONIC_5, {"kind": "thermal", "nbar": 3}),
+        _basis_cfg({**HARMONIC_5, "cutoff": 2}, {"kind": "amplitudes", "re": [1, 1]}),
+        _basis_cfg(
+            {"kind": "custom", "terms": [{"re": [[0, 1], [0, 0]]}]},
+            {"kind": "basis", "label": "0"},
+        ),
+    ],
+    ids=["cutoff-1", "hubbard-7-sites", "thermal-nbar-3", "unnormalised", "non-hermitian"],
+)
+def test_invalid_model_or_state_values_exit_one(doc, tmp_path, capsys):
+    assert _run_cli(_write_cfg(tmp_path, "bad.json", doc), tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_seed_flag_echoed_in_trace(tmp_path):
@@ -368,20 +412,3 @@ def test_sweep_empty_values(capsys):
         ["sweep", "--config", str(BUNDLED / "harmonic_fixed.json"), "--param", "run.epsilon", "--values", ""]
     )
     assert code == 1
-
-
-def test_sweep_respects_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PEIGEN_THREADS", "1")
-    code = main(
-        [
-            "sweep",
-            "--config",
-            str(BUNDLED / "harmonic_fixed.json"),
-            "--param",
-            "run.tau",
-            "--values",
-            "0.25,0.35",
-        ]
-    )
-    assert code == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == 3

@@ -15,6 +15,7 @@ from peigen import (
     DimensionError,
     Exact,
     Fixed,
+    FixedStep,
     HarmonicOscillator,
     Hubbard1D,
     NegativeShiftWarning,
@@ -34,6 +35,7 @@ from peigen import (
     hubbard_sector_label,
     hubbard_sector_minimum,
     run,
+    stochastic_trajectory,
     thermal_state,
 )
 from peigen.models import (
@@ -340,6 +342,20 @@ def test_gamma_fixed_at_norm_bound_skips_dense_total():
         assert gamma_for(h, Fixed(value=bound)) == bound
     assert h._total is None
     assert all(term._mat is None and term._eig is None for _, term in h.terms)
+
+
+def test_resolved_copies_leave_the_dense_total_unformed():
+    # with_gamma copies share the total through _base: a Trotter trajectory
+    # with NormBound gamma needs neither the dense total nor a dense term
+    spec = Hubbard1D(sites=5, t=1.0, u=2.0)
+    h = build_model(spec)
+    cfg = RunConfig(
+        mode=FixedStep(tau=0.3), gamma_policy=NormBound(), operator_mode=TrotterW(2), seed=0
+    )
+    stochastic_trajectory(basis_state(spec, "udduduuddu"), h, cfg, (0.3, 0.2))
+    assert h._total is None
+    assert all(term._mat is None and term._eig is None for _, term in h.terms)
+    assert h.with_gamma(1.0).total is h.total is h._total  # formed once, on the base
 
 
 def test_gamma_target_level():

@@ -34,24 +34,7 @@ from peigen import (
 )
 from peigen import trotter
 from peigen.models import PAULI_X, PAULI_Y, PAULI_Z
-from peigen.trotter import (
-    MS,
-    XXX,
-    AnalogBlockUR,
-    CircuitSpec,
-    CNOT,
-    DimensionError,
-    DipoleXX,
-    JointUnitary,
-    NumberX,
-    RegisterLayout,
-    SingleQubitRotation,
-    ZX,
-    ancilla_x_rotation,
-    circuit_unitary,
-    gate_unitary,
-    primitive_unitary,
-)
+from peigen.trotter import DimensionError, JointUnitary, _coupled, _mode_x, ancilla_x_rotation
 from tests.conftest import random_hermitian, random_state_vector
 
 RABI = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
@@ -126,106 +109,29 @@ def test_wgamma_decomposition_identity(harmonic):
 
 
 # ---------------------------------------------------------------------------
-# primitive couplings
-
-
-def test_xxx_primitive_at_pi_is_global_x_product():
-    u = primitive_unitary(XXX(0, 1), math.pi, RegisterLayout(2)).matrix
-    xxx = functools.reduce(np.kron, [PAULI_X] * 3)
-    assert np.abs(u - (-1j) * xxx).max() < 1e-12
+# circuit-identity checks
 
 
 def test_number_x_primitive_matches_direct_exponential():
-    cutoff, phi = 6, 0.8
-    lay = RegisterLayout(0, cutoff)
-    u = primitive_unitary(NumberX(), phi, lay).matrix
-    n = np.diag(np.arange(cutoff, dtype=float))
-    plus = (np.eye(2) + PAULI_X) / 2
-    minus = (np.eye(2) - PAULI_X) / 2
+    # _coupled(O, phi) == exp(-i phi/2 O (x) sigma_x^A), the primitive both
+    # Fig. 2 targets rest on: O = n, X X (Fig. 2a) and X (a + a^dag) (Fig. 2b)
     from scipy.linalg import expm
 
-    direct = np.kron(expm(-1j * phi / 2 * n), plus) + np.kron(expm(1j * phi / 2 * n), minus)
-    assert _norm(u - direct) < 1e-12
-
-
-def test_zx_primitive_diagonal_structure():
-    u = primitive_unitary(ZX(0), 0.6, RegisterLayout(1)).matrix
-    # conjugating by H on the ancilla diagonalizes it
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    d = np.kron(np.eye(2), h) @ u @ np.kron(np.eye(2), h)
-    assert _norm(d - np.diag(np.diag(d))) < 1e-12
-
-
-def test_xxx_primitive_rejects_repeated_qubit():
-    with pytest.raises(DimensionError):
-        primitive_unitary(XXX(1, 1), 0.3, RegisterLayout(2))
+    phi = 0.8
+    for o in (
+        np.diag(np.arange(6, dtype=float)),
+        np.kron(PAULI_X, PAULI_X),
+        np.kron(PAULI_X, _mode_x(6)),
+    ):
+        direct = expm(-1j * phi / 2 * np.kron(o, PAULI_X))
+        assert _norm(_coupled(o, phi) - direct) < 1e-12
 
 
 def test_primitive_rejects_nonfinite_phi():
     with pytest.raises(ValidationError):
-        primitive_unitary(ZX(0), math.inf, RegisterLayout(1))
-
-
-# ---------------------------------------------------------------------------
-# gates
-
-
-@pytest.mark.parametrize(
-    "gate,layout",
-    [
-        (CNOT(0, 2), RegisterLayout(2)),
-        (SingleQubitRotation("y", 0.83, 1), RegisterLayout(2)),
-        (MS(1.2, 0, 1), RegisterLayout(2)),
-        (AnalogBlockUR(0.7), RegisterLayout(1, 12)),
-    ],
-)
-def test_gate_unitarity(gate, layout):
-    u = gate_unitary(gate, layout)
-    assert _norm(u @ u.conj().T - np.eye(layout.dim)) < 1e-12
-
-
-def test_cnot_truth_table():
-    u = gate_unitary(CNOT(0, 1), RegisterLayout(1))
-    want = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    assert np.abs(u - want).max() < 1e-15
-
-
-def test_gate_validation_errors():
-    with pytest.raises(DimensionError):
-        gate_unitary(CNOT(1, 1), RegisterLayout(2))
+        verify_fig2a(math.inf)
     with pytest.raises(ValidationError):
-        gate_unitary(SingleQubitRotation("q", 0.3, 0), RegisterLayout(1))
-    with pytest.raises(DimensionError):
-        gate_unitary(AnalogBlockUR(0.3), RegisterLayout(2))  # no boson mode
-
-
-def test_circuit_composition_order():
-    lay = RegisterLayout(1)
-    a = SingleQubitRotation("x", 0.4, 0)
-    b = SingleQubitRotation("z", 0.9, 0)
-    u = circuit_unitary(CircuitSpec(lay, (a, b)))
-    want = gate_unitary(b, lay) @ gate_unitary(a, lay)
-    assert _norm(u - want) < 1e-14
-
-
-def test_register_layout_bounds():
-    lay = RegisterLayout(2, 8)
-    assert lay.factor_dims == (2, 2, 8, 2)
-    assert lay.qubit_factor(2) == 3  # ancilla rides behind the boson
-    with pytest.raises(DimensionError):
-        lay.qubit_factor(3)
-    with pytest.raises(DimensionError):
-        RegisterLayout(1).boson_factor
-    with pytest.raises(ValidationError):
-        RegisterLayout(-1)
-    with pytest.raises(ValidationError):
-        RegisterLayout(0, 1)
-
-
-# ---------------------------------------------------------------------------
-# circuit-identity checks
+        verify_fig2b(math.inf, 24)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi])
@@ -255,13 +161,6 @@ def test_dipole_check_reports_inconclusive_truncation():
     # phi=6 pushes displacement tails far past a cutoff-8 working space
     with pytest.raises(TruncationLeakageError):
         verify_fig2b(6.0, 8)
-
-
-def test_dipole_primitive_couples_qubit_and_mode():
-    lay = RegisterLayout(1, 10)
-    u = primitive_unitary(DipoleXX(0), 0.4, lay).matrix
-    assert u.shape == (40, 40)
-    assert _norm(u @ u.conj().T - np.eye(40)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
