@@ -74,7 +74,8 @@ class _Node:
 
     def __init__(self, data: Any, path: str) -> None:
         if not isinstance(data, dict):
-            raise ConfigError(f"{path} must be an object, got {type(data).__name__}")
+            got = "null" if data is None else type(data).__name__
+            raise ConfigError(f"'{path}' must be an object, got {got}")
         self.data = dict(data)
         self.path = path
 
@@ -86,10 +87,9 @@ class _Node:
         return default
 
     def child(self, key: str, default: Any = ...) -> Optional["_Node"]:
-        raw = self.take(key, default)
-        if raw is default and default is not ...:
-            return None
-        return _Node(raw, f"{self.path}.{key}")
+        if key not in self.data and default is not ...:
+            return default
+        return _Node(self.take(key), f"{self.path}.{key}")
 
     def close(self) -> None:
         if self.data:
@@ -311,8 +311,9 @@ def build_initial_state(cfg: ExperimentConfig) -> QuantumState:
     elif isinstance(cfg.initial, InitialBasis):
         state = basis_state(spec, cfg.initial.label)
     elif isinstance(cfg.initial, InitialGroundOf):
-        href = build_model(cfg.initial.model)
-        _, vecs = href.total.eigensystem()
+        evals, vecs = build_model(cfg.initial.model).total.eigensystem()
+        if evals.size > 1 and (gap := evals[1] - evals[0]) <= 1e-9:  # else vecs[:, 0] is arbitrary
+            raise ConfigError(f"ground_of: degenerate ground level (E1 - E0 = {gap:.3e})")
         state = QuantumState(vecs[:, 0])
     else:
         state = validate_and_normalize(QuantumState(cfg.initial.amplitudes), tol=1e-6)

@@ -193,7 +193,7 @@ def eject(
 # trace records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageRecord:
     """One protocol stage: a cooling step ('cool') or an ejection ('eject').
 
@@ -212,7 +212,7 @@ class StageRecord:
     opt_budget_exhausted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoolingTrace:
     stages: tuple[StageRecord, ...]
     converged: bool
@@ -240,7 +240,7 @@ class CoolingTrace:
 # stochastic trajectories
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryResult:
     success: bool
     restarts: int

@@ -65,7 +65,7 @@ def resolve_optimizer(opt: object | None) -> OptimizerConfig:
     raise ConfigError(f"optimizer must be an OptimizerConfig, got {type(opt).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     trial_index: int
     tau: float

@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
+from peigen import ConfigError, build_model, exact_spectrum, expectation
 from peigen.cli import main
-from peigen.config import bundled_config_dir
+from peigen.config import build_initial_state, bundled_config_dir, parse_experiment
 
 BUNDLED = bundled_config_dir()
 
@@ -144,6 +145,40 @@ def test_null_optimizer_field_names_the_field(field, tmp_path, capsys):
     del doc["run"]["tau"]
     assert _run_cli(_write_cfg(tmp_path, "null_opt.json", doc), tmp_path) == 1
     assert f"run.optimizer.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["run.gamma", "run.optimizer", "output"])
+def test_null_section_names_the_section(section, tmp_path, capsys):
+    doc = _harmonic_cfg(mode="variational")
+    del doc["run"]["tau"]
+    parent, _, key = section.rpartition(".")
+    (doc[parent] if parent else doc)[key] = None
+    assert _run_cli(_write_cfg(tmp_path, "null_section.json", doc), tmp_path) == 1
+    assert f"{section}' must be an object, got null" in capsys.readouterr().err
+
+
+def _ground_of_cfg(sites: int, u: float) -> dict:
+    model = {"kind": "hubbard", "sites": sites, "t": 1.0, "u": u}
+    return {
+        "schema": 1,
+        "model": model,
+        "initial_state": {"kind": "ground_of", "model": model},
+        "run": {"mode": "fixed", "tau": 0.3},
+    }
+
+
+def test_ground_of_is_the_ground_state():
+    cfg = parse_experiment(_ground_of_cfg(2, 2.0))
+    h = build_model(cfg.model)
+    e0 = exact_spectrum(h)[0][0]
+    assert abs(expectation(build_initial_state(cfg), h.total) - e0) < 1e-12
+
+
+def test_ground_of_refuses_a_degenerate_ground_level():
+    # one site: empty, up and down all have E = 0 < u, a three-fold ground
+    cfg = parse_experiment(_ground_of_cfg(1, 2.0))
+    with pytest.raises(ConfigError, match="degenerate"):
+        build_initial_state(cfg)
 
 
 def test_unknown_key_is_rejected(tmp_path, capsys):

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from peigen import (
     DimensionError,
     HermitianOperator,
+    Hubbard1D,
     QuantumState,
+    Rabi,
     ValidationError,
     basis_vector,
+    build_model,
     expectation,
     validate_and_normalize,
 )
@@ -198,3 +201,87 @@ def test_add_to_scatters_or_adds_dense():
         op.add_to(acc)
     assert ops[0]._mat is None
     assert np.array_equal(acc, ops[0].mat + ops[1].mat)
+
+
+# ---------------------------------------------------------------------------
+# the block eigensolver against a dense eigh
+
+
+def _check_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`eigensystem` of ``m`` checked against ``np.linalg.eigh`` of the
+    dense matrix: spectrum, reconstruction, orthonormality, array form."""
+    evals, v = HermitianOperator(m).eigensystem()
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    assert np.all(np.diff(evals) >= 0)
+    assert np.abs(evals - np.linalg.eigh(m)[0]).max(initial=0.0) <= 1e-12 * scale
+    assert np.linalg.norm((v * evals) @ v.conj().T - m, 2) <= 1e-12
+    assert np.linalg.norm(v.conj().T @ v - np.eye(len(m)), 2) <= 1e-12
+    assert v.dtype == complex and v.flags.c_contiguous and not v.flags.writeable
+    assert not evals.flags.writeable
+    return evals, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_block_eigensystem_matches_dense(seed):
+    """Random blocks (real or complex, some 1x1, some exact copies of an
+    earlier block) under a random permutation, some nearly Hermitian."""
+    rng = np.random.default_rng(seed)
+    blocks: list[np.ndarray] = []
+    for _ in range(int(rng.integers(1, 7))):
+        if blocks and rng.random() < 0.3:
+            blocks.append(blocks[int(rng.integers(len(blocks)))])  # exact degeneracy
+            continue
+        n = int(rng.integers(1, 7))
+        b = random_hermitian(rng, n)
+        blocks.append(b.real + 0j if rng.random() < 0.5 else b)
+    d = sum(len(b) for b in blocks)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for b in blocks:
+        m[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    if rng.random() < 0.3:  # Hermitian within 1e-12 only, inside one block
+        i = int(rng.integers(d))
+        j = int(rng.choice(np.flatnonzero(m[i])))
+        m[i, j] += 4e-13 * (1 + 1j)
+    perm = rng.permutation(d)
+    _check_eigensystem(m[np.ix_(perm, perm)])
+
+
+def test_block_eigensystem_zero_and_diagonal():
+    evals, v = _check_eigensystem(np.zeros((5, 5)))
+    assert np.array_equal(evals, np.zeros(5))
+    evals, v = _check_eigensystem(np.diag([2.0, -1.0, 2.0, 0.5]))
+    assert np.array_equal(evals, [-1.0, 0.5, 2.0, 2.0])
+    assert np.array_equal(np.abs(v), np.eye(4)[:, [1, 3, 0, 2]])
+
+
+def test_one_complex_block_is_plain_eigh():
+    m = random_hermitian(np.random.default_rng(19), 12)
+    evals, v = _check_eigensystem(m)
+    w0, v0 = np.linalg.eigh(m)
+    assert np.array_equal(evals, w0) and np.array_equal(v, v0)
+
+
+@pytest.mark.parametrize(
+    "spec, components",
+    [
+        (Hubbard1D(2, 1.0, 2.0), 9),
+        (Hubbard1D(3, 1.0, 2.0), 16),
+        (Hubbard1D(4, 1.0, 2.0), 25),
+        (Rabi(1.0, 1.0, 0.5, cutoff=20), 2),
+        (Rabi(1.0, 1.0, 0.5, cutoff=100), 2),
+    ],
+)
+def test_model_hamiltonians_split_into_blocks(spec, components):
+    """Hubbard conserves (N_up, N_dn), (L+1)^2 sectors; Rabi conserves parity.
+    Each eigenvector lies in one component, so each block was solved apart."""
+    from scipy.sparse.csgraph import connected_components
+
+    m = build_model(spec).total.mat
+    n, label = connected_components(m != 0, directed=False)
+    assert n == components
+    _, v = _check_eigensystem(m)
+    support = np.abs(v) > 0
+    assert all(len(set(label[col])) == 1 for col in support.T)
