@@ -3,7 +3,7 @@
 
 For each chain length L, builds a fresh model and times what `gamma_for(h,
 Exact())` costs: forming the dense total H, then its block-by-block
-eigensystem. Up to ``--dense-max`` sites it also times one dense complex
+eigensystem, at t = 1 and u = 2. Up to L = 5 it also times one dense complex
 `np.linalg.eigh` of the same matrix (ratio = dense / block) and checks that
 both spectra and gamma = -E0 agree within 1e-12 * max(1, |H|). BLAS runs on
 one thread unless OPENBLAS_NUM_THREADS is set. Exits 1 on a disagreement.
@@ -21,27 +21,27 @@ import numpy as np  # noqa: E402
 
 from peigen import Exact, Hubbard1D, build_model, gamma_for  # noqa: E402
 
+T, U = 1.0, 2.0
+DENSE_MAX = 5  # largest L also given a dense eigh
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sites", type=int, nargs="+", default=[3, 4, 5])
-    ap.add_argument("--dense-max", type=int, default=5, help="largest L given a dense eigh")
-    ap.add_argument("--t", type=float, default=1.0)
-    ap.add_argument("--u", type=float, default=2.0)
     args = ap.parse_args(argv)
 
-    gamma_for(build_model(Hubbard1D(2, args.t, args.u)), Exact())  # untimed warm-up
+    gamma_for(build_model(Hubbard1D(2, T, U)), Exact())  # untimed warm-up
     ok = True
     print("L      d   total H (s)   block eigh (s)   dense eigh (s)   ratio   max |dE|")
     for L in args.sites:
-        h = build_model(Hubbard1D(L, args.t, args.u))
+        h = build_model(Hubbard1D(L, T, U))
         t0 = time.perf_counter()
         m = h.total.mat
         t1 = time.perf_counter()
         gamma = gamma_for(h, Exact())
         t_block = time.perf_counter() - t1
         line = f"{L:<2} {h.dim:6d}   {t1 - t0:11.4f}   {t_block:14.4f}"
-        if L <= args.dense_max:
+        if L <= DENSE_MAX:
             t0 = time.perf_counter()
             dense = np.linalg.eigh(m)[0]
             t_dense = time.perf_counter() - t0

@@ -40,39 +40,54 @@ def _monomial_defect(perm: np.ndarray, vals: np.ndarray) -> str | None:
 
 def _block_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(a)`` solved per connected component of the pattern of
-    ``a``'s strict lower triangle (all ``eigh`` reads), found in O(nnz)
-    memory: roots hook under their least neighbouring root, then every index
-    jumps to its root, until no edge joins two roots. Components of one size
-    share a stacked call, real ones the real solver; a matrix that is one
-    component is solved whole, so a complex one by exactly ``eigh(a)``."""
+    ``a``'s strict lower triangle (all that ``eigh`` reads).
+
+    Components are found in O(nnz) memory by root hooking: each pass hooks
+    every root under its least neighbouring root, then pointer jumping sends
+    every index to its root, until no edge joins two roots. ``root[x] <= x``
+    holds throughout (a root is only hooked under a smaller one), so pointers
+    form no cycle and each pass removes at least one root. Components of one
+    size share a stacked call, real ones the real solver; a matrix that is
+    one component is solved whole, so a complex one by exactly ``eigh(a)``."""
     r, c = np.nonzero(a)
-    r, c = r[r > c], c[r > c]
-    d, root = a.shape[0], np.arange(a.shape[0])
-    while not ((rr := root[r]) == (rc := root[c])).all():
+    lower = r > c
+    r, c = r[lower], c[lower]
+    d = a.shape[0]
+    root = np.arange(d)
+    while True:
+        rr, rc = root[r], root[c]
+        if (rr == rc).all():
+            break
         np.minimum.at(root, rr, rc)
         np.minimum.at(root, rc, rr)
-        while ((hop := root[root]) != root).any():
+        while True:
+            hop = root[root]
+            if (hop == root).all():
+                break
             root = hop
     if not root.any():
         w, v = np.linalg.eigh(a if a.imag.any() else a.real)
         return w, v.astype(complex, copy=False)
     size = np.bincount(root)[root]
     order = np.lexsort((root, size))
-    parts = []
+    parts = []  # (block indices, eigenvalues, eigenvectors), stacked by size
     for n in np.unique(size):
         idx = order[size[order] == n].reshape(-1, n)
         sub = a[idx[:, :, None], idx[:, None, :]]
         real = ~sub.imag.any(axis=(1, 2))
-        for keep, m in ((real, sub.real), (~real, sub)):
-            if keep.any():
-                parts.append((idx[keep], *np.linalg.eigh(m[keep])))
+        if real.any():
+            parts.append((idx[real], *np.linalg.eigh(sub[real].real)))
+        if not real.all():
+            parts.append((idx[~real], *np.linalg.eigh(sub[~real])))
     w = np.concatenate([p[1].ravel() for p in parts])
-    col = np.empty(d, dtype=np.intp)
-    col[np.argsort(w, kind="stable")] = np.arange(d)
+    rank = np.empty(d, dtype=np.intp)  # rank[k]: ascending position of w[k]
+    rank[np.argsort(w, kind="stable")] = np.arange(d)
     evecs = np.zeros((d, d), dtype=complex)
+    start = 0
     for idx, _, v in parts:
-        cols, col = col[: idx.size].reshape(idx.shape), col[idx.size :]
+        cols = rank[start : start + idx.size].reshape(idx.shape)
         evecs[idx[:, :, None], cols[:, None, :]] = v
+        start += idx.size
     return np.sort(w, kind="stable"), evecs
 
 
