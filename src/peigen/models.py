@@ -131,17 +131,18 @@ class SumHamiltonian:
 
     @property
     def total(self) -> HermitianOperator:
-        """The bare total H = sum_m H_m (gamma excluded), formed on first read
-        and cached on the base model that `with_gamma` copies share.
+        """The bare total H = sum_m H_m (gamma excluded) as structure
+        (`HermitianOperator.sum`), built on first read and cached on the base
+        model that `with_gamma` copies share.
 
-        Terms are added in order, monomial terms by scattering their
-        structure, so no per-term dense matrix is formed for them."""
+        Monomial terms with one ``perm`` fuse, their ``vals`` summed in term
+        order, so each XX+YY hop pair cancels exactly where its two bits
+        agree; dense terms add into the remainder. Nothing d x d is allocated
+        unless a term is dense: the eigensystem and energies read the
+        structure."""
         base = self._base or self
         if base._total is None:
-            acc = np.zeros((self.dim, self.dim), dtype=complex)
-            for _, term in self.terms:
-                term.add_to(acc)
-            base._total = HermitianOperator(acc)
+            base._total = HermitianOperator.sum([term for _, term in self.terms])
         return base._total
 
     def with_gamma(self, gamma: float) -> "SumHamiltonian":
@@ -340,13 +341,15 @@ def hubbard_sector_label(state: QuantumState, L: int) -> str:
 
 
 def hubbard_sector_minimum(h: SumHamiltonian, L: int, n_up: int, n_dn: int) -> float:
-    """Lowest eigenvalue within a fixed (n_up, n_dn) particle-number sector."""
+    """Lowest eigenvalue within a fixed (n_up, n_dn) particle-number sector,
+    from the sector block gathered from the structure of the total H."""
+    if 4**L != h.dim:
+        raise DimensionError(f"L={L} needs dim {4**L}, but H has dim {h.dim}")
     ups, dns = _hubbard_counts(L)
     idxs = np.flatnonzero((ups == n_up) & (dns == n_dn))
     if not idxs.size:
         raise ConfigError(f"empty sector n_up={n_up}, n_dn={n_dn} for L={L}")
-    sub = h.total.mat[np.ix_(idxs, idxs)]
-    return float(np.linalg.eigvalsh(sub).min())
+    return float(np.linalg.eigvalsh(h.total.block(idxs)).min())
 
 
 # ---------------------------------------------------------------------------

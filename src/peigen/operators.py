@@ -1,12 +1,14 @@
-"""Complex-matrix algebra: Hermitian operators (dense, or built from their
-monomial structure with the dense matrix formed on demand), matrix
-functions, and pure/mixed state bookkeeping that every other module
-builds on."""
+"""Complex-matrix algebra: Hermitian operators kept as their structure
+(monomial parts ``(perm, vals)`` plus an optional dense remainder, the
+dense matrix formed only on demand), their block eigensystems, matrix
+functions, expectations read from the structure, and the pure/mixed state
+bookkeeping that every other module builds on."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import reduce
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -38,24 +40,29 @@ def _monomial_defect(perm: np.ndarray, vals: np.ndarray) -> str | None:
     return None
 
 
-def _block_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(a)`` solved per connected component of the pattern of
-    ``a``'s strict lower triangle (all that ``eigh`` reads).
+def _block_eigh(
+    r: np.ndarray, c: np.ndarray, v: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the d x d matrix with nonzeros ``(r, c, v)``
+    (`HermitianOperator._entries`), solved per connected component of the
+    pattern of its strict lower triangle (all that ``eigh`` reads), without
+    forming the matrix.
 
     Components are found in O(nnz) memory by root hooking: each pass hooks
     every root under its least neighbouring root, then pointer jumping sends
     every index to its root, until no edge joins two roots. ``root[x] <= x``
     holds throughout (a root is only hooked under a smaller one), so pointers
-    form no cycle and each pass removes at least one root. Components of one
-    size share a stacked call, real ones the real solver; a matrix that is
-    one component is solved whole, so a complex one by exactly ``eigh(a)``."""
-    r, c = np.nonzero(a)
+    form no cycle, each pass removes at least one root, and a component's
+    root is its least index; with no off-diagonal entry the search ends at
+    its first test. Blocks are gathered into one flat buffer, grouped by
+    size and then by kind, with the entries of ``mat`` bit for bit. The
+    blocks of a group share one stacked call, real ones the real solver, so
+    a matrix that is one complex component gets exactly ``eigh(mat)``."""
     lower = r > c
-    r, c = r[lower], c[lower]
-    d = a.shape[0]
+    er, ec = r[lower], c[lower]
     root = np.arange(d)
     while True:
-        rr, rc = root[r], root[c]
+        rr, rc = root[er], root[ec]
         if (rr == rc).all():
             break
         np.minimum.at(root, rr, rc)
@@ -65,46 +72,59 @@ def _block_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if (hop == root).all():
                 break
             root = hop
-    if not root.any():
-        w, v = np.linalg.eigh(a if a.imag.any() else a.real)
-        return w, v.astype(complex, copy=False)
+    # an upper entry of a remainder Hermitian only within tolerance may have
+    # a zero mirror and join two blocks; eigh never reads it
+    same = root[r] == root[c]
+    r, c, v = r[same], c[same], v[same]
     size = np.bincount(root)[root]
-    order = np.lexsort((root, size))
-    parts = []  # (block indices, eigenvalues, eigenvectors), stacked by size
-    for n in np.unique(size):
-        idx = order[size[order] == n].reshape(-1, n)
-        sub = a[idx[:, :, None], idx[:, None, :]]
-        real = ~sub.imag.any(axis=(1, 2))
-        if real.any():
-            parts.append((idx[real], *np.linalg.eigh(sub[real].real)))
-        if not real.all():
-            parts.append((idx[~real], *np.linalg.eigh(sub[~real])))
-    w = np.concatenate([p[1].ravel() for p in parts])
+    cplx = np.zeros(d, dtype=bool)  # cplx[x]: block x has an imaginary entry
+    cplx[root[r[v.imag != 0]]] = True
+    group = 2 * size + cplx[root]  # blocks of one size, real before complex
+    order = np.argsort(group * d + root, kind="stable")
+    pos = np.empty(d, dtype=np.intp)  # pos[x]: place of x in order
+    pos[order] = np.arange(d)
+    loc = pos - pos[root]  # place of x within its block
+    start = np.zeros(d + 1, dtype=np.intp)  # buffer offset of place s
+    np.cumsum(size[order], out=start[1:])
+    buf = np.zeros(start[-1], dtype=complex)
+    np.add.at(buf, start[pos[root[r]]] + loc[r] * size[r] + loc[c], v)
+    groups = group[order]
+    cuts = np.flatnonzero(groups[1:] != groups[:-1]) + 1
+    solved = []  # (block indices, eigenvalues, eigenvectors), one stack per group
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), d]):
+        n = int(size[order[a]])
+        idx = order[a:b].reshape(-1, n)
+        sub = buf[start[a] : start[b]].reshape(-1, n, n)
+        solved.append((idx, *np.linalg.eigh(sub if groups[a] % 2 else sub.real)))
+    w = np.concatenate([s[1].ravel() for s in solved])
+    ascending = np.argsort(w, kind="stable")
     rank = np.empty(d, dtype=np.intp)  # rank[k]: ascending position of w[k]
-    rank[np.argsort(w, kind="stable")] = np.arange(d)
+    rank[ascending] = np.arange(d)
     evecs = np.zeros((d, d), dtype=complex)
-    start = 0
-    for idx, _, v in parts:
-        cols = rank[start : start + idx.size].reshape(idx.shape)
-        evecs[idx[:, :, None], cols[:, None, :]] = v
-        start += idx.size
-    return np.sort(w, kind="stable"), evecs
+    offset = 0
+    for idx, _, vecs in solved:
+        cols = rank[offset : offset + idx.size].reshape(idx.shape)
+        evecs[idx[:, :, None], cols[:, None, :]] = vecs
+        offset += idx.size
+    return w[ascending], evecs
 
 
 class HermitianOperator:
-    """A Hermitian matrix with a lazily cached eigendecomposition and
-    monomial structure.
+    """A Hermitian operator kept as its structure: monomial parts
+    ``((perm, vals), ...)`` with ``P_g x == vals_g * x[perm_g]``, plus an
+    optional dense remainder R, so that ``A = sum_g P_g + R``.
 
-    Built from a dense matrix, or by `from_monomial` from its structure
-    ``(perm, vals)`` alone (diagonal terms, signed Pauli strings); the dense
-    ``mat`` of the latter is materialised only when first read. The eigensystem
-    is solved per block of the nonzero pattern (`_block_eigh`). Each cache
-    (``mat``, eigensystem, monomial structure) is written once, read-only and
-    never mutated; concurrent readers observe either no cache or the
+    `HermitianOperator(mat)` is the dense-only case, `from_monomial` (diagonal
+    terms, signed Pauli strings) the one-part case, and `sum` fuses the
+    structure of several operators. The dense ``mat`` is formed only when
+    first read: the eigensystem (solved per block of the nonzero pattern by
+    `_block_eigh`), `block` and `expectation` read the structure. Each cache
+    (``mat``, eigensystem, monomial structure) is written once, read-only
+    and never mutated; concurrent readers observe either no cache or the
     completed value.
     """
 
-    __slots__ = ("_mat", "dim", "_eig", "_mono")
+    __slots__ = ("_mat", "dim", "_eig", "_mono", "_parts", "_rest")
 
     def __init__(self, mat: object) -> None:
         a = as_square_matrix(mat)
@@ -117,6 +137,21 @@ class HermitianOperator:
         self.dim = int(a.shape[0])
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._mono: tuple[np.ndarray, np.ndarray] | bool | None = None
+        self._parts: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+        self._rest: np.ndarray | None = a
+
+    @classmethod
+    def _structured(cls, parts, rest: np.ndarray | None, dim: int) -> "HermitianOperator":
+        """The operator ``sum_g P_g + R`` from exactly Hermitian read-only
+        parts and a checked read-only remainder (or None)."""
+        op = cls.__new__(cls)
+        op._parts, op._rest, op.dim, op._eig = tuple(parts), rest, dim, None
+        op._mat = rest if not parts else None
+        if len(parts) == 1 and rest is None:
+            op._mono = parts[0]
+        else:
+            op._mono = None if not parts else False
+        return op
 
     @classmethod
     def from_monomial(cls, perm: object, vals: object) -> "HermitianOperator":
@@ -142,36 +177,77 @@ class HermitianOperator:
             raise ValidationError(defect)
         p.setflags(write=False)
         v.setflags(write=False)
-        op = cls.__new__(cls)
-        op._mat, op.dim, op._eig, op._mono = None, int(p.size), None, (p, v)
-        return op
+        return cls._structured(((p, v),), None, int(p.size))
+
+    @classmethod
+    def sum(cls, ops: "Sequence[HermitianOperator]") -> "HermitianOperator":
+        """``sum(ops)`` kept as structure, with no d x d array unless an
+        operator has a dense remainder.
+
+        Parts with one ``perm`` fuse, their ``vals`` added in operator order
+        (so a pair that cancels does so exactly), in order of first
+        appearance; the remainders add into one, checked for Hermiticity
+        when there are several."""
+        fused: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        dense = []
+        for op in ops:
+            for perm, vals in op._parts:
+                key = perm.tobytes()
+                if key in fused:
+                    vals = fused[key][1] + vals
+                    vals.setflags(write=False)
+                fused[key] = (perm, vals)
+            if op._rest is not None:
+                dense.append(op._rest)
+        rest = reduce(np.add, dense) if dense else None
+        if len(dense) > 1:  # terms Hermitian within tolerance may sum past it
+            rest = cls(rest)._rest
+        return cls._structured(tuple(fused.values()), rest, ops[0].dim)
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the nonzeros: each part's ``(i,
+        perm[i], vals[i])`` in part order, then the remainder's.
+
+        Two sources may share an entry; every gather adds them in this
+        order, so a gathered entry equals the one in ``mat`` bit for bit."""
+        parts = self._parts
+        r, c, v = [np.arange(self.dim)] * len(parts), [p for p, _ in parts], [w for _, w in parts]
+        if self._rest is not None:
+            rr, rc = np.nonzero(self._rest)
+            r, c, v = r + [rr], c + [rc], v + [self._rest[rr, rc]]
+        r, c, v = np.concatenate(r), np.concatenate(c), np.concatenate(v)
+        nz = v != 0
+        return r[nz], c[nz], v[nz]
 
     @property
     def mat(self) -> np.ndarray:
-        """The dense read-only matrix, materialised from the monomial
-        structure on first access when the operator was built without it."""
+        """The dense read-only matrix, materialised from the structure on
+        first access."""
         if self._mat is None:
-            perm, vals = self._mono
-            a = np.zeros((self.dim, self.dim), dtype=complex)
-            a[np.arange(self.dim), perm] = vals
+            a = self.block(np.arange(self.dim))
             a.setflags(write=False)
             self._mat = a
         return self._mat
 
-    def add_to(self, acc: np.ndarray) -> None:
-        """``acc += A`` in place; an unmaterialised monomial operator scatters
-        its ``dim`` nonzeros instead of forming ``mat``."""
-        if self._mat is None:
-            perm, vals = self._mono
-            acc[np.arange(self.dim), perm] += vals
-        else:
-            acc += self._mat
+    def block(self, idx: object) -> np.ndarray:
+        """``mat[np.ix_(idx, idx)]`` for distinct indices ``idx``, gathered
+        from the structure without forming ``mat``: zeros, then each part's
+        entries in order, then the remainder's."""
+        idx = np.asarray(idx, dtype=np.intp)
+        n = idx.size
+        loc = np.full(self.dim, -1, dtype=np.intp)
+        loc[idx] = np.arange(n)
+        r, c, v = self._entries()
+        keep = (loc[r] >= 0) & (loc[c] >= 0)
+        out = np.zeros(n * n, dtype=complex)
+        np.add.at(out, loc[r[keep]] * n + loc[c[keep]], v[keep])
+        return out.reshape(n, n)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and matching orthonormal complex columns."""
         if self._eig is None:
             try:
-                evals, evecs = _block_eigh(self.mat)
+                evals, evecs = _block_eigh(*self._entries(), self.dim)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
                 raise EigenDecompositionError(self.dim, str(exc)) from exc
             evals.setflags(write=False)
@@ -192,8 +268,9 @@ class HermitianOperator:
         and ``vals[perm] == vals.conj()`` holds exactly: diagonal terms and
         signed Pauli strings. Then ``A @ A == diag(|vals|^2)``, so matrix
         functions of ``A`` have closed forms. A matrix that is Hermitian only
-        within HERMITICITY_ATOL fails the exact check and gets None."""
-        if self._mono is None:
+        within HERMITICITY_ATOL fails the exact check and gets None; so does
+        an operator of several parts."""
+        if self._mono is None:  # dense only: read the structure off the matrix
             nz = self.mat != 0
             rows = np.arange(self.dim)
             perm = np.where(nz.any(axis=1), nz.argmax(axis=1), rows)
@@ -261,14 +338,29 @@ MatrixLike = Union[HermitianOperator, np.ndarray]
 
 
 def expectation(state: QuantumState, h: MatrixLike) -> float:
-    """<H> for a pure or mixed state; asserts the imaginary residue is tiny."""
-    m = h.mat if isinstance(h, HermitianOperator) else np.asarray(h, dtype=complex)
-    if m.shape[0] != state.dim:
-        raise DimensionError(f"operator dim {m.shape[0]} != state dim {state.dim}")
-    if state.is_pure:
-        val = complex(np.vdot(state.data, m @ state.data))
+    """<H> for a pure or mixed state; asserts the imaginary residue is tiny.
+
+    Reads an operator's structure: ``sum_g vals_g * x[perm_g]`` (plus
+    ``R @ x``) for a pure state x, ``sum_g sum_i vals_g[i] rho[perm_g[i],
+    i]`` (plus ``tr(rho R)``) for a mixed one, so no dense H is formed."""
+    if isinstance(h, HermitianOperator):
+        parts, rest, dim = h._parts, h._rest, h.dim
     else:
-        val = complex(np.einsum("ij,ji->", state.data, m))
+        parts, rest = (), np.asarray(h, dtype=complex)
+        dim = rest.shape[0]
+    if dim != state.dim:
+        raise DimensionError(f"operator dim {dim} != state dim {state.dim}")
+    x = state.data
+    if state.is_pure:
+        hx = np.zeros(dim, dtype=complex) if rest is None else rest @ x
+        for perm, vals in parts:
+            hx += vals * x[perm]
+        val = complex(np.vdot(x, hx))
+    else:
+        val = 0j if rest is None else complex(np.einsum("ij,ji->", x, rest))
+        cols = np.arange(dim)
+        for perm, vals in parts:
+            val += complex(vals @ x[perm, cols])
     if abs(val.imag) > 1e-9:
         raise ValidationError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)

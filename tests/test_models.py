@@ -154,6 +154,12 @@ def test_hubbard_sector_minimum_matches_global_for_half_filling():
     assert abs(hubbard_sector_minimum(h, 2, 0, 0)) < 1e-12
 
 
+def test_hubbard_sector_minimum_refuses_a_wrong_chain_length():
+    h = build_model(Hubbard1D(sites=4, t=1.0, u=2.0))
+    with pytest.raises(DimensionError):
+        hubbard_sector_minimum(h, 3, 1, 1)  # L=3 indexes only the first 64 states
+
+
 def test_hubbard_sector_label_indefinite():
     spec = Hubbard1D(sites=2, t=1.0, u=2.0)
     a = basis_state(spec, "uudd").data
@@ -248,6 +254,8 @@ def test_hubbard_sector_helpers_match_pauli_strings(sites):
     for nu in range(sites + 1):
         for nd in range(sites + 1):
             keep = np.flatnonzero((counts[0] == nu) & (counts[1] == nd))
+            # the sector block is gathered from the structure, bit for bit
+            assert np.array_equal(h.total.block(keep), h.total.mat[np.ix_(keep, keep)])
             want_min = np.linalg.eigvalsh(h.total.mat[np.ix_(keep, keep)]).min()
             assert abs(hubbard_sector_minimum(h, sites, nu, nd) - want_min) < 1e-12
 
@@ -279,6 +287,16 @@ def test_hubbard_trotter_run_forms_no_dense_term():
     )
     trace = run(basis_state(spec, "uudduddu"), h, config)
     assert trace.n_stages == 1
+    # gamma, energies and the steps all read the structure: no dense H at all
+    assert h.total._mat is None
+    assert all(term._mat is None for _, term in h.terms)
+
+
+def test_exact_spectrum_forms_no_dense_total():
+    h = build_model(Hubbard1D(sites=5, t=1.0, u=2.0))
+    evals, _ = exact_spectrum(h)
+    assert evals.shape == (1024,)
+    assert h.total._mat is None
     assert all(term._mat is None for _, term in h.terms)
 
 

@@ -11,6 +11,7 @@ from peigen import (
     Hubbard1D,
     QuantumState,
     Rabi,
+    SumHamiltonian,
     ValidationError,
     basis_vector,
     build_model,
@@ -131,6 +132,17 @@ def test_basis_vector_bounds():
 # operators built from their monomial structure
 
 
+def _random_vals(rng: np.random.Generator, perm: np.ndarray) -> np.ndarray:
+    """Random complex ``vals`` with ``vals[perm] == vals.conj()`` exactly."""
+    dim = perm.size
+    vals = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    fixed = perm == np.arange(dim)
+    vals[fixed] = vals[fixed].real
+    low = np.arange(dim) < perm
+    vals[perm[low]] = vals[low].conj()
+    return vals
+
+
 def _random_monomial(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """A random Hermitian signed permutation: ``perm`` an involution with
     fixed points, ``vals[perm] == vals.conj()`` exactly."""
@@ -138,12 +150,7 @@ def _random_monomial(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np
     order = rng.permutation(dim)
     for a, b in zip(order[0 : dim - 2 : 2], order[1 : dim - 1 : 2]):
         perm[a], perm[b] = b, a
-    vals = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    fixed = perm == np.arange(dim)
-    vals[fixed] = vals[fixed].real
-    low = np.arange(dim) < perm
-    vals[perm[low]] = vals[low].conj()
-    return perm, vals
+    return perm, _random_vals(rng, perm)
 
 
 @pytest.mark.parametrize(
@@ -190,27 +197,84 @@ def test_from_monomial_materialises_lazily():
     assert np.allclose(vals * x[perm], dense @ x, atol=1e-15)
 
 
-def test_add_to_scatters_or_adds_dense():
-    rng = np.random.default_rng(17)
-    ops = [
-        HermitianOperator.from_monomial(*_random_monomial(rng, 6)),
-        HermitianOperator(random_hermitian(rng, 6)),
+def _random_terms(rng: np.random.Generator) -> list[HermitianOperator]:
+    """Terms of a structured sum: random involution monomials, one ``perm``
+    repeated in two non-adjacent terms, a pair that cancels exactly where a
+    perm-symmetric mask is set (as an XX+YY hop pair does where its two bits
+    agree), diagonals and 0-2 sparse dense terms, in random order."""
+    d = int(rng.integers(2, 13))
+    perm, vals = _random_monomial(rng, d)
+    first = HermitianOperator.from_monomial(perm, vals)
+    repeat = HermitianOperator.from_monomial(perm, _random_vals(rng, perm))
+    p, v = _random_monomial(rng, d)
+    agree = rng.random(d) < 0.5
+    agree &= agree[p]
+    middle = [
+        HermitianOperator.from_monomial(p, v),
+        HermitianOperator.from_monomial(p, np.where(agree, -v, v)),
+        HermitianOperator.from_monomial(np.arange(d), rng.normal(size=d)),
     ]
-    acc = np.zeros((6, 6), dtype=complex)
-    for op in ops:
-        op.add_to(acc)
-    assert ops[0]._mat is None
-    assert np.array_equal(acc, ops[0].mat + ops[1].mat)
+    middle += [
+        HermitianOperator.from_monomial(*_random_monomial(rng, d))
+        for _ in range(int(rng.integers(0, 3)))
+    ]
+    for _ in range(int(rng.integers(0, 3))):
+        m = random_hermitian(rng, d)
+        mask = rng.random((d, d)) < 0.2
+        m = np.where(mask | mask.T, m, 0)
+        middle.append(HermitianOperator(m.real + 0j if rng.random() < 0.5 else m))
+    return [first, *(middle[k] for k in rng.permutation(len(middle))), repeat]
+
+
+def _structured_total(rng: np.random.Generator) -> tuple[HermitianOperator, list[HermitianOperator]]:
+    terms = _random_terms(rng)
+    return SumHamiltonian([(f"t{k}", t) for k, t in enumerate(terms)]).total, terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_structured_total_mat_is_the_sum_of_term_mats(seed):
+    """Bitwise: the total adds the terms of each perm in term order, then
+    those sums in order of first appearance, then the sum of the dense terms;
+    `block` gathers the same entries without forming ``mat``."""
+    rng = np.random.default_rng(seed)
+    total, terms = _structured_total(rng)
+    groups: dict[bytes, np.ndarray] = {}
+    dense = []
+    for term in terms:
+        if term._rest is not None:
+            dense.append(term.mat)
+            continue
+        key = term.monomial()[0].tobytes()
+        groups[key] = groups[key] + term.mat if key in groups else term.mat
+    want = np.zeros((total.dim, total.dim), dtype=complex)
+    for m in [*groups.values(), *([sum(dense[1:], dense[0])] if dense else [])]:
+        want = want + m
+    idx = rng.permutation(total.dim)[: int(rng.integers(1, total.dim + 1))]
+    assert np.array_equal(total.block(idx), want[np.ix_(idx, idx)])
+    assert total._mat is None  # neither the block nor the sum formed it
+    assert np.array_equal(total.mat, want)
+
+
+def test_total_checks_the_sum_of_dense_terms():
+    m = np.zeros((2, 2), dtype=complex)
+    m[0, 1] = 7e-13  # each term is Hermitian within 1e-12, their sum is not
+    h = SumHamiltonian([("a", HermitianOperator(m)), ("b", HermitianOperator(m))])
+    with pytest.raises(ValidationError):
+        h.total
 
 
 # ---------------------------------------------------------------------------
 # the block eigensolver against a dense eigh
 
 
-def _check_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`eigensystem` of ``m`` checked against ``np.linalg.eigh`` of the
-    dense matrix: spectrum, reconstruction, orthonormality, array form."""
-    evals, v = HermitianOperator(m).eigensystem()
+def _check_eigensystem(a: np.ndarray | HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """`eigensystem` of a matrix or an operator checked against
+    ``np.linalg.eigh`` of the dense matrix: spectrum, reconstruction,
+    orthonormality, array form."""
+    op = a if isinstance(a, HermitianOperator) else HermitianOperator(a)
+    evals, v = op.eigensystem()
+    m = op.mat
     scale = max(1.0, float(np.linalg.norm(m, 2)))
     assert np.all(np.diff(evals) >= 0)
     assert np.abs(evals - np.linalg.eigh(m)[0]).max(initial=0.0) <= 1e-12 * scale
@@ -221,12 +285,10 @@ def _check_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, v
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_block_eigensystem_matches_dense(seed):
+def _random_blocks(rng: np.random.Generator) -> np.ndarray:
     """Random blocks (real or complex, some 1x1, some exact copies of an
-    earlier block) under a random permutation, some nearly Hermitian."""
-    rng = np.random.default_rng(seed)
+    earlier block) under a random permutation, some nearly Hermitian: one
+    entry off by 4e-13, which may lie between two blocks."""
     blocks: list[np.ndarray] = []
     for _ in range(int(rng.integers(1, 7))):
         if blocks and rng.random() < 0.3:
@@ -241,12 +303,33 @@ def test_block_eigensystem_matches_dense(seed):
     for b in blocks:
         m[start : start + len(b), start : start + len(b)] = b
         start += len(b)
-    if rng.random() < 0.3:  # Hermitian within 1e-12 only, inside one block
-        i = int(rng.integers(d))
-        j = int(rng.choice(np.flatnonzero(m[i])))
+    if rng.random() < 0.3:  # Hermitian within 1e-12 only: inside one block,
+        i = int(rng.integers(d))  # or anywhere, perhaps with a zero mirror
+        j = int(rng.choice(np.flatnonzero(m[i]))) if rng.random() < 0.5 else int(rng.integers(d))
         m[i, j] += 4e-13 * (1 + 1j)
     perm = rng.permutation(d)
-    _check_eigensystem(m[np.ix_(perm, perm)])
+    return m[np.ix_(perm, perm)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_block_eigensystem_matches_dense(seed, structured):
+    """Dense random blocks, or a structured sum (`_random_terms`) whose
+    eigensystem and expectations are read from its structure."""
+    rng = np.random.default_rng(seed)
+    if not structured:
+        _check_eigensystem(_random_blocks(rng))
+        return
+    total, _ = _structured_total(rng)
+    x = random_state_vector(rng, total.dim)
+    y = random_state_vector(rng, total.dim)
+    rho = 0.75 * np.outer(x, x.conj()) + 0.25 * np.outer(y, y.conj())
+    e_pure, e_mixed = expectation(QuantumState(x), total), expectation(QuantumState(rho), total)
+    _check_eigensystem(total)
+    m = total.mat
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    assert abs(e_pure - np.vdot(x, m @ x).real) <= 1e-12 * scale
+    assert abs(e_mixed - np.einsum("ij,ji->", rho, m).real) <= 1e-12 * scale
 
 
 def test_block_eigensystem_zero_and_diagonal():
@@ -255,6 +338,17 @@ def test_block_eigensystem_zero_and_diagonal():
     evals, v = _check_eigensystem(np.diag([2.0, -1.0, 2.0, 0.5]))
     assert np.array_equal(evals, [-1.0, 0.5, 2.0, 2.0])
     assert np.array_equal(np.abs(v), np.eye(4)[:, [1, 3, 0, 2]])
+
+
+def test_block_eigensystem_skips_an_unread_entry_between_blocks():
+    # Hermitian within 1e-12, the upper entry (1, 2) has a zero mirror: eigh
+    # never reads it, so it neither joins the blocks nor enters one
+    m = np.array([[1.0, 0.5, 0, 0], [0.5, 2.0, 0, 0], [0, 0, 3.0, 0.25], [0, 0, 0.25, 4.0]])
+    want = HermitianOperator(m).eigensystem()
+    m = m + 0j
+    m[1, 2] = 4e-13 * (1 + 1j)
+    got = _check_eigensystem(m)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_one_complex_block_is_plain_eigh():
@@ -276,12 +370,16 @@ def test_one_complex_block_is_plain_eigh():
 )
 def test_model_hamiltonians_split_into_blocks(spec, components):
     """Hubbard conserves (N_up, N_dn), (L+1)^2 sectors; Rabi conserves parity.
-    Each eigenvector lies in one component, so each block was solved apart."""
+    Each eigenvector lies in one component, so each block was solved apart,
+    and the structured total's eigensystem is bitwise that of its ``mat``."""
     from scipy.sparse.csgraph import connected_components
 
-    m = build_model(spec).total.mat
+    total = build_model(spec).total
+    evals, v = total.eigensystem()
+    m = total.mat
     n, label = connected_components(m != 0, directed=False)
     assert n == components
-    _, v = _check_eigensystem(m)
+    w0, v0 = _check_eigensystem(m)
+    assert np.array_equal(evals, w0) and np.array_equal(v, v0)  # structure reads as mat
     support = np.abs(v) > 0
     assert all(len(set(label[col])) == 1 for col in support.T)
