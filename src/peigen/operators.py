@@ -73,11 +73,11 @@ def _block_eigh(
                 break
             root = hop
     # an upper entry of a remainder Hermitian only within tolerance may have
-    # a zero mirror and join two blocks; eigh never reads it
+    # a zero mirror and lie between two blocks; eigh never reads it
     same = root[r] == root[c]
     r, c, v = r[same], c[same], v[same]
     size = np.bincount(root)[root]
-    cplx = np.zeros(d, dtype=bool)  # cplx[x]: block x has an imaginary entry
+    cplx = np.zeros(d, dtype=bool)  # cplx[x]: the block rooted at x is complex
     cplx[root[r[v.imag != 0]]] = True
     group = 2 * size + cplx[root]  # blocks of one size, real before complex
     order = np.argsort(group * d + root, kind="stable")
