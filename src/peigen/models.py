@@ -328,6 +328,8 @@ def hubbard_sector_label(state: QuantumState, L: int) -> str:
 
     N_up and N_dn are diagonal, so <N> and <N^2> are exact sums over the
     basis populations |psi|^2 (or diag rho)."""
+    if 4**L != state.dim:
+        raise DimensionError(f"L={L} needs dim {4**L}, but the state has dim {state.dim}")
     data = state.data
     weights = np.abs(data) ** 2 if state.is_pure else np.diag(data).real
     vals = []

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .cooling import (
+    BRANCH_PROB_FLOOR,
     CoolingTrace,
     ExactW,
     OperatorMode,
@@ -23,7 +24,7 @@ from .cooling import (
     cooling_step,
     eject,
 )
-from .errors import CertainFailureError, ConfigError
+from .errors import CertainFailureError, ConfigError, ValidationError
 from .models import SumHamiltonian, exact_spectrum
 from .operators import QuantumState, expectation, validate_and_normalize
 
@@ -82,6 +83,28 @@ class MinimizeResult:
     budget_exhausted: bool
 
 
+def _exact_objective(state: QuantumState, h: SumHamiltonian):
+    """Exact-mode objective of tau: p0 = w·P and energy w·(E⊙P) / p0, with
+    w_j = cos²((E_j + gamma) tau) and P_j = <j|rho|j> read once here."""
+    if state.dim != h.dim:
+        raise ValidationError(f"state dim {state.dim} != Hamiltonian dim {h.dim}")
+    evals, v = h.total.eigensystem()
+    if state.is_pure:
+        pops = np.abs(v.conj().T @ state.data) ** 2
+    else:
+        pops = np.einsum("ij,ij->j", v.conj(), state.data @ v).real
+    shifted, e_pops = evals + h.gamma, evals * pops
+
+    def objective(tau: float) -> tuple[float, float]:
+        w = np.cos(shifted * tau) ** 2
+        p0 = float(w @ pops)
+        if p0 < BRANCH_PROB_FLOOR:
+            return math.inf, 0.0
+        return float(w @ e_pops) / p0, p0
+
+    return objective
+
+
 def stage_objective(
     state: QuantumState,
     h: SumHamiltonian,
@@ -90,8 +113,11 @@ def stage_objective(
 ) -> tuple[float, float]:
     """Post-selected average energy of the 0-branch at this tau, and its p0.
 
-    A numerically certain failure (p0 < 1e-14) is reported as (+inf, 0.0) so
-    a minimizer simply avoids it."""
+    Exact mode reads the cos² law on eigen-populations, Trotter mode the
+    cooling step. A numerically certain failure (p0 < 1e-14) is reported as
+    (+inf, 0.0) so a minimizer simply avoids it."""
+    if isinstance(operator_mode, ExactW):
+        return _exact_objective(state, h)(tau)
     step = cooling_step(state, h, tau, operator_mode)
     if step.state0 is None:
         return math.inf, 0.0
@@ -110,11 +136,13 @@ def minimize_stage(
     Every objective evaluation is logged as a trial, in order. The returned
     tau_star is the best evaluated point; exact ties go to the smaller tau.
     If max_evals runs out before the interval shrinks to x_tol, the
-    best-so-far is returned with budget_exhausted set."""
+    best-so-far is returned with budget_exhausted set. Exact-mode trials
+    share one stage's eigen-populations and cost O(d) each."""
     trials: list[TrialRecord] = []
+    cos2 = _exact_objective(state, h) if isinstance(operator_mode, ExactW) else None
 
     def ev(tau: float) -> float:
-        energy, p0 = stage_objective(state, h, tau, operator_mode)
+        energy, p0 = cos2(tau) if cos2 else stage_objective(state, h, tau, operator_mode)
         trials.append(TrialRecord(len(trials), float(tau), energy, p0))
         return energy
 

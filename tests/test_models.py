@@ -160,6 +160,15 @@ def test_hubbard_sector_minimum_refuses_a_wrong_chain_length():
         hubbard_sector_minimum(h, 3, 1, 1)  # L=3 indexes only the first 64 states
 
 
+@pytest.mark.parametrize("wrong_l", [3, 5])
+def test_hubbard_sector_label_refuses_a_wrong_chain_length(wrong_l):
+    psi = basis_state(Hubbard1D(sites=4, t=1.0, u=2.0), "udududud")
+    with pytest.raises(DimensionError, match=f"L={wrong_l} needs dim {4**wrong_l}"):
+        hubbard_sector_label(psi, wrong_l)
+    with pytest.raises(DimensionError):
+        hubbard_sector_label(QuantumState(psi.density()), wrong_l)
+
+
 def test_hubbard_sector_label_indefinite():
     spec = Hubbard1D(sites=2, t=1.0, u=2.0)
     a = basis_state(spec, "uudd").data

@@ -8,19 +8,29 @@ from hypothesis import strategies as st
 from peigen import (
     ConfigError,
     Custom,
+    Exact,
     ExactW,
     FixedStep,
+    HarmonicOscillator,
     OptimizerConfig,
     QuantumState,
+    Rabi,
     RunConfig,
+    ValidationError,
     Variational,
     basis_vector,
+    build_model,
     cooling_step,
+    exact_spectrum,
     expectation,
     run,
 )
+from peigen.config import bundled_config_dir, build_initial_state, load_experiment
+from peigen.cooling import BRANCH_PROB_FLOOR
 from peigen.models import build_custom
+from peigen.operators import validate_and_normalize
 from peigen.variational import minimize_stage, stage_objective
+from tests.conftest import random_hermitian, random_state_vector
 
 
 def _two_level(e1=1.0):
@@ -167,3 +177,162 @@ def test_run_dispatches_on_mode(harmonic, thermal_half):
     v = run(thermal_half, harmonic, RunConfig(mode=Variational(), epsilon=1e-2))
     f = run(thermal_half, harmonic, RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-2))
     assert v.stages[0].trials and not f.stages[0].trials
+
+
+# ---------------------------------------------------------------------------
+# exact-mode objective against the dense cooling step
+
+
+def _dense_objective(state, h, tau):
+    """Reference: the 0-branch of the dense K0 = (U+ + U-)/2 step and its energy."""
+    step = cooling_step(state, h, tau, ExactW())
+    if step.state0 is None:
+        return math.inf, 0.0
+    return expectation(step.state0, h.total), step.p0
+
+
+def _random_state(rng, dim, rank):
+    """A pure state (rank 0) or a random density matrix of the given rank."""
+    if rank == 0:
+        return QuantumState(random_state_vector(rng, dim))
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return QuantumState(rho / np.trace(rho).real)
+
+
+def _assert_matches_dense(state, h, tau):
+    e, p0 = stage_objective(state, h, tau, ExactW())
+    e_ref, p0_ref = _dense_objective(state, h, tau)
+    assert abs(p0 - p0_ref) <= 1e-12
+    if math.isinf(e_ref):
+        assert math.isinf(e) and e > 0 and p0 == 0.0
+    else:
+        assert abs(e - e_ref) <= 1e-12 * max(1.0, h.total.norm2())
+    return e, p0
+
+
+_FORMS = st.sampled_from(["pure", "rank-1", "low-rank", "full-rank"])
+
+
+def _rank(form, dim):
+    return {"pure": 0, "rank-1": 1, "low-rank": max(1, dim // 3), "full-rank": dim}[form]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 12),
+    _FORMS,
+    st.booleans(),
+    st.floats(0.01, 3.0),
+    st.floats(-1.0, 2.0),
+)
+def test_exact_objective_matches_dense_step(seed, dim, form, degenerate, tau, gamma):
+    rng = np.random.default_rng(seed)
+    if degenerate:  # a few levels, each repeated, in a random eigenbasis
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        levels = rng.normal(size=max(1, dim // 3)) * 2
+        m = (q * rng.choice(levels, size=dim)) @ q.conj().T
+        m = (m + m.conj().T) / 2
+    else:
+        m = random_hermitian(rng, dim)
+    h = build_custom(Custom(terms=(("m", m),))).with_gamma(gamma)
+    _assert_matches_dense(_random_state(rng, dim, _rank(form, dim)), h, tau)
+
+
+def _harmonic_near_floor(state, h, target):
+    """tau with p0 close to ``target`` for gamma = omega/2, where every level
+    has E_n + gamma = (n + 1/2) omega: at tau = pi/omega all cos² vanish, and
+    a shift delta gives w_n ≈ ((n + 1/2) omega delta)²."""
+    evals, _ = exact_spectrum(h)
+    pops = np.diag(state.density()).real
+    delta = math.sqrt(target / float(pops @ (evals + h.gamma) ** 2))
+    return math.pi + delta  # omega = 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 10), _FORMS, st.floats(1.5, 9.0))
+def test_exact_objective_near_the_floor(seed, levels, form, factor):
+    # The harmonic eigenbasis is the computational one, so the dense step
+    # is exact to rounding even when p0 is 1e-13. (In a rotated eigenbasis
+    # the reference's own ~1e-16 error in K rho K^H is divided by p0.)
+    rng = np.random.default_rng(seed)
+    h = build_model(HarmonicOscillator(omega=1.0, cutoff=16)).with_gamma(0.5)
+    sub = _random_state(rng, levels, _rank(form, levels))
+    pad = [(0, 16 - levels)] * sub.data.ndim
+    state = QuantumState(np.pad(sub.data, pad))
+    tau = _harmonic_near_floor(state, h, factor * BRANCH_PROB_FLOOR)
+    _, p0 = _assert_matches_dense(state, h, tau)
+    assert BRANCH_PROB_FLOOR <= p0 <= 10 * BRANCH_PROB_FLOOR
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.booleans(), st.floats(1.5, 9.0))
+def test_exact_objective_near_the_floor_on_an_eigenstate(seed, dim, degenerate, factor):
+    rng = np.random.default_rng(seed)
+    m = random_hermitian(rng, dim)
+    if degenerate:  # the lowest level twice
+        e, q = np.linalg.eigh(m)
+        e[1] = e[0]
+        m = (q * e) @ q.conj().T
+        m = (m + m.conj().T) / 2
+    h = build_custom(Custom(terms=(("m", m),))).with_gamma(3.0 + float(np.abs(m).sum()))
+    evals, v = exact_spectrum(h)
+    shifted = float(evals[0]) + h.gamma
+    tau = math.acos(math.sqrt(factor * BRANCH_PROB_FLOOR)) / shifted
+    _, p0 = _assert_matches_dense(QuantumState(v[:, 0]), h, tau)
+    assert BRANCH_PROB_FLOOR <= p0 <= 10 * BRANCH_PROB_FLOOR
+
+
+@pytest.mark.parametrize("target", [0.0, 1e-15, 0.5 * BRANCH_PROB_FLOOR])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_exact_objective_certain_failure_below_the_floor(target, mixed):
+    h = build_model(HarmonicOscillator(omega=1.0, cutoff=16)).with_gamma(0.5)
+    psi = np.zeros(16)
+    psi[[1, 4]] = [0.6, 0.8]
+    state = QuantumState(np.outer(psi, psi) if mixed else psi)
+    tau = _harmonic_near_floor(state, h, target)
+    e, p0 = _assert_matches_dense(state, h, tau)
+    assert math.isinf(e) and p0 == 0.0
+
+
+def test_stage_objective_dimension_mismatch(harmonic):
+    with pytest.raises(ValidationError):
+        stage_objective(basis_vector(4, 0), harmonic, 0.3, ExactW())
+
+
+def _rabi_rank4():
+    spec = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+    rho = a @ a.conj().T
+    config = RunConfig(mode=Variational(), gamma_policy=Exact(), epsilon=1e-9, max_stages=6)
+    return build_model(spec), QuantumState(rho / np.trace(rho).real), config
+
+
+def _harmonic_variational():
+    ex = load_experiment(bundled_config_dir() / "harmonic_variational.json")
+    return build_model(ex.model), build_initial_state(ex), ex.run
+
+
+# counts: trials per stage of each run when every trial ran the dense step
+@pytest.mark.parametrize(
+    "make, counts",
+    [(_rabi_rank4, (12,) * 6), (_harmonic_variational, (12,) * 8)],
+    ids=["rabi20_rank4", "harmonic_variational"],
+)
+def test_exact_run_trials_match_the_dense_step(make, counts):
+    h, initial, config = make()
+    tr = run(initial, h, config)
+    assert tuple(len(s.trials) for s in tr.stages) == counts
+    hg = h.with_gamma(tr.gamma)
+    state = validate_and_normalize(initial)
+    for s in tr.stages:
+        for t in s.trials:
+            # the minimizer's log is the public objective, bit for bit
+            assert (t.energy, t.p0) == stage_objective(state, hg, t.tau, ExactW())
+            e_ref, p0_ref = _dense_objective(state, hg, t.tau)
+            assert abs(t.p0 - p0_ref) <= 1e-12
+            assert abs(t.energy - e_ref) <= 1e-12 * max(1.0, hg.total.norm2())
+        assert s.tau == min(s.trials, key=lambda t: (t.energy, t.tau)).tau
+        state = cooling_step(state, hg, s.tau, ExactW()).state0
