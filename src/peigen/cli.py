@@ -287,9 +287,12 @@ def cmd_sweep(args) -> int:
     lines = ["value,seed,stages,converged,final_energy,p_success,restarts"]
     for text, doc in zip(values, patched):
         cfg = parse_experiment(doc, source=path.name)
+        if args.seeds and cfg.target_level:
+            why = "restart trajectories replay cooling stages only, not ejections"
+            raise ConfigError(f"--seeds needs target_level 0, got {cfg.target_level}: {why}")
         h = build_model(cfg.model)
         initial = build_initial_state(cfg)
-        trace = run_protocol(initial, h, cfg.run)
+        trace = run_protocol(initial, h, cfg.run, target_level=cfg.target_level or None)
         conv = "true" if trace.converged else "false"
         base = f"{trace.n_stages},{conv},{trace.final_energy:.9g},{trace.p_success:.9g}"
         if not args.seeds:

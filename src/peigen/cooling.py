@@ -5,7 +5,8 @@ them lives in `variational.run`.
 
 Traces follow the post-selected (ancilla |0>) branch deterministically and
 record the branch probabilities; only `stochastic_trajectory` actually
-samples outcomes."""
+samples outcomes. In exact mode every p0 follows from the cos² law on the
+eigen-populations, so trials and trajectories read it in O(d) per stage."""
 
 from __future__ import annotations
 
@@ -247,22 +248,43 @@ class TrajectoryResult:
     shots_used: int
 
 
+def eigen_populations(state: QuantumState, h: SumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the total H and P_j = <j|rho|j> in its eigenbasis."""
+    if state.dim != h.dim:
+        raise ValidationError(f"state dim {state.dim} != Hamiltonian dim {h.dim}")
+    evals, v = h.total.eigensystem()
+    if state.is_pure:
+        return evals, np.abs(v.conj().T @ state.data) ** 2
+    return evals, np.einsum("ij,ij->j", v.conj(), state.data @ v).real
+
+
 def trajectory_probabilities(
     initial: QuantumState,
     h: SumHamiltonian,
     config: RunConfig,
     schedule: tuple[float, ...],
 ) -> np.ndarray:
-    """Deterministic per-stage p0 along the post-selected branch of a schedule."""
+    """Deterministic per-stage p0 along the post-selected branch of a schedule.
+
+    Exact mode reads the eigen-populations P once, then per stage p0 = w·P and
+    P <- w⊙P / p0 with w = cos²((E + gamma) tau); Trotter mode replays each
+    stage with `cooling_step`."""
     state = validate_and_normalize(initial)
     hg = _resolve(h, config)
+    if exact := isinstance(config.operator_mode, ExactW):
+        evals, pops = eigen_populations(state, hg)
     p0s = []
     for tau in schedule:
-        step = cooling_step(state, hg, tau, config.operator_mode)
-        if step.state0 is None:
+        if exact:
+            w = np.cos((evals + hg.gamma) * tau) ** 2
+            p0 = float(w @ pops)
+            pops = w * pops / max(p0, BRANCH_PROB_FLOOR)  # below the floor we raise next
+        else:
+            step = cooling_step(state, hg, tau, config.operator_mode)
+            p0, state = step.p0, step.state0
+        if p0 < BRANCH_PROB_FLOOR:
             raise CertainFailureError(f"schedule stage tau={tau:.6g} certainly fails")
-        p0s.append(step.p0)
-        state = step.state0
+        p0s.append(p0)
     return np.array(p0s)
 
 
@@ -277,7 +299,7 @@ def stochastic_trajectory(
     """Sample ancilla outcomes Bernoulli(p0); restart from scratch on a 1.
 
     Since every failure restarts from the same initial state, the per-stage
-    probabilities are precomputed once along the deterministic branch."""
+    probabilities come once from `trajectory_probabilities`; see there."""
     if config.seed is None:
         raise ConfigError("stochastic_trajectory requires a seed in the run config")
     p0s = trajectory_probabilities(initial, h, config, tuple(schedule))

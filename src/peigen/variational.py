@@ -22,9 +22,10 @@ from .cooling import (
     Variational,
     _resolve,
     cooling_step,
+    eigen_populations,
     eject,
 )
-from .errors import CertainFailureError, ConfigError, ValidationError
+from .errors import CertainFailureError, ConfigError
 from .models import SumHamiltonian, exact_spectrum
 from .operators import QuantumState, expectation, validate_and_normalize
 
@@ -86,13 +87,7 @@ class MinimizeResult:
 def _exact_objective(state: QuantumState, h: SumHamiltonian):
     """Exact-mode objective of tau: p0 = w·P and energy w·(E⊙P) / p0, with
     w_j = cos²((E_j + gamma) tau) and P_j = <j|rho|j> read once here."""
-    if state.dim != h.dim:
-        raise ValidationError(f"state dim {state.dim} != Hamiltonian dim {h.dim}")
-    evals, v = h.total.eigensystem()
-    if state.is_pure:
-        pops = np.abs(v.conj().T @ state.data) ** 2
-    else:
-        pops = np.einsum("ij,ij->j", v.conj(), state.data @ v).real
+    evals, pops = eigen_populations(state, h)
     shifted, e_pops = evals + h.gamma, evals * pops
 
     def objective(tau: float) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peigen import HarmonicOscillator, build_model, thermal_state
+from peigen import HarmonicOscillator, QuantumState, build_model, thermal_state
 
 HARMONIC = HarmonicOscillator(omega=1.0, cutoff=30)
 
@@ -25,3 +25,12 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def random_state(rng: np.random.Generator, dim: int, rank: int) -> QuantumState:
+    """A pure state (rank 0) or a random density matrix of the given rank."""
+    if rank == 0:
+        return QuantumState(random_state_vector(rng, dim))
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return QuantumState(rho / np.trace(rho).real)

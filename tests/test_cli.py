@@ -426,6 +426,37 @@ def test_sweep_seeded_trajectories(capsys):
         assert line.split(",")[6] != ""  # restart counts present
 
 
+def _targeted_harmonic_cfg():
+    return _harmonic_cfg(
+        gamma={"policy": "fixed", "value": 0.3}, eject_shifted=True, target_level=1
+    )
+
+
+def test_sweep_honours_target_level(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "targeted.json", _targeted_harmonic_cfg())
+    assert _run_cli(cfg, tmp_path) == 0
+    doc, _ = _read_trace(tmp_path, "t")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--param", "run.tau", "--values", "0.3"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert row[2:6] == [
+        str(doc["n_stages"]),
+        "true",
+        f"{doc['final_energy']:.9g}",
+        f"{doc['p_success']:.9g}",
+    ]
+    assert abs(doc["final_energy"] - 1.0) < 0.01  # the first excited level, not E_0 = 0
+
+
+def test_sweep_refuses_restarts_with_target_level(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "targeted.json", _targeted_harmonic_cfg())
+    argv = ["sweep", "--config", str(cfg), "--param", "run.tau", "--values", "0.3"]
+    assert main([*argv, "--seeds", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "target_level" in err and "ejection" in err
+
+
 def test_sweep_unknown_param(capsys):
     code = main(
         [

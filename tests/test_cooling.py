@@ -26,8 +26,9 @@ from peigen import (
     stochastic_trajectory,
     trajectory_probabilities,
 )
-from peigen.models import build_custom
-from tests.conftest import random_hermitian, random_state_vector
+from peigen.config import build_initial_state, bundled_config_dir, load_experiment
+from peigen.models import build_custom, build_model
+from tests.conftest import random_hermitian, random_state, random_state_vector
 
 
 def _plus01(dim=30):
@@ -320,6 +321,140 @@ def test_trajectory_deterministic_given_seed(harmonic, thermal_half):
     a = stochastic_trajectory(thermal_half, harmonic, cfg, (0.3, 0.5, 0.9))
     b = stochastic_trajectory(thermal_half, harmonic, cfg, (0.3, 0.5, 0.9))
     assert a == b
+
+
+# (restarts, shots_used) at seeds 0..19 over each bundled run's own schedule,
+# as computed by replaying every stage with dense Kraus operators.
+FROZEN_TRAJECTORIES = {
+    "harmonic_fixed": [
+        (0, 90), (0, 90), (0, 90), (0, 90), (2, 93), (2, 104), (1, 95), (2, 110), (1, 92),
+        (0, 90), (1, 91), (0, 90), (0, 90), (0, 90), (0, 90), (0, 90), (0, 90), (1, 104),
+        (0, 90), (0, 90),
+    ],
+    "harmonic_variational": [
+        (0, 8), (2, 12), (0, 8), (0, 8), (2, 11), (2, 10), (0, 8), (0, 8), (1, 10), (1, 9),
+        (1, 9), (0, 8), (1, 10), (5, 18), (1, 9), (0, 8), (0, 8), (1, 9), (0, 8), (0, 8),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TRAJECTORIES))
+def test_bundled_trajectory_counts_are_frozen(name):
+    exp = load_experiment(bundled_config_dir() / f"{name}.json")
+    h = build_model(exp.model)
+    initial = build_initial_state(exp)
+    schedule = run(initial, h, exp.run).schedule
+    got = []
+    for seed in range(20):
+        res = stochastic_trajectory(initial, h, replace(exp.run, seed=seed), schedule)
+        assert res.success
+        got.append((res.restarts, res.shots_used))
+    assert got == FROZEN_TRAJECTORIES[name]
+
+
+# ---------------------------------------------------------------------------
+# exact-mode trajectory probabilities against a dense reference
+
+
+def _custom_with_spectrum(rng, evals):
+    """Custom model H = U diag(evals) U^H with a random unitary U."""
+    dim = len(evals)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    mat = (u * evals) @ u.conj().T
+    mat = (mat + mat.conj().T) / 2
+    return build_custom(Custom(terms=(("m", mat),))), mat, u
+
+
+def _dense_p0s(mat, gamma, state, schedule):
+    """Reference p0 per stage: K0 = V diag(cos((E + gamma) tau)) V^H from a
+    dense eigh of the total, applied as K0 psi or K0 rho K0^H."""
+    evals, v = np.linalg.eigh(mat)
+    data, p0s = state.data, []
+    for tau in schedule:
+        k0 = (v * np.cos((evals + gamma) * tau)) @ v.conj().T
+        if data.ndim == 1:
+            data = k0 @ data
+            p0s.append(float(np.vdot(data, data).real))
+            data = data / math.sqrt(p0s[-1])
+        else:
+            data = k0 @ data @ k0.conj().T
+            p0s.append(float(np.trace(data).real))
+            data = data / p0s[-1]
+    return np.array(p0s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["pure", "rank1", "low_rank", "full_rank"]),
+    st.booleans(),
+    st.integers(1, 12),
+    st.floats(0.0, 0.5),
+)
+def test_exact_trajectory_probabilities_match_dense_reference(
+    seed, kind, degenerate, n_stages, gamma
+):
+    # 0 <= E + gamma <= 1.5 and tau <= 1 keep every weight cos^2 >= 0.005,
+    # so no stage comes near the floor and rounding is not amplified.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 9))
+    evals = rng.uniform(0.0, 1.0, dim)
+    if degenerate:  # two levels shared by at least three eigenvectors
+        evals = evals[:2][rng.integers(0, 2, dim)]
+    h, mat, _ = _custom_with_spectrum(rng, evals)
+    rank = {"pure": 0, "rank1": 1, "low_rank": int(rng.integers(2, dim)), "full_rank": dim}
+    state = random_state(rng, dim, rank[kind])
+    schedule = tuple(float(t) for t in rng.uniform(0.01, 1.0, n_stages))
+    cfg = RunConfig(mode=FixedStep(tau=0.3), gamma_policy=Fixed(value=gamma))
+    p0s = trajectory_probabilities(state, h, cfg, schedule)
+    assert p0s.shape == (n_stages,)
+    assert np.abs(p0s - _dense_p0s(mat, gamma, state, schedule)).max() < 1e-12
+
+
+def _floor_case(rng, p, mixed):
+    """Weight p on the E = 2 level of a spectrum {2, 1, 1, 3, 3, 5}. With
+    gamma = 0, tau = pi keeps every population and tau = pi/2 keeps only
+    E = 2, so the schedule (pi, pi/2) has p0 = (1, p) up to rounding."""
+    h, mat, u = _custom_with_spectrum(rng, np.array([2.0, 1.0, 1.0, 3.0, 3.0, 5.0]))
+    if mixed:
+        weights = np.concatenate([[p], (1 - p) * rng.dirichlet(np.ones(5))])
+        rho = (u * weights) @ u.conj().T
+        return h, mat, QuantumState((rho + rho.conj().T) / 2)
+    rest = u[:, 1:] @ random_state_vector(rng, 5)
+    return h, mat, QuantumState(math.sqrt(p) * u[:, 0] + math.sqrt(1 - p) * rest)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(3e-14, 1e-13), st.booleans())
+def test_exact_trajectory_probabilities_near_the_floor(seed, p, mixed):
+    h, mat, state = _floor_case(np.random.default_rng(seed), p, mixed)
+    cfg = RunConfig(mode=FixedStep(tau=0.3), gamma_policy=Fixed(value=0.0))
+    schedule = (math.pi, math.pi / 2)
+    p0s = trajectory_probabilities(state, h, cfg, schedule)
+    assert abs(p0s[0] - 1.0) < 1e-12 and abs(p0s[1] - p) < 0.1 * p
+    assert np.abs(p0s - _dense_p0s(mat, 0.0, state, schedule)).max() < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1e-15), st.booleans())
+def test_exact_trajectory_probabilities_below_the_floor_raise(seed, p, mixed):
+    h, _, state = _floor_case(np.random.default_rng(seed), p, mixed)
+    cfg = RunConfig(mode=FixedStep(tau=0.3), gamma_policy=Fixed(value=0.0))
+    with pytest.raises(CertainFailureError):
+        trajectory_probabilities(state, h, cfg, (math.pi, math.pi / 2))
+
+
+def test_trajectory_probabilities_empty_schedule(harmonic, thermal_half):
+    cfg = RunConfig(mode=FixedStep(tau=0.3))
+    p0s = trajectory_probabilities(thermal_half, harmonic, cfg, ())
+    assert isinstance(p0s, np.ndarray) and p0s.shape == (0,)
+
+
+def test_trajectory_probabilities_dimension_mismatch(harmonic):
+    cfg = RunConfig(mode=FixedStep(tau=0.3))
+    with pytest.raises(ValidationError):
+        trajectory_probabilities(basis_vector(8, 0), harmonic, cfg, (0.3,))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from peigen.cooling import BRANCH_PROB_FLOOR
 from peigen.models import build_custom
 from peigen.operators import validate_and_normalize
 from peigen.variational import minimize_stage, stage_objective
-from tests.conftest import random_hermitian, random_state_vector
+from tests.conftest import random_hermitian, random_state
 
 
 def _two_level(e1=1.0):
@@ -191,15 +191,6 @@ def _dense_objective(state, h, tau):
     return expectation(step.state0, h.total), step.p0
 
 
-def _random_state(rng, dim, rank):
-    """A pure state (rank 0) or a random density matrix of the given rank."""
-    if rank == 0:
-        return QuantumState(random_state_vector(rng, dim))
-    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = a @ a.conj().T
-    return QuantumState(rho / np.trace(rho).real)
-
-
 def _assert_matches_dense(state, h, tau):
     e, p0 = stage_objective(state, h, tau, ExactW())
     e_ref, p0_ref = _dense_objective(state, h, tau)
@@ -237,7 +228,7 @@ def test_exact_objective_matches_dense_step(seed, dim, form, degenerate, tau, ga
     else:
         m = random_hermitian(rng, dim)
     h = build_custom(Custom(terms=(("m", m),))).with_gamma(gamma)
-    _assert_matches_dense(_random_state(rng, dim, _rank(form, dim)), h, tau)
+    _assert_matches_dense(random_state(rng, dim, _rank(form, dim)), h, tau)
 
 
 def _harmonic_near_floor(state, h, target):
@@ -258,7 +249,7 @@ def test_exact_objective_near_the_floor(seed, levels, form, factor):
     # the reference's own ~1e-16 error in K rho K^H is divided by p0.)
     rng = np.random.default_rng(seed)
     h = build_model(HarmonicOscillator(omega=1.0, cutoff=16)).with_gamma(0.5)
-    sub = _random_state(rng, levels, _rank(form, levels))
+    sub = random_state(rng, levels, _rank(form, levels))
     pad = [(0, 16 - levels)] * sub.data.ndim
     state = QuantumState(np.pad(sub.data, pad))
     tau = _harmonic_near_floor(state, h, factor * BRANCH_PROB_FLOOR)
