@@ -26,6 +26,12 @@ def main(argv=None):
     ap.add_argument("--trajectories", type=int, default=2000)
     ap.add_argument("--seed0", type=int, default=0, help="first seed; one per trajectory")
     args = ap.parse_args(argv)
+    if args.trajectories < 2:
+        print(
+            f"error: --trajectories must be >= 2 for a standard error, got {args.trajectories}",
+            file=sys.stderr,
+        )
+        return 1
 
     try:
         cfg = load_experiment(resolve_config_path(args.config))

@@ -279,6 +279,9 @@ def cmd_sweep(args) -> int:
     if not values:
         print("error: --values must list at least one value", file=sys.stderr)
         return 1
+    if args.seeds < 0:
+        print(f"error: --seeds must be >= 0, got {args.seeds}", file=sys.stderr)
+        return 1
     path = resolve_config_path(args.config)
     raw = _read_json(path)
     parsed = [_parse_sweep_value(v) for v in values]

@@ -25,6 +25,7 @@ from .models import (
     TargetLevel,
     basis_state,
     build_model,
+    model_dim,
     thermal_state,
 )
 from .operators import QuantumState, validate_and_normalize
@@ -317,7 +318,7 @@ def build_initial_state(cfg: ExperimentConfig) -> QuantumState:
         state = QuantumState(vecs[:, 0])
     else:
         state = validate_and_normalize(QuantumState(cfg.initial.amplitudes), tol=1e-6)
-    dim = build_model(spec).dim
+    dim = model_dim(spec)
     if state.dim != dim:
         raise ConfigError(f"initial state dim {state.dim} != model dim {dim}")
     return state

@@ -5,7 +5,8 @@ them lives in `variational.run`.
 
 Traces follow the post-selected (ancilla |0>) branch deterministically and
 record the branch probabilities; only `stochastic_trajectory` actually
-samples outcomes. In exact mode every p0 follows from the cos² law on the
+samples outcomes. Exact mode forms no d x d operator: steps and ejections
+scale eigen-coefficients, and every p0 follows from the cos² law on the
 eigen-populations, so trials and trajectories read it in O(d) per stage."""
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ class RunConfig:
             raise ConfigError(f"f_tol must be > 0, got {self.f_tol}")
 
 
-def _trotter_r(mode: OperatorMode) -> int | None:
-    return mode.r if isinstance(mode, TrotterW) else None
-
-
 def _resolve(h: SumHamiltonian, config: RunConfig) -> SumHamiltonian:
     return h.with_gamma(gamma_for(h, config.gamma_policy))
 
@@ -108,21 +105,24 @@ class CoolingStepResult:
     p1: float
 
 
-def _pure_branch(y: np.ndarray) -> tuple[Optional[QuantumState], float]:
-    p = float(np.vdot(y, y).real)
+def _branch(out: np.ndarray, pure: bool) -> tuple[Optional[QuantumState], float]:
+    """Normalised branch K psi or K rho K^H and its probability; None below the floor."""
+    p = float(np.vdot(out, out).real if pure else np.trace(out).real)
     if p < BRANCH_PROB_FLOOR:
         return None, max(p, 0.0)
-    return QuantumState(y / math.sqrt(p)), p
+    return QuantumState(out / (math.sqrt(p) if pure else p)), p
 
 
-def _branch(k: np.ndarray, state: QuantumState) -> tuple[Optional[QuantumState], float]:
+def _eigen_branches(state: QuantumState, h: SumHamiltonian, factors: tuple) -> list:
+    """`_branch` of each ``f`` in ``factors`` scaling the eigen-coefficients of
+    the total H: V (f ⊙ V^H psi), or V (f C f*) V^H with C = V^H rho V."""
+    v = h.total.eigensystem()[1]
+    vh = v.conj().T
     if state.is_pure:
-        return _pure_branch(k @ state.data)
-    m = k @ state.data @ k.conj().T
-    p = float(np.trace(m).real)
-    if p < BRANCH_PROB_FLOOR:
-        return None, max(p, 0.0)
-    return QuantumState(m / p), p
+        c = vh @ state.data
+        return [_branch(v @ (f * c), True) for f in factors]
+    c = vh @ state.data @ v
+    return [_branch(v @ (f[:, None] * c * f.conj()) @ vh, False) for f in factors]
 
 
 def cooling_step(
@@ -135,21 +135,23 @@ def cooling_step(
 
     The |0>/|1> blocks are K0 = (U+ + U-)/2 and K1 = (U+ - U-)/2 of the
     (exact or Trotterized) branch unitaries, so p0 + p1 = 1 to rounding
-    regardless of the Trotter step count. In Trotter mode a pure state gets
-    K0 psi and K1 psi from the branches applied to psi, factor by factor;
-    K0 and K1 are built as dense matrices only in exact mode and for mixed
-    states."""
+    regardless of the Trotter step count. In exact mode they are diagonal in
+    the eigenbasis, cos((E + gamma) tau) and -i sin((E + gamma) tau), and no
+    U+- is formed. In Trotter mode a pure state gets K0 psi and K1 psi from
+    the branches applied to psi, factor by factor; a mixed state gets dense
+    K0 and K1."""
     if state.dim != h.dim:
         raise ValidationError(f"state dim {state.dim} != Hamiltonian dim {h.dim}")
-    r = _trotter_r(operator_mode)
-    if r is not None and state.is_pure:
-        y0, y1 = kraus_blocks(*apply_branches(h, tau, r, state.data))
-        state0, p0 = _pure_branch(y0)
-        state1, p1 = _pure_branch(y1)
+    if not isinstance(operator_mode, TrotterW):
+        x = (h.total.eigensystem()[0] + h.gamma) * tau
+        branches = _eigen_branches(state, h, (np.cos(x), -1j * np.sin(x)))
+    elif state.is_pure:
+        ys = kraus_blocks(*apply_branches(h, tau, operator_mode.r, state.data))
+        branches = [_branch(y, True) for y in ys]
     else:
-        k0, k1 = kraus_blocks(*branch_unitaries(h, tau, r))
-        state0, p0 = _branch(k0, state)
-        state1, p1 = _branch(k1, state)
+        ks = kraus_blocks(*branch_unitaries(h, tau, operator_mode.r))
+        branches = [_branch(k @ state.data @ k.conj().T, False) for k in ks]
+    (state0, p0), (state1, p1) = branches
     if state0 is None and state1 is None:
         raise CertainFailureError("both branch probabilities vanish; state is corrupt")
     return CoolingStepResult(state0=state0, p0=p0, state1=state1, p1=p1)
@@ -168,7 +170,7 @@ def eject(
 ) -> tuple[QuantumState, float]:
     """Post-selected branch of U_s = exp(-i (pi / 2 E_s) H sigma_x^A).
 
-    Scales eigen-amplitudes by cos(pi E_j / (2 E_s)), which annihilates the
+    Scales eigen-coefficients by cos(pi E_j / (2 E_s)), which annihilates the
     E_s eigenspace. With ``shifted`` the shifted energies are used instead:
     cos(pi (E_j + gamma) / (2 (E_s + gamma))), the only well-defined variant
     when E_s = 0. Raises on a numerically certain failure (input entirely in
@@ -180,9 +182,8 @@ def eject(
             f"ejection undefined at E_s{'+gamma' if shifted else ''} = {denom:.3e}; "
             "use the shifted variant with a nonzero gamma"
         )
-    half_pi_over = math.pi / (2.0 * denom)
-    c = h.total.matfunc(lambda lam: math.cos((lam + gamma) * half_pi_over))
-    out, p = _branch(c, state)
+    f = np.cos((h.total.eigensystem()[0] + gamma) * (math.pi / (2.0 * denom)))
+    ((out, p),) = _eigen_branches(state, h, (f,))
     if out is None:
         raise CertainFailureError(
             f"ejection at E_s={e_s:.6g} has zero success probability (p={p:.3e})"

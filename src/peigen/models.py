@@ -290,22 +290,33 @@ def hubbard_basis_index(spec: Hubbard1D, pattern: str) -> int:
     return idx
 
 
+def model_dim(spec: ModelSpec) -> int:
+    """Hilbert-space dimension of the model, read off the spec unbuilt."""
+    if isinstance(spec, HarmonicOscillator):
+        return spec.cutoff
+    if isinstance(spec, Rabi):
+        return 2 * spec.cutoff
+    if isinstance(spec, Hubbard1D):
+        return 4**spec.sites
+    if isinstance(spec, Custom):
+        return spec.terms[0][1].shape[0]
+    raise ConfigError(f"unknown model spec {type(spec).__name__}")
+
+
 def basis_state(spec: ModelSpec, label: str) -> QuantumState:
     """Computational-basis state from a human-readable per-model label."""
-    if isinstance(spec, HarmonicOscillator):
-        return basis_vector(spec.cutoff, int(label))
+    dim = model_dim(spec)
     if isinstance(spec, Rabi):
         try:
             qubit, fock = label.split(",")
         except ValueError:
             raise ConfigError(f"Rabi basis label must be 'up|down,<n>', got {label!r}") from None
-        return basis_vector(2 * spec.cutoff, rabi_basis_index(spec, qubit, int(fock)))
-    if isinstance(spec, Hubbard1D):
-        return basis_vector(4**spec.sites, hubbard_basis_index(spec, label))
-    if isinstance(spec, Custom):
-        dim = spec.terms[0][1].shape[0]
-        return basis_vector(dim, int(label))
-    raise ConfigError(f"unknown model spec {type(spec).__name__}")
+        index = rabi_basis_index(spec, qubit, int(fock))
+    elif isinstance(spec, Hubbard1D):
+        index = hubbard_basis_index(spec, label)
+    else:
+        index = int(label)
+    return basis_vector(dim, index)
 
 
 # ---------------------------------------------------------------------------

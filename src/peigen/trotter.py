@@ -169,23 +169,13 @@ def apply_branches(
     return out[0], out[1]
 
 
-def branch_unitaries(
-    h: SumHamiltonian, tau: float, r: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """System-space branch unitaries (U_plus, U_minus) of W_gamma(tau).
+def branch_unitaries(h: SumHamiltonian, tau: float, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense r-step second-order Trotter branches (U_plus, U_minus) of W_gamma(tau).
 
-    U_pm = exp(∓ i (H + gamma) tau) act on the ancilla sigma-x = ±1 branches.
-    With ``r`` set, each branch is the r-fold symmetric (second-order)
-    Trotter product, times the exact gamma phase: the model's sweep plan
-    (fused commuting groups, merged seams) run by `apply_branches` on the
-    identity. These dense forms serve the joint unitary, the Trotter error
-    and mixed-state steps; pure-state cooling applies the plan to the state.
-    """
-    if r is None:
-        evals, v = h.total.eigensystem()
-        up = (v * np.exp(-1j * (evals + h.gamma) * tau)) @ v.conj().T
-        um = (v * np.exp(+1j * (evals + h.gamma) * tau)) @ v.conj().T
-        return up, um
+    U_pm approximate exp(∓ i (H + gamma) tau) on the ancilla sigma-x = ±1
+    branches: the model's sweep plan, times the exact gamma phase, run by
+    `apply_branches` on the identity. They serve the joint unitary, the
+    Trotter error and Trotter-mode mixed-state steps."""
     return apply_branches(h, tau, r, np.eye(h.dim, dtype=complex))
 
 
@@ -202,8 +192,11 @@ def _assemble(u_plus: np.ndarray, u_minus: np.ndarray) -> np.ndarray:
 
 
 def exact_W(h: SumHamiltonian, tau: float) -> JointUnitary:
-    """Exact W_gamma(tau) on system (x) ancilla."""
-    return JointUnitary(_assemble(*branch_unitaries(h, tau, None)))
+    """Exact W_gamma(tau) on system (x) ancilla, from the dense branches
+    U_pm = V exp(∓ i (E + gamma) tau) V^H."""
+    evals, v = h.total.eigensystem()
+    x, vh = (evals + h.gamma) * tau, v.conj().T
+    return JointUnitary(_assemble((v * np.exp(-1j * x)) @ vh, (v * np.exp(1j * x)) @ vh))
 
 
 def trotter_W(h: SumHamiltonian, tau: float, r: int) -> JointUnitary:

@@ -180,18 +180,6 @@ def minimize_stage(
     )
 
 
-def _eigenspace_fidelity(
-    state: QuantumState, evals: np.ndarray, evecs: np.ndarray, level: int
-) -> float:
-    """Overlap with the full eigenspace containing level ``level``."""
-    members = np.abs(evals - evals[level]) < 1e-9
-    v = evecs[:, members]
-    if state.is_pure:
-        amps = v.conj().T @ state.data
-        return float(np.vdot(amps, amps).real)
-    return float(np.trace(v.conj().T @ state.data @ v).real)
-
-
 def run(
     initial: QuantumState,
     h: SumHamiltonian,
@@ -211,7 +199,7 @@ def run(
     if target_level is not None:
         if target_level < 0:
             raise ConfigError(f"target level must be >= 0, got {target_level}")
-        evals, evecs = exact_spectrum(h)
+        evals = exact_spectrum(h)[0]
         if target_level >= len(evals):
             raise ConfigError(f"target level {target_level} out of range for dim {len(evals)}")
     state = validate_and_normalize(initial)
@@ -275,8 +263,9 @@ def run(
         e_prev = energy
 
     fidelity = None
-    if target_level is not None:
-        fidelity = _eigenspace_fidelity(state, evals, evecs, target_level)
+    if target_level is not None:  # the populations of the target eigenspace
+        pops = eigen_populations(state, hg)[1]
+        fidelity = float(pops[np.abs(evals - evals[target_level]) < 1e-9].sum())
     return CoolingTrace(
         stages=tuple(stages),
         converged=converged,

@@ -457,6 +457,14 @@ def test_sweep_refuses_restarts_with_target_level(tmp_path, capsys):
     assert "target_level" in err and "ejection" in err
 
 
+def test_sweep_refuses_negative_seeds(capsys):
+    argv = ["sweep", "--config", str(BUNDLED / "harmonic_fixed.json"), "--param", "run.tau"]
+    assert main([*argv, "--values", "0.3", "--seeds", "-2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--seeds must be >= 0" in err
+
+
 def test_sweep_unknown_param(capsys):
     code = main(
         [

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from peigen import (
@@ -12,7 +12,9 @@ from peigen import (
     Custom,
     Fixed,
     FixedStep,
+    HermitianOperator,
     QuantumState,
+    Rabi,
     RunConfig,
     TrotterW,
     UndefinedOperatorError,
@@ -27,7 +29,9 @@ from peigen import (
     trajectory_probabilities,
 )
 from peigen.config import build_initial_state, bundled_config_dir, load_experiment
+from peigen.cooling import BRANCH_PROB_FLOOR
 from peigen.models import build_custom, build_model
+from tests import reference
 from tests.conftest import random_hermitian, random_state, random_state_vector
 
 
@@ -455,6 +459,80 @@ def test_trajectory_probabilities_dimension_mismatch(harmonic):
     cfg = RunConfig(mode=FixedStep(tau=0.3))
     with pytest.raises(ValidationError):
         trajectory_probabilities(basis_vector(8, 0), harmonic, cfg, (0.3,))
+
+
+# ---------------------------------------------------------------------------
+# exact step and ejection against the dense scipy reference
+
+
+def _unnormalised(state, p):
+    return state.data * (math.sqrt(p) if state.is_pure else p)
+
+
+def _assert_branch_matches(got, p_got, out, p, tol):
+    assert abs(p_got - p) <= tol
+    if got is None:
+        assert p < 2 * BRANCH_PROB_FLOOR
+    else:
+        assert np.abs(_unnormalised(got, p_got) - out).max() <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["pure", "rank1", "low_rank", "full_rank"]),
+    st.booleans(),
+    st.floats(0.01, 3.0),
+    st.floats(-1.0, 2.0),
+    st.booleans(),
+)
+def test_exact_step_and_ejection_match_dense_reference(seed, kind, degenerate, tau, gamma, shifted):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 11))
+    evals = rng.normal(size=dim) * 2
+    if degenerate:  # a few levels, each repeated
+        evals = evals[: max(1, dim // 3)][rng.integers(0, max(1, dim // 3), dim)]
+    h = _custom_with_spectrum(rng, evals)[0].with_gamma(gamma)
+    rank = {"pure": 0, "rank1": 1, "low_rank": int(rng.integers(1, dim)), "full_rank": dim}
+    state = random_state(rng, dim, rank[kind])
+    tol = 1e-12 * max(1.0, h.total.norm2())
+
+    step = cooling_step(state, h, tau)
+    got = ((step.state0, step.p0), (step.state1, step.p1))
+    for (s, p), (out, p_ref) in zip(got, reference.step(state.data, h, tau)):
+        _assert_branch_matches(s, p, out, p_ref, tol)
+
+    e_s = float(evals[rng.integers(dim)])
+    assume(abs(e_s + (gamma if shifted else 0.0)) > 1e-3)
+    out, p_ref = reference.apply(reference.ejection(h, e_s, shifted=shifted), state.data)
+    if p_ref < BRANCH_PROB_FLOOR:  # the state lies in the ejected eigenspace
+        with pytest.raises(CertainFailureError):
+            eject(state, h, e_s, shifted=shifted)
+    else:
+        _assert_branch_matches(*eject(state, h, e_s, shifted=shifted), out, p_ref, tol)
+
+
+def test_exact_mode_builds_no_dense_operator(monkeypatch, harmonic, thermal_half):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact mode formed a dense operator")
+
+    monkeypatch.setattr("peigen.cooling.branch_unitaries", refuse)
+    monkeypatch.setattr(HermitianOperator, "matfunc", refuse)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+    rho = QuantumState(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    cfg = RunConfig(mode=Variational(), epsilon=1e-9, max_stages=4)
+    mixed = run(rho, build_model(Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=10)), cfg)
+    assert mixed.n_stages == 4 and not mixed.final_state.is_pure
+    cfg = RunConfig(
+        mode=Variational(),
+        gamma_policy=Fixed(value=1.0),
+        epsilon=1e-5,
+        max_stages=60,
+        eject_shifted=True,
+    )
+    targeted = run(thermal_half, harmonic, cfg, target_level=1)
+    assert targeted.stages[0].kind == "eject" and targeted.converged_to_target
 
 
 # ---------------------------------------------------------------------------

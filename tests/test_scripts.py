@@ -1,0 +1,26 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_restart_statistics_refuses_fewer_than_two_trajectories(n, capsys):
+    assert _script("restart_statistics").main(["--trajectories", str(n)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--trajectories must be >= 2" in err
+
+
+def test_restart_statistics_two_trajectories(capsys):
+    assert _script("restart_statistics").main(["--trajectories", "2"]) == 0
+    assert "mean restarts over 2 trajectories" in capsys.readouterr().out

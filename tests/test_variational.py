@@ -30,6 +30,7 @@ from peigen.cooling import BRANCH_PROB_FLOOR
 from peigen.models import build_custom
 from peigen.operators import validate_and_normalize
 from peigen.variational import minimize_stage, stage_objective
+from tests import reference
 from tests.conftest import random_hermitian, random_state
 
 
@@ -180,15 +181,15 @@ def test_run_dispatches_on_mode(harmonic, thermal_half):
 
 
 # ---------------------------------------------------------------------------
-# exact-mode objective against the dense cooling step
+# exact-mode objective against the dense scipy reference
 
 
 def _dense_objective(state, h, tau):
-    """Reference: the 0-branch of the dense K0 = (U+ + U-)/2 step and its energy."""
-    step = cooling_step(state, h, tau, ExactW())
-    if step.state0 is None:
+    """Reference: the 0-branch of the dense scipy step K0 = (U+ + U-)/2 and its energy."""
+    (out, p0), _ = reference.step(state.data, h, tau)
+    if p0 < BRANCH_PROB_FLOOR:
         return math.inf, 0.0
-    return expectation(step.state0, h.total), step.p0
+    return reference.energy(out, h) / p0, p0
 
 
 def _assert_matches_dense(state, h, tau):
@@ -317,13 +318,19 @@ def test_exact_run_trials_match_the_dense_step(make, counts):
     tr = run(initial, h, config)
     assert tuple(len(s.trials) for s in tr.stages) == counts
     hg = h.with_gamma(tr.gamma)
+    tol = 1e-12 * max(1.0, hg.total.norm2())
     state = validate_and_normalize(initial)
+    dense = state  # the same stages replayed by the reference alone
     for s in tr.stages:
         for t in s.trials:
             # the minimizer's log is the public objective, bit for bit
             assert (t.energy, t.p0) == stage_objective(state, hg, t.tau, ExactW())
-            e_ref, p0_ref = _dense_objective(state, hg, t.tau)
+            e_ref, p0_ref = _dense_objective(dense, hg, t.tau)
             assert abs(t.p0 - p0_ref) <= 1e-12
-            assert abs(t.energy - e_ref) <= 1e-12 * max(1.0, hg.total.norm2())
+            assert abs(t.energy - e_ref) <= tol
         assert s.tau == min(s.trials, key=lambda t: (t.energy, t.tau)).tau
         state = cooling_step(state, hg, s.tau, ExactW()).state0
+        (out, p0), _ = reference.step(dense.data, hg, s.tau)
+        assert abs(s.p0 - p0) <= 1e-12
+        assert abs(s.energy - reference.energy(out, hg) / p0) <= tol
+        dense = QuantumState(out / p0 if out.ndim == 2 else out / math.sqrt(p0))
