@@ -14,7 +14,7 @@ import statistics
 import sys
 from dataclasses import replace
 
-from peigen import ConfigError, stochastic_trajectory
+from peigen import PeigenError, stochastic_trajectory
 from peigen import run as run_protocol
 from peigen.config import build_initial_state, load_experiment, resolve_config_path
 from peigen.models import build_model
@@ -35,24 +35,18 @@ def main(argv=None):
 
     try:
         cfg = load_experiment(resolve_config_path(args.config))
-        if cfg.target_level:
-            raise ConfigError(
-                f"{args.config}: needs target_level 0, got {cfg.target_level}: restart "
-                "trajectories replay cooling stages only, not ejections"
-            )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        h = build_model(cfg.model)
+        initial = build_initial_state(cfg)
+        trace = run_protocol(initial, h, cfg.run)
+        restarts = [
+            stochastic_trajectory(initial, h, replace(cfg.run, seed=seed), trace.schedule).restarts
+            for seed in range(args.seed0, args.seed0 + args.trajectories)
+        ]
+    except PeigenError as exc:
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 1
 
-    h = build_model(cfg.model)
-    initial = build_initial_state(cfg)
-    trace = run_protocol(initial, h, cfg.run)
     print(f"{args.config}: {trace.n_stages} stages, P_success = {trace.p_success:.6f}")
-
-    restarts = []
-    for seed in range(args.seed0, args.seed0 + args.trajectories):
-        out = stochastic_trajectory(initial, h, replace(cfg.run, seed=seed), trace.schedule)
-        restarts.append(out.restarts)
     mean = statistics.fmean(restarts)
     se = statistics.stdev(restarts) / math.sqrt(len(restarts))
     expected = 1.0 / trace.p_success - 1.0

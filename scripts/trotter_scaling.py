@@ -9,10 +9,7 @@ product-formula-exact and are reported as such instead of a noise slope.
 import argparse
 import sys
 
-import numpy as np
-
-from peigen import Exact, build_model, gamma_for, trotter_error
-from peigen.verify import BENCHMARK_MODELS
+from peigen.verify import trotter_scaling_suite
 
 
 def main(argv=None):
@@ -22,18 +19,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     rs = [int(r) for r in args.rs.split(",")]
     print(f"tau = {args.tau}")
-    header = "model       " + "".join(f"  r={r:<10d}" for r in rs) + "  slope"
-    print(header)
-    for name, spec in BENCHMARK_MODELS:
-        h = build_model(spec)
-        hg = h.with_gamma(gamma_for(h, Exact()))
-        errs = [trotter_error(hg, args.tau, r) for r in rs]
-        row = f"{name:<12s}" + "".join(f"  {e:<12.4e}" for e in errs)
-        if len(h.terms) == 1:
-            print(row + "  exact (single term)")
-        else:
-            slope = float(np.polyfit(np.log(rs), np.log(errs), 1)[0])
-            print(row + f"  {slope:+.3f}")
+    print("model       " + "".join(f"  r={r:<10d}" for r in rs) + "  slope")
+    for check in trotter_scaling_suite(args.tau, rs)["checks"]:
+        row = f"{check['model']:<12s}" + "".join(f"  {e:<12.4e}" for e in check["errors"])
+        print(row + ("  exact (single term)" if check["exact"] else f"  {check['slope']:+.3f}"))
     return 0
 
 

@@ -18,6 +18,7 @@ from .config import (
     build_initial_state,
     list_bundled,
     parse_experiment,
+    read_json,
     resolve_config_path,
 )
 from .cooling import CoolingTrace, stochastic_trajectory
@@ -36,19 +37,6 @@ from .models import (
 from .operators import QuantumState
 from .variational import run as run_protocol
 from .verify import run_all
-
-
-def _read_json(path: Path) -> Any:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path.name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
 
 
 def _energy_unit(spec) -> dict:
@@ -128,7 +116,7 @@ def _trace_csv(trace: CoolingTrace) -> str:
 
 def cmd_run(args) -> int:
     path = resolve_config_path(args.config)
-    raw = _read_json(path)
+    raw = read_json(path)
     if args.seed is not None:
         if not isinstance(raw, dict) or not isinstance(raw.get("run"), dict):
             raise ConfigError("cannot apply --seed: config has no 'run' object")
@@ -141,7 +129,7 @@ def cmd_run(args) -> int:
         if isinstance(cfg.model, Hubbard1D)
         else None
     )
-    trace = run_protocol(initial, h, cfg.run, target_level=cfg.target_level or None)
+    trace = run_protocol(initial, h, cfg.run)
     outdir = Path(args.out) if args.out else Path.cwd()
     outdir.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
@@ -162,7 +150,7 @@ def cmd_run(args) -> int:
 
 def cmd_spectrum(args) -> int:
     path = resolve_config_path(args.config)
-    raw = _read_json(path)
+    raw = read_json(path)
     cfg = parse_experiment(raw, source=path.name)
     h = build_model(cfg.model)
     evals, _ = exact_spectrum(h)
@@ -283,19 +271,16 @@ def cmd_sweep(args) -> int:
         print(f"error: --seeds must be >= 0, got {args.seeds}", file=sys.stderr)
         return 1
     path = resolve_config_path(args.config)
-    raw = _read_json(path)
+    raw = read_json(path)
     parsed = [_parse_sweep_value(v) for v in values]
     patched = [_patched(raw, args.param, v) for v in parsed]  # validates the path
 
     lines = ["value,seed,stages,converged,final_energy,p_success,restarts"]
     for text, doc in zip(values, patched):
         cfg = parse_experiment(doc, source=path.name)
-        if args.seeds and cfg.target_level:
-            why = "restart trajectories replay cooling stages only, not ejections"
-            raise ConfigError(f"--seeds needs target_level 0, got {cfg.target_level}: {why}")
         h = build_model(cfg.model)
         initial = build_initial_state(cfg)
-        trace = run_protocol(initial, h, cfg.run, target_level=cfg.target_level or None)
+        trace = run_protocol(initial, h, cfg.run)
         conv = "true" if trace.converged else "false"
         base = f"{trace.n_stages},{conv},{trace.final_energy:.9g},{trace.p_success:.9g}"
         if not args.seeds:

@@ -4,14 +4,16 @@ errors), model/initial-state builders, and access to the bundled configs."""
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
-from .cooling import ExactW, FixedStep, RunConfig, TrotterW, Variational
+from .cooling import ExactW, FixedStep, OptimizerConfig, RunConfig, TrotterW, Variational
 from .errors import ConfigError
 from .models import (
     Custom,
@@ -29,7 +31,6 @@ from .models import (
     thermal_state,
 )
 from .operators import QuantumState, validate_and_normalize
-from .variational import OptimizerConfig
 
 SCHEMA_VERSION = 1
 
@@ -62,7 +63,6 @@ class ExperimentConfig:
     model: ModelSpec
     initial: InitialSpec
     run: RunConfig
-    target_level: int = 0
     output_stem: str = "trace"
 
 
@@ -98,25 +98,65 @@ class _Node:
             raise ConfigError(f"unknown key(s): {extra}")
 
 
-def _number(node: _Node, key: str, default: Any = ...) -> float:
-    raw = node.take(key, default)
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise ConfigError(f"'{node.path}.{key}' must be a number, got {raw!r}")
-    return float(raw)
+def _reader(ok: Callable[[Any], bool], what: str, convert: Callable = lambda raw: raw):
+    """Reader of ``node[key]`` that refuses a value failing ``ok``, naming its path."""
+
+    def read(node: _Node, key: str, default: Any = ...) -> Any:
+        raw = node.take(key, default)
+        if not ok(raw):
+            raise ConfigError(f"'{node.path}.{key}' must be {what}, got {raw!r}")
+        return convert(raw)
+
+    return read
 
 
-def _integer(node: _Node, key: str, default: Any = ...) -> int:
-    raw = node.take(key, default)
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise ConfigError(f"'{node.path}.{key}' must be an integer, got {raw!r}")
-    return int(raw)
+def _is_int(raw: Any) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
 
 
-def _string(node: _Node, key: str, default: Any = ...) -> str:
-    raw = node.take(key, default)
-    if not isinstance(raw, str):
-        raise ConfigError(f"'{node.path}.{key}' must be a string, got {raw!r}")
-    return raw
+def _is_finite(raw: Any) -> bool:  # Python's json reader accepts Infinity, NaN and huge integers
+    if _is_int(raw):
+        return abs(raw) <= sys.float_info.max
+    return isinstance(raw, float) and math.isfinite(raw)
+
+
+_number = _reader(_is_finite, "a finite number", float)
+_integer = _reader(_is_int, "an integer", int)
+_boolean = _reader(lambda raw: isinstance(raw, bool), "a boolean")
+_string = _reader(lambda raw: isinstance(raw, str), "a string")
+_seed = _reader(lambda raw: raw is None or _is_int(raw), "an integer or null")
+
+
+def _array(node: _Node, key: str) -> np.ndarray:
+    """A list, or a regular nested list, of finite numbers as a float array."""
+    try:
+        arr = np.array(node.take(key))
+    except ValueError:  # rows of different lengths
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ConfigError(f"'{node.path}.{key}' must be a regular list of finite numbers")
+    return arr.astype(float)
+
+
+def _complex_array(node: _Node) -> np.ndarray:
+    """``re + 1j * im`` from the keys ``re`` and ``im`` (zeros if absent)."""
+    re = _array(node, "re")
+    im = _array(node, "im") if "im" in node.data else np.zeros_like(re)
+    if im.shape != re.shape:
+        raise ConfigError(f"'{node.path}.im' has shape {im.shape}, '.re' has {re.shape}")
+    return re + 1j * im
+
+
+def _fields(node: _Node, readers: dict) -> dict:
+    """Dataclass keyword arguments from the keys present in ``node``, so an
+    absent key keeps the field's default. ``readers`` maps a JSON key to its
+    reader, or to (field name, reader) where the names differ."""
+    out = {}
+    for key, reader in readers.items():
+        name, read = reader if isinstance(reader, tuple) else (key, reader)
+        if key in node.data:
+            out[name] = read(node, key)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +188,9 @@ def _parse_model(node: _Node) -> ModelSpec:
         for i, raw in enumerate(raw_terms):
             tn = _Node(raw, f"{node.path}.terms[{i}]")
             label = _string(tn, "label", f"term{i}")
-            re = np.array(tn.take("re"), dtype=float)
-            im = np.array(tn.take("im", np.zeros_like(re).tolist()), dtype=float)
+            mat = _complex_array(tn)
             tn.close()
-            terms.append((label, re + 1j * im))
+            terms.append((label, mat))
         spec = Custom(terms=tuple(terms))
     else:
         raise ConfigError(f"'{node.path}.kind' must be harmonic|rabi|hubbard|custom, got {kind!r}")
@@ -168,9 +207,7 @@ def _parse_initial(node: _Node) -> InitialSpec:
     elif kind == "ground_of":
         out = InitialGroundOf(model=_parse_model(node.child("model")))
     elif kind == "amplitudes":
-        re = np.array(node.take("re"), dtype=float)
-        im = np.array(node.take("im", np.zeros_like(re).tolist()), dtype=float)
-        out = InitialAmplitudes(amplitudes=re + 1j * im)
+        out = InitialAmplitudes(amplitudes=_complex_array(node))
     else:
         raise ConfigError(
             f"'{node.path}.kind' must be thermal|basis|ground_of|amplitudes, got {kind!r}"
@@ -179,9 +216,8 @@ def _parse_initial(node: _Node) -> InitialSpec:
     return out
 
 
-def _parse_gamma(node: Optional[_Node]):
-    if node is None:
-        return Exact()
+def _parse_gamma(parent: _Node, key: str):
+    node = parent.child(key)
     policy = _string(node, "policy")
     if policy == "exact":
         out = Exact()
@@ -200,7 +236,7 @@ def _parse_gamma(node: Optional[_Node]):
 
 
 def _parse_operator(node: _Node, key: str):
-    raw = node.take(key, "exact")
+    raw = node.take(key)
     if raw == "exact":
         return ExactW()
     sub = _Node(raw, f"{node.path}.{key}")
@@ -215,59 +251,52 @@ def _parse_operator(node: _Node, key: str):
     raise ConfigError(f"'{sub.path}.kind' must be exact|trotter, got {kind!r}")
 
 
-def _parse_optimizer(node: Optional[_Node]) -> OptimizerConfig:
-    d = OptimizerConfig()
-    if node is None:
-        return d
-    kwargs = dict(
-        tau_lo=_number(node, "tau_lo", d.tau_lo),
-        tau_hi=_number(node, "tau_hi", d.tau_hi),
-        x_tol=_number(node, "x_tol", d.x_tol),
-        max_evals=_integer(node, "max_evals", d.max_evals),
-        coarse_grid=_integer(node, "coarse_grid", d.coarse_grid),
-    )
+_OPTIMIZER_FIELDS = dict(
+    tau_lo=_number, tau_hi=_number, x_tol=_number, max_evals=_integer, coarse_grid=_integer
+)
+
+
+def _parse_optimizer(node: _Node) -> OptimizerConfig:
+    kwargs = _fields(node, _OPTIMIZER_FIELDS)
     node.close()
     return OptimizerConfig(**kwargs)
 
 
-def _parse_run(node: _Node) -> tuple[RunConfig, int]:
+def _target_level(node: _Node, key: str) -> Optional[int]:
+    return _integer(node, key) or None  # level 0 ejects nothing and reports no fidelity
+
+
+_RUN_FIELDS = {
+    "gamma": ("gamma_policy", _parse_gamma),
+    "epsilon": _number,
+    "max_stages": _integer,
+    "operator": ("operator_mode", _parse_operator),
+    "seed": _seed,
+    "target_level": _target_level,
+    "eject_shifted": _boolean,
+    "f_tol": _number,
+}
+
+
+def _parse_run(node: _Node) -> RunConfig:
     mode_name = _string(node, "mode")
     if mode_name == "fixed":
         mode = FixedStep(tau=_number(node, "tau"))
         if "optimizer" in node.data:
             raise ConfigError(f"'{node.path}.optimizer' is only valid in variational mode")
     elif mode_name == "variational":
-        mode = Variational(optimizer=_parse_optimizer(node.child("optimizer", None)))
+        opt = node.child("optimizer", None)
+        mode = Variational() if opt is None else Variational(_parse_optimizer(opt))
         if "tau" in node.data:
             raise ConfigError(f"'{node.path}.tau' is only valid in fixed mode")
     else:
         raise ConfigError(f"'{node.path}.mode' must be fixed|variational, got {mode_name!r}")
-    epsilon = _number(node, "epsilon", 1e-3)
-    if epsilon <= 0:
-        raise ConfigError(f"'{node.path}.epsilon' must be > 0, got {epsilon}")
-    max_stages = _integer(node, "max_stages", 100)
-    gamma = _parse_gamma(node.child("gamma", None))
-    operator = _parse_operator(node, "operator")
-    seed_raw = node.take("seed", None)
-    if seed_raw is not None and (not isinstance(seed_raw, int) or isinstance(seed_raw, bool)):
-        raise ConfigError(f"'{node.path}.seed' must be an integer, got {seed_raw!r}")
-    target_level = _integer(node, "target_level", 0)
-    eject_shifted = node.take("eject_shifted", False)
-    if not isinstance(eject_shifted, bool):
-        raise ConfigError(f"'{node.path}.eject_shifted' must be a boolean")
-    f_tol = _number(node, "f_tol", 1e-3)
+    kwargs = _fields(node, _RUN_FIELDS)
     node.close()
-    run = RunConfig(
-        mode=mode,
-        gamma_policy=gamma,
-        epsilon=epsilon,
-        max_stages=max_stages,
-        operator_mode=operator,
-        seed=seed_raw,
-        eject_shifted=eject_shifted,
-        f_tol=f_tol,
-    )
-    return run, target_level
+    try:
+        return RunConfig(mode=mode, **kwargs)
+    except ConfigError as exc:  # each message starts with the field's name
+        raise ConfigError(f"{node.path}.{exc}") from None
 
 
 def parse_experiment(data: Any, source: str = "config") -> ExperimentConfig:
@@ -277,29 +306,33 @@ def parse_experiment(data: Any, source: str = "config") -> ExperimentConfig:
         raise ConfigError(f"'{source}.schema' must be {SCHEMA_VERSION}, got {schema!r}")
     model = _parse_model(root.child("model"))
     initial = _parse_initial(root.child("initial_state"))
-    run, target_level = _parse_run(root.child("run"))
+    run = _parse_run(root.child("run"))
     out_node = root.child("output", None)
     stem = "trace"
     if out_node is not None:
         stem = _string(out_node, "stem", "trace")
         out_node.close()
     root.close()
-    return ExperimentConfig(
-        model=model, initial=initial, run=run, target_level=target_level, output_stem=stem
-    )
+    return ExperimentConfig(model=model, initial=initial, run=run, output_stem=stem)
+
+
+def read_json(path: Path) -> Any:
+    """The JSON document at ``path``; an unreadable or invalid file is a config error."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path.name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
 
 
 def load_experiment(path: str | Path) -> ExperimentConfig:
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {p}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_experiment(data, source=p.name)
+    return parse_experiment(read_json(p), source=p.name)
 
 
 def build_initial_state(cfg: ExperimentConfig) -> QuantumState:

@@ -28,7 +28,6 @@ from .operators import QuantumState, validate_and_normalize
 from .trotter import apply_branches, branch_unitaries, kraus_blocks
 
 BRANCH_PROB_FLOOR = 1e-14
-DEFAULT_F_TOL = 1e-3  # fidelity tolerance for converged-to-target verification
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +40,35 @@ class FixedStep:
 
 
 @dataclass(frozen=True)
-class Variational:
-    """Per-stage 1-D optimization of tau; optimizer defaults apply if None."""
+class OptimizerConfig:
+    """Bounded 1-D search domain and budget for one stage.
 
-    optimizer: object | None = None
+    Defaults keep the per-stage trial count near the ~10 evaluations the
+    whole-run trial budget allows: a 7-point coarse grid plus golden-section
+    refinement until x_tol or the 12-evaluation cap."""
+
+    tau_lo: float = 0.01
+    tau_hi: float = 1.0
+    x_tol: float = 1e-3
+    max_evals: int = 12
+    coarse_grid: int = 7
+
+    def __post_init__(self) -> None:
+        if not 0 < self.tau_lo < self.tau_hi:
+            raise ConfigError(f"need 0 < tau_lo < tau_hi, got [{self.tau_lo}, {self.tau_hi}]")
+        if not self.x_tol > 0:
+            raise ConfigError(f"x_tol must be > 0, got {self.x_tol}")
+        if self.max_evals < 3:
+            raise ConfigError(f"max_evals must be >= 3, got {self.max_evals}")
+        if self.coarse_grid < 2:
+            raise ConfigError(f"coarse_grid must be >= 2, got {self.coarse_grid}")
+
+
+@dataclass(frozen=True)
+class Variational:
+    """Per-stage 1-D optimization of tau within the optimizer's domain."""
+
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
 
 @dataclass(frozen=True)
@@ -62,14 +86,18 @@ OperatorMode = Union[ExactW, TrotterW]
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One protocol run; `variational.run` documents the fields. Each check's
+    message starts with the offending field's name."""
+
     mode: Union[FixedStep, Variational]
     gamma_policy: GammaPolicy = field(default_factory=Exact)
     epsilon: float = 1e-3
     max_stages: int = 100
     operator_mode: OperatorMode = field(default_factory=ExactW)
     seed: Optional[int] = None
+    target_level: Optional[int] = None
     eject_shifted: bool = False
-    f_tol: float = DEFAULT_F_TOL
+    f_tol: float = 1e-3
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -77,9 +105,11 @@ class RunConfig:
         if self.max_stages < 1:
             raise ConfigError(f"max_stages must be >= 1, got {self.max_stages}")
         if isinstance(self.mode, FixedStep) and not self.mode.tau > 0:
-            raise ConfigError(f"fixed-step tau must be > 0, got {self.mode.tau}")
+            raise ConfigError(f"tau must be > 0, got {self.mode.tau}")
         if isinstance(self.operator_mode, TrotterW) and self.operator_mode.r < 1:
-            raise ConfigError(f"Trotter steps r must be >= 1, got {self.operator_mode.r}")
+            raise ConfigError(f"operator.r (Trotter steps) must be >= 1, got {self.operator_mode.r}")
+        if self.target_level is not None and self.target_level < 0:
+            raise ConfigError(f"target_level must be >= 0, got {self.target_level}")
         if not self.f_tol > 0:
             raise ConfigError(f"f_tol must be > 0, got {self.f_tol}")
 
@@ -161,6 +191,20 @@ def cooling_step(
 # ejection
 
 
+def ejection_factors(evals: np.ndarray, gamma: float, e_s: float, shifted: bool) -> np.ndarray:
+    """cos(pi E / (2 E_s)) at the energies ``evals``, or with ``shifted``
+    cos(pi (E + gamma) / (2 (E_s + gamma))): how the ejection of E_s scales
+    each eigen-coefficient. Raises where the ejection is undefined."""
+    gamma = gamma if shifted else 0.0
+    denom = e_s + gamma
+    if abs(denom) < 1e-12:
+        raise UndefinedOperatorError(
+            f"ejection undefined at E_s{'+gamma' if shifted else ''} = {denom:.3e}; "
+            "use the shifted variant with a nonzero gamma"
+        )
+    return np.cos((evals + gamma) * (math.pi / (2.0 * denom)))
+
+
 def eject(
     state: QuantumState,
     h: SumHamiltonian,
@@ -175,14 +219,7 @@ def eject(
     cos(pi (E_j + gamma) / (2 (E_s + gamma))), the only well-defined variant
     when E_s = 0. Raises on a numerically certain failure (input entirely in
     the ejected eigenspace)."""
-    gamma = h.gamma if shifted else 0.0
-    denom = e_s + gamma
-    if abs(denom) < 1e-12:
-        raise UndefinedOperatorError(
-            f"ejection undefined at E_s{'+gamma' if shifted else ''} = {denom:.3e}; "
-            "use the shifted variant with a nonzero gamma"
-        )
-    f = np.cos((h.total.eigensystem()[0] + gamma) * (math.pi / (2.0 * denom)))
+    f = ejection_factors(h.total.eigensystem()[0], h.gamma, e_s, shifted)
     ((out, p),) = _eigen_branches(state, h, (f,))
     if out is None:
         raise CertainFailureError(
@@ -269,7 +306,13 @@ def trajectory_probabilities(
 
     Exact mode reads the eigen-populations P once, then per stage p0 = w·P and
     P <- w⊙P / p0 with w = cos²((E + gamma) tau); Trotter mode replays each
-    stage with `cooling_step`."""
+    stage with `cooling_step`. A config with a target level above 0 is
+    refused: the schedule holds cooling stages only, not the ejections."""
+    if config.target_level:
+        raise ConfigError(
+            f"trajectories need target_level 0, got {config.target_level}: restart "
+            "trajectories replay cooling stages only, not ejections"
+        )
     state = validate_and_normalize(initial)
     hg = _resolve(h, config)
     if exact := isinstance(config.operator_mode, ExactW):

@@ -306,17 +306,16 @@ def model_dim(spec: ModelSpec) -> int:
 def basis_state(spec: ModelSpec, label: str) -> QuantumState:
     """Computational-basis state from a human-readable per-model label."""
     dim = model_dim(spec)
-    if isinstance(spec, Rabi):
-        try:
-            qubit, fock = label.split(",")
-        except ValueError:
-            raise ConfigError(f"Rabi basis label must be 'up|down,<n>', got {label!r}") from None
-        index = rabi_basis_index(spec, qubit, int(fock))
-    elif isinstance(spec, Hubbard1D):
-        index = hubbard_basis_index(spec, label)
-    else:
-        index = int(label)
-    return basis_vector(dim, index)
+    if isinstance(spec, Hubbard1D):
+        return basis_vector(dim, hubbard_basis_index(spec, label))
+    rabi = isinstance(spec, Rabi)
+    try:
+        qubit, level = label.split(",") if rabi else ("", label)
+        n = int(level)
+    except ValueError:  # a wrong number of fields, or a level that is not an integer
+        form = "'up|down,<n>'" if rabi else "an integer level"
+        raise ConfigError(f"basis label must be {form}, got {label!r}") from None
+    return basis_vector(dim, rabi_basis_index(spec, qubit, n) if rabi else n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Complex-matrix algebra: Hermitian operators kept as their structure
 (monomial parts ``(perm, vals)`` plus an optional dense remainder, the
-dense matrix formed only on demand), their block eigensystems, matrix
-functions, expectations read from the structure, and the pure/mixed state
+dense matrix formed only on demand), their block eigensystems,
+expectations read from the structure, and the pure/mixed state
 bookkeeping that every other module builds on."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -255,12 +255,6 @@ class HermitianOperator:
             self._eig = (evals, evecs)
         return self._eig
 
-    def matfunc(self, f: Callable[[float], complex]) -> np.ndarray:
-        """Evaluate ``V diag(f(lambda)) V^H`` for a scalar function ``f``."""
-        evals, v = self.eigensystem()
-        fl = np.array([complex(f(float(x))) for x in evals])
-        return (v * fl) @ v.conj().T
-
     def monomial(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(perm, vals)`` with ``A x == vals * x[perm]``, or None.
 
@@ -334,20 +328,13 @@ class QuantumState:
         return self.data
 
 
-MatrixLike = Union[HermitianOperator, np.ndarray]
-
-
-def expectation(state: QuantumState, h: MatrixLike) -> float:
+def expectation(state: QuantumState, h: HermitianOperator) -> float:
     """<H> for a pure or mixed state; asserts the imaginary residue is tiny.
 
     Reads an operator's structure: ``sum_g vals_g * x[perm_g]`` (plus
     ``R @ x``) for a pure state x, ``sum_g sum_i vals_g[i] rho[perm_g[i],
     i]`` (plus ``tr(rho R)``) for a mixed one, so no dense H is formed."""
-    if isinstance(h, HermitianOperator):
-        parts, rest, dim = h._parts, h._rest, h.dim
-    else:
-        parts, rest = (), np.asarray(h, dtype=complex)
-        dim = rest.shape[0]
+    parts, rest, dim = h._parts, h._rest, h.dim
     if dim != state.dim:
         raise DimensionError(f"operator dim {dim} != state dim {state.dim}")
     x = state.data

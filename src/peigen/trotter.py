@@ -191,12 +191,17 @@ def _assemble(u_plus: np.ndarray, u_minus: np.ndarray) -> np.ndarray:
     return np.kron(u_plus, _PX_PLUS) + np.kron(u_minus, _PX_MINUS)
 
 
+def _exact_joint(op: HermitianOperator, shift: float, t: float) -> np.ndarray:
+    """exp(-i t (O + shift) sigma_x^A) on O's space (x) ancilla, from the
+    dense branches U_pm = V exp(∓ i (E + shift) t) V^H of O's eigensystem."""
+    evals, v = op.eigensystem()
+    x, vh = (evals + shift) * t, v.conj().T
+    return _assemble((v * np.exp(-1j * x)) @ vh, (v * np.exp(1j * x)) @ vh)
+
+
 def exact_W(h: SumHamiltonian, tau: float) -> JointUnitary:
-    """Exact W_gamma(tau) on system (x) ancilla, from the dense branches
-    U_pm = V exp(∓ i (E + gamma) tau) V^H."""
-    evals, v = h.total.eigensystem()
-    x, vh = (evals + h.gamma) * tau, v.conj().T
-    return JointUnitary(_assemble((v * np.exp(-1j * x)) @ vh, (v * np.exp(1j * x)) @ vh))
+    """Exact W_gamma(tau) on system (x) ancilla."""
+    return JointUnitary(_exact_joint(h.total, h.gamma, tau))
 
 
 def trotter_W(h: SumHamiltonian, tau: float, r: int) -> JointUnitary:
@@ -255,10 +260,7 @@ def _coupled(o: np.ndarray, phi: float) -> np.ndarray:
     """exp(-i (phi/2) O sigma_x^A) on O's space (x) ancilla."""
     if not np.isfinite(phi):
         raise ValidationError(f"phi must be finite, got {phi!r}")
-    coupling = HermitianOperator(o)
-    u_plus = coupling.matfunc(lambda lam: cmath.exp(-1j * phi / 2 * lam))
-    u_minus = coupling.matfunc(lambda lam: cmath.exp(+1j * phi / 2 * lam))
-    return _assemble(u_plus, u_minus)
+    return _exact_joint(HermitianOperator(o), 0.0, phi / 2)
 
 
 # V = exp(i pi sigma_y / 4) == R_y(-pi/2); V^H Z V = X, so conjugating each

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .cooling import (
     CoolingTrace,
     ExactW,
     OperatorMode,
+    OptimizerConfig,
     RunConfig,
     StageRecord,
     Variational,
@@ -24,47 +24,13 @@ from .cooling import (
     cooling_step,
     eigen_populations,
     eject,
+    ejection_factors,
 )
 from .errors import CertainFailureError, ConfigError
 from .models import SumHamiltonian, exact_spectrum
 from .operators import QuantumState, expectation, validate_and_normalize
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Bounded 1-D search domain and budget for one stage.
-
-    Defaults keep the per-stage trial count near the ~10 evaluations the
-    whole-run trial budget allows: a 7-point coarse grid plus golden-section
-    refinement until x_tol or the 12-evaluation cap."""
-
-    tau_lo: float = 0.01
-    tau_hi: float = 1.0
-    x_tol: float = 1e-3
-    max_evals: int = 12
-    coarse_grid: int = 7
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tau_lo < self.tau_hi:
-            raise ConfigError(
-                f"need 0 < tau_lo < tau_hi, got [{self.tau_lo}, {self.tau_hi}]"
-            )
-        if not self.x_tol > 0:
-            raise ConfigError(f"x_tol must be > 0, got {self.x_tol}")
-        if self.max_evals < 3:
-            raise ConfigError(f"max_evals must be >= 3, got {self.max_evals}")
-        if self.coarse_grid < 2:
-            raise ConfigError(f"coarse_grid must be >= 2, got {self.coarse_grid}")
-
-
-def resolve_optimizer(opt: object | None) -> OptimizerConfig:
-    if opt is None:
-        return OptimizerConfig()
-    if isinstance(opt, OptimizerConfig):
-        return opt
-    raise ConfigError(f"optimizer must be an OptimizerConfig, got {type(opt).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,30 +146,32 @@ def minimize_stage(
     )
 
 
-def run(
-    initial: QuantumState,
-    h: SumHamiltonian,
-    config: RunConfig,
-    *,
-    target_level: Optional[int] = None,
-) -> CoolingTrace:
+def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingTrace:
     """Cool along the 0-branch until |E_{k-1} - E_k| <= epsilon.
 
     Each stage's tau is the fixed step or the minimizer of that stage's
-    post-selected energy, whose trial log the stage carries. With a
+    post-selected energy, whose trial log the stage carries. With a config
     ``target_level`` j, the levels below j are first ejected (oracle
     energies), each recorded as a stage counting toward max_stages, and the
     trace reports the fidelity with the target eigenspace and whether the
     run converged onto it (within f_tol). Non-convergence at max_stages
     yields converged=False, not an exception."""
+    target_level = config.target_level
     if target_level is not None:
-        if target_level < 0:
-            raise ConfigError(f"target level must be >= 0, got {target_level}")
         evals = exact_spectrum(h)[0]
         if target_level >= len(evals):
             raise ConfigError(f"target level {target_level} out of range for dim {len(evals)}")
     state = validate_and_normalize(initial)
     hg = _resolve(h, config)
+    kept = 1.0  # the target level's weight left after each ejection
+    for level in range(target_level or 0):
+        f = ejection_factors(evals[target_level], hg.gamma, float(evals[level]), config.eject_shifted)
+        kept *= float(f) ** 2
+        if kept < BRANCH_PROB_FLOOR:
+            raise CertainFailureError(
+                f"ejection of level {level} annihilates target level {target_level} "
+                f"(weight left {kept:.3e})"
+            )
     total = hg.total
     e0 = e_prev = expectation(state, total)
     stages: list[StageRecord] = []
@@ -229,13 +197,12 @@ def run(
             )
         )
 
-    opt = resolve_optimizer(config.mode.optimizer) if isinstance(config.mode, Variational) else None
     converged = False
     while len(stages) < config.max_stages:
-        if opt is None:
+        if not isinstance(config.mode, Variational):
             tau, trials, exhausted = config.mode.tau, (), False
         else:
-            res = minimize_stage(state, hg, opt, operator_mode=config.operator_mode)
+            res = minimize_stage(state, hg, config.mode.optimizer, operator_mode=config.operator_mode)
             tau, trials, exhausted = res.tau_star, res.trials, res.budget_exhausted
         step = cooling_step(state, hg, tau, config.operator_mode)
         if step.state0 is None:

@@ -16,6 +16,7 @@ within 5e-3)."""
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ def test_criterion_09_excited_state_pipeline():
         gamma_policy=Fixed(1.0),
         eject_shifted=True,
     )
-    tr = run(init, h, cfg, target_level=1)
+    tr = run(init, h, replace(cfg, target_level=1))
     rep = eject_support_suite(n_instances=100)
     _report(
         9,

@@ -242,6 +242,55 @@ def test_invalid_model_or_state_values_exit_one(doc, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (_basis_cfg(HARMONIC_5, {"kind": "amplitudes", "re": [1, "0", 0, 0, 0]}), "initial_state.re"),
+        (
+            _basis_cfg(HARMONIC_5, {"kind": "amplitudes", "re": [1, 0, 0, 0, 0], "im": [0, 0]}),
+            "initial_state.im",
+        ),
+        (
+            _basis_cfg(
+                {"kind": "custom", "terms": [{"re": [[1, 0], [0]]}]}, {"kind": "basis", "label": "0"}
+            ),
+            "terms[0].re",
+        ),
+        (_basis_cfg(HARMONIC_5, {"kind": "basis", "label": "abc"}), "'abc'"),
+        (
+            _basis_cfg(
+                {"kind": "custom", "terms": [{"re": [[1, 0], [0, 2]]}]},
+                {"kind": "basis", "label": "abc"},
+            ),
+            "'abc'",
+        ),
+        (
+            _basis_cfg(
+                {"kind": "rabi", "omega0": 1.2, "omega": 0.8, "g": 1.0, "cutoff": 5},
+                {"kind": "basis", "label": "up,x"},
+            ),
+            "'up,x'",
+        ),
+        ({**_harmonic_cfg(), "run": {"mode": "fixed", "tau": math.inf}}, "run.tau"),
+        ({**_harmonic_cfg(), "run": {"mode": "fixed", "tau": 10**400}}, "run.tau"),
+    ],
+    ids=[
+        "string-in-re",
+        "re-im-lengths",
+        "ragged-custom",
+        "harmonic-label",
+        "custom-label",
+        "rabi-label",
+        "infinite-tau",
+        "huge-integer-tau",
+    ],
+)
+def test_malformed_config_values_exit_one(doc, named, tmp_path, capsys):
+    assert _run_cli(_write_cfg(tmp_path, "bad.json", doc), tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and named in err
+
+
 def test_seed_flag_echoed_in_trace(tmp_path):
     cfg = _write_cfg(tmp_path, "h.json", _harmonic_cfg())
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--seed", "42"]) == 0
@@ -424,6 +473,20 @@ def test_sweep_seeded_trajectories(capsys):
     assert seeds == ["0", "1", "2"]
     for line in lines[1:]:
         assert line.split(",")[6] != ""  # restart counts present
+
+
+def test_sweep_trotter_trajectories_are_frozen(capsys):
+    argv = ["sweep", "--config", "rabi_fixed", "--param", "run.tau", "--values", "0.2,0.3"]
+    assert main([*argv, "--seeds", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "value,seed,stages,converged,final_energy,p_success,restarts\n"
+        "0.2,0,130,true,-1.31143101,0.423313558,4\n"
+        "0.2,1,130,true,-1.31143101,0.423313558,0\n"
+        "0.2,2,130,true,-1.31143101,0.423313558,0\n"
+        "0.3,0,80,true,-1.34544716,0.401348507,2\n"
+        "0.3,1,80,true,-1.34544716,0.401348507,2\n"
+        "0.3,2,80,true,-1.34544716,0.401348507,0\n"
+    )
 
 
 def _targeted_harmonic_cfg():

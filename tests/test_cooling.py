@@ -12,7 +12,6 @@ from peigen import (
     Custom,
     Fixed,
     FixedStep,
-    HermitianOperator,
     QuantumState,
     Rabi,
     RunConfig,
@@ -201,7 +200,7 @@ def test_targeted_run_ejections_count_toward_max_stages(harmonic, thermal_half):
         max_stages=1,
         eject_shifted=True,
     )
-    tr = run(thermal_half, harmonic, cfg, target_level=1)
+    tr = run(thermal_half, harmonic, replace(cfg, target_level=1))
     assert [s.kind for s in tr.stages] == ["eject"]
     assert tr.converged is False and tr.converged_to_target is False
     assert tr.stop_reason == "max_stages"
@@ -211,7 +210,7 @@ def test_targeted_run_ejections_count_toward_max_stages(harmonic, thermal_half):
 def test_prepare_level_zero_equals_plain_run(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3)
     a = run(thermal_half, harmonic, cfg)
-    b = run(thermal_half, harmonic, cfg, target_level=0)
+    b = run(thermal_half, harmonic, replace(cfg, target_level=0))
     assert a.n_stages == b.n_stages
     assert abs(a.final_energy - b.final_energy) < 1e-14
     assert b.target_level == 0 and b.target_fidelity > 0.98
@@ -226,7 +225,7 @@ def test_prepare_first_excited(harmonic, thermal_half):
         max_stages=60,
         eject_shifted=True,
     )
-    tr = run(thermal_half, harmonic, cfg, target_level=1)
+    tr = run(thermal_half, harmonic, replace(cfg, target_level=1))
     assert tr.stages[0].kind == "eject"
     assert tr.stages[0].tau is None
     assert abs(tr.final_energy - 1.0) < 1e-3
@@ -243,7 +242,7 @@ def test_prepare_orthogonal_initial_flags_failure(harmonic):
         max_stages=40,
         eject_shifted=True,
     )
-    tr = run(basis_vector(30, 3), harmonic, cfg, target_level=1)
+    tr = run(basis_vector(30, 3), harmonic, replace(cfg, target_level=1))
     assert tr.converged
     assert not tr.converged_to_target
     assert tr.target_fidelity < 1e-10
@@ -257,15 +256,29 @@ def test_prepare_certain_ejection_failure(harmonic):
         eject_shifted=True,
     )
     with pytest.raises(CertainFailureError):
-        run(basis_vector(30, 0), harmonic, cfg, target_level=1)
+        run(basis_vector(30, 0), harmonic, replace(cfg, target_level=1))
+
+
+def test_prepare_refuses_an_ejection_that_annihilates_the_target(harmonic, thermal_half):
+    # with gamma = 1 the shifted ejection of level 0, cos(pi (E + 1) / 2), vanishes at
+    # E = 2: the run must refuse before its first stage, not converge elsewhere
+    cfg = RunConfig(
+        mode=Variational(),
+        gamma_policy=Fixed(value=1.0),
+        epsilon=1e-5,
+        eject_shifted=True,
+        target_level=2,
+    )
+    with pytest.raises(CertainFailureError, match="ejection of level 0 annihilates target level 2"):
+        run(thermal_half, harmonic, cfg)
 
 
 def test_prepare_level_out_of_range(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3)
     with pytest.raises(ConfigError):
-        run(thermal_half, harmonic, cfg, target_level=30)
+        run(thermal_half, harmonic, replace(cfg, target_level=30))
     with pytest.raises(ConfigError):
-        run(thermal_half, harmonic, cfg, target_level=-1)
+        run(thermal_half, harmonic, replace(cfg, target_level=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +301,18 @@ def test_trajectory_requires_seed(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3)
     with pytest.raises(ConfigError):
         stochastic_trajectory(thermal_half, harmonic, cfg, (0.3,))
+
+
+def test_trajectories_refuse_a_targeted_config(harmonic, thermal_half):
+    cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3, seed=0)
+    for level in (None, 0):
+        targeted = replace(cfg, target_level=level)
+        assert len(trajectory_probabilities(thermal_half, harmonic, targeted, (0.3,))) == 1
+        assert stochastic_trajectory(thermal_half, harmonic, targeted, (0.3,)).shots_used >= 1
+    targeted = replace(cfg, target_level=1)
+    for sample in (trajectory_probabilities, stochastic_trajectory):
+        with pytest.raises(ConfigError, match="replay cooling stages only"):
+            sample(thermal_half, harmonic, targeted, (0.3,))
 
 
 def test_trajectory_shot_budget(harmonic, thermal_half):
@@ -338,6 +363,11 @@ FROZEN_TRAJECTORIES = {
     "harmonic_variational": [
         (0, 8), (2, 12), (0, 8), (0, 8), (2, 11), (2, 10), (0, 8), (0, 8), (1, 10), (1, 9),
         (1, 9), (0, 8), (1, 10), (5, 18), (1, 9), (0, 8), (0, 8), (1, 9), (0, 8), (0, 8),
+    ],
+    "rabi_fixed": [  # Trotter mode: p0 from replaying each stage
+        (2, 108), (2, 84), (0, 80), (0, 80), (5, 98), (3, 95), (2, 94), (2, 100), (1, 82),
+        (3, 104), (1, 81), (2, 189), (1, 82), (3, 109), (3, 144), (4, 209), (1, 96), (2, 112),
+        (1, 85), (0, 80),
     ],
 }
 
@@ -517,7 +547,6 @@ def test_exact_mode_builds_no_dense_operator(monkeypatch, harmonic, thermal_half
         raise AssertionError("exact mode formed a dense operator")
 
     monkeypatch.setattr("peigen.cooling.branch_unitaries", refuse)
-    monkeypatch.setattr(HermitianOperator, "matfunc", refuse)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
     rho = QuantumState(a @ a.conj().T / np.trace(a @ a.conj().T).real)
@@ -531,7 +560,7 @@ def test_exact_mode_builds_no_dense_operator(monkeypatch, harmonic, thermal_half
         max_stages=60,
         eject_shifted=True,
     )
-    targeted = run(thermal_half, harmonic, cfg, target_level=1)
+    targeted = run(thermal_half, harmonic, replace(cfg, target_level=1))
     assert targeted.stages[0].kind == "eject" and targeted.converged_to_target
 
 

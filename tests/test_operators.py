@@ -31,32 +31,6 @@ def test_rejects_non_square():
         HermitianOperator(np.zeros((2, 3)))
 
 
-def test_matfunc_frozen_diagonal_values():
-    # f(x) = cos^2(0.3 x) on diag(0,1,2): the per-stage reweighting profile
-    h = HermitianOperator(np.diag([0.0, 1.0, 2.0]))
-    f = h.matfunc(lambda x: math.cos(0.3 * x) ** 2)
-    expected = [1.0, math.cos(0.3) ** 2, math.cos(0.6) ** 2]
-    assert np.allclose(np.diag(f).real, expected, atol=1e-12)
-    assert abs(math.cos(0.3) ** 2 - 0.9126678074548392) < 1e-15
-    assert abs(math.cos(0.6) ** 2 - 0.6811788772383368) < 1e-15
-
-
-def test_matfunc_identity_function_reproduces_matrix():
-    rng = np.random.default_rng(5)
-    m = random_hermitian(rng, 6)
-    h = HermitianOperator(m)
-    assert np.allclose(h.matfunc(lambda x: x), m, atol=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-def test_matfunc_exp_is_unitary(dim, seed):
-    rng = np.random.default_rng(seed)
-    h = HermitianOperator(random_hermitian(rng, dim))
-    u = h.matfunc(lambda x: np.exp(-1j * x))
-    assert np.linalg.norm(u @ u.conj().T - np.eye(dim), 2) < 1e-12
-
-
 def test_eigensystem_sorted_and_cached():
     rng = np.random.default_rng(7)
     h = HermitianOperator(random_hermitian(rng, 5))

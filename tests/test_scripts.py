@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,22 @@ def test_restart_statistics_refuses_fewer_than_two_trajectories(n, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--trajectories must be >= 2" in err
+
+
+def test_restart_statistics_refuses_a_targeted_config(tmp_path, capsys):
+    cfg = tmp_path / "targeted.json"
+    run = {"mode": "fixed", "tau": 0.3, "gamma": {"policy": "fixed", "value": 0.3},
+           "eject_shifted": True, "target_level": 1}
+    cfg.write_text(json.dumps({
+        "schema": 1,
+        "model": {"kind": "harmonic", "omega": 1.0, "cutoff": 30},
+        "initial_state": {"kind": "thermal", "nbar": 0.5},
+        "run": run,
+    }))
+    assert _script("restart_statistics").main(["--config", str(cfg), "--trajectories", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert "target_level" in err and "ejection" in err
 
 
 def test_restart_statistics_two_trajectories(capsys):
