@@ -17,6 +17,7 @@ from dataclasses import replace
 from peigen import PeigenError, stochastic_trajectory
 from peigen import run as run_protocol
 from peigen.config import build_initial_state, load_experiment, resolve_config_path
+from peigen.cooling import check_replayable
 from peigen.models import build_model
 
 
@@ -35,6 +36,7 @@ def main(argv=None):
 
     try:
         cfg = load_experiment(resolve_config_path(args.config))
+        check_replayable(cfg.run)  # refuse a targeted config before running it
         h = build_model(cfg.model)
         initial = build_initial_state(cfg)
         trace = run_protocol(initial, h, cfg.run)

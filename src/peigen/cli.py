@@ -21,7 +21,7 @@ from .config import (
     read_json,
     resolve_config_path,
 )
-from .cooling import CoolingTrace, stochastic_trajectory
+from .cooling import CoolingTrace, check_replayable, stochastic_trajectory
 from .errors import CertainFailureError, ConfigError, PeigenError, UndefinedOperatorError
 from .models import (
     Exact,
@@ -114,6 +114,13 @@ def _trace_csv(trace: CoolingTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(outdir: Path, name: str, text: str) -> None:
+    """Write ``text`` to ``outdir / name``, creating the directory, and say so."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    (path := outdir / name).write_text(text)
+    print(f"wrote {path}")
+
+
 def cmd_run(args) -> int:
     path = resolve_config_path(args.config)
     raw = read_json(path)
@@ -131,15 +138,10 @@ def cmd_run(args) -> int:
     )
     trace = run_protocol(initial, h, cfg.run)
     outdir = Path(args.out) if args.out else Path.cwd()
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
-        p = outdir / f"{cfg.output_stem}.json"
-        p.write_text(_trace_json(trace, raw, cfg, sector))
-        print(f"wrote {p}")
+        _write(outdir, f"{cfg.output_stem}.json", _trace_json(trace, raw, cfg, sector))
     if args.format in ("csv", "both"):
-        p = outdir / f"{cfg.output_stem}.csv"
-        p.write_text(_trace_csv(trace))
-        print(f"wrote {p}")
+        _write(outdir, f"{cfg.output_stem}.csv", _trace_csv(trace))
     status = "converged" if trace.converged else "did not converge"
     print(
         f"{status} after {trace.n_stages} stage(s): energy {trace.final_energy:.9g}, "
@@ -177,11 +179,7 @@ def cmd_spectrum(args) -> int:
         for i, e in enumerate(evals):
             print(f"  [{i:3d}] {e:.9g}")
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        p = outdir / "spectrum.json"
-        p.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {p}")
+        _write(Path(args.out), "spectrum.json", json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -225,11 +223,7 @@ def cmd_verify(args) -> int:
         status = "ok  " if check["passed"] else "FAIL"
         print(f"{status} {check['name']}: {_check_summary(check)}")
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        p = outdir / "report.json"
-        p.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {p}")
+        _write(Path(args.out), "report.json", json.dumps(report, indent=2) + "\n")
     if not report["all_passed"]:
         failed = ", ".join(c["name"] for c in checks if not c["passed"])
         print(f"verification FAILED: {failed}", file=sys.stderr)
@@ -274,10 +268,13 @@ def cmd_sweep(args) -> int:
     raw = read_json(path)
     parsed = [_parse_sweep_value(v) for v in values]
     patched = [_patched(raw, args.param, v) for v in parsed]  # validates the path
+    cfgs = [parse_experiment(doc, source=path.name) for doc in patched]
+    if args.seeds:  # before any run, refuse a config that restarts cannot replay
+        for cfg in cfgs:
+            check_replayable(cfg.run)
 
     lines = ["value,seed,stages,converged,final_energy,p_success,restarts"]
-    for text, doc in zip(values, patched):
-        cfg = parse_experiment(doc, source=path.name)
+    for text, cfg in zip(values, cfgs):
         h = build_model(cfg.model)
         initial = build_initial_state(cfg)
         trace = run_protocol(initial, h, cfg.run)
@@ -291,11 +288,7 @@ def cmd_sweep(args) -> int:
     csv_text = "\n".join(lines) + "\n"
     sys.stdout.write(csv_text)
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        p = outdir / "sweep.csv"
-        p.write_text(csv_text)
-        print(f"wrote {p}")
+        _write(Path(args.out), "sweep.csv", csv_text)
     return 0
 
 

@@ -6,15 +6,15 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
 from .cooling import ExactW, FixedStep, OptimizerConfig, RunConfig, TrotterW, Variational
-from .errors import ConfigError
+from .errors import ConfigError, PeigenError
 from .models import (
     Custom,
     Exact,
@@ -87,9 +87,7 @@ class _Node:
             raise ConfigError(f"missing required key '{self.path}.{key}'")
         return default
 
-    def child(self, key: str, default: Any = ...) -> Optional["_Node"]:
-        if key not in self.data and default is not ...:
-            return default
+    def child(self, key: str) -> "_Node":
         return _Node(self.take(key), f"{self.path}.{key}")
 
     def close(self) -> None:
@@ -138,165 +136,140 @@ def _array(node: _Node, key: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _complex_array(node: _Node) -> np.ndarray:
-    """``re + 1j * im`` from the keys ``re`` and ``im`` (zeros if absent)."""
-    re = _array(node, "re")
+def _complex_array(node: _Node, key: str) -> np.ndarray:
+    """``re + 1j * im`` from ``key`` (the real part) and an optional ``im`` beside it."""
+    re = _array(node, key)
     im = _array(node, "im") if "im" in node.data else np.zeros_like(re)
     if im.shape != re.shape:
         raise ConfigError(f"'{node.path}.im' has shape {im.shape}, '.re' has {re.shape}")
     return re + 1j * im
 
 
-def _fields(node: _Node, readers: dict) -> dict:
-    """Dataclass keyword arguments from the keys present in ``node``, so an
-    absent key keeps the field's default. ``readers`` maps a JSON key to its
-    reader, or to (field name, reader) where the names differ."""
-    out = {}
+def _build(node: _Node, cls: type, readers: dict, **given: Any) -> Any:
+    """``cls`` from ``node`` and ``given``: ``readers`` maps each JSON key to its
+    reader, or to (field name, reader) where the names differ. An absent key
+    keeps its field's default, or is missing if the field has none. The
+    constructor's checks name their field first, so they get the node's path."""
+    no_default = (f for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    required = {f.name for f in no_default}
     for key, reader in readers.items():
         name, read = reader if isinstance(reader, tuple) else (key, reader)
-        if key in node.data:
-            out[name] = read(node, key)
-    return out
+        if key in node.data or name in required:
+            given[name] = read(node, key)
+    node.close()
+    try:
+        return cls(**given)
+    except PeigenError as exc:
+        raise ConfigError(f"{node.path}.{exc}") from None
+
+
+def _tagged(node: _Node, tag: str, kinds: dict) -> Any:
+    """The dataclass that ``node[tag]`` names in ``kinds``, built from the node."""
+    kind = _string(node, tag)
+    if kind not in kinds:
+        raise ConfigError(f"'{node.path}.{tag}' must be {'|'.join(kinds)}, got {kind!r}")
+    return _build(node, *kinds[kind])
+
+
+def _section(tag: str, kinds: dict):
+    """Reader of the tagged object ``node[key]``."""
+    return lambda node, key: _tagged(node.child(key), tag, kinds)
 
 
 # ---------------------------------------------------------------------------
-# section parsers
+# sections: each kind is a dataclass and the readers of its JSON keys, in read order
 
 
-def _parse_model(node: _Node) -> ModelSpec:
-    kind = _string(node, "kind")
-    if kind == "harmonic":
-        spec: ModelSpec = HarmonicOscillator(
-            omega=_number(node, "omega"), cutoff=_integer(node, "cutoff")
-        )
-    elif kind == "rabi":
-        spec = Rabi(
-            omega0=_number(node, "omega0"),
-            omega=_number(node, "omega"),
-            g=_number(node, "g"),
-            cutoff=_integer(node, "cutoff"),
-        )
-    elif kind == "hubbard":
-        spec = Hubbard1D(
-            sites=_integer(node, "sites"), t=_number(node, "t"), u=_number(node, "u")
-        )
-    elif kind == "custom":
-        raw_terms = node.take("terms")
-        if not isinstance(raw_terms, list) or not raw_terms:
-            raise ConfigError(f"'{node.path}.terms' must be a non-empty list")
-        terms = []
-        for i, raw in enumerate(raw_terms):
-            tn = _Node(raw, f"{node.path}.terms[{i}]")
-            label = _string(tn, "label", f"term{i}")
-            mat = _complex_array(tn)
-            tn.close()
-            terms.append((label, mat))
-        spec = Custom(terms=tuple(terms))
-    else:
-        raise ConfigError(f"'{node.path}.kind' must be harmonic|rabi|hubbard|custom, got {kind!r}")
-    node.close()
-    return spec
+def _terms(node: _Node, key: str) -> tuple:
+    raw_terms = node.take(key)
+    if not isinstance(raw_terms, list) or not raw_terms:
+        raise ConfigError(f"'{node.path}.{key}' must be a non-empty list")
+    terms = []
+    for i, raw in enumerate(raw_terms):
+        tn = _Node(raw, f"{node.path}.{key}[{i}]")
+        terms.append((_string(tn, "label", f"term{i}"), _complex_array(tn, "re")))
+        tn.close()
+    return tuple(terms)
 
 
-def _parse_initial(node: _Node) -> InitialSpec:
-    kind = _string(node, "kind")
-    if kind == "thermal":
-        out: InitialSpec = InitialThermal(nbar=_number(node, "nbar"))
-    elif kind == "basis":
-        out = InitialBasis(label=_string(node, "label"))
-    elif kind == "ground_of":
-        out = InitialGroundOf(model=_parse_model(node.child("model")))
-    elif kind == "amplitudes":
-        out = InitialAmplitudes(amplitudes=_complex_array(node))
-    else:
-        raise ConfigError(
-            f"'{node.path}.kind' must be thermal|basis|ground_of|amplitudes, got {kind!r}"
-        )
-    node.close()
-    return out
+_MODELS = {
+    "harmonic": (HarmonicOscillator, dict(omega=_number, cutoff=_integer)),
+    "rabi": (Rabi, dict(omega0=_number, omega=_number, g=_number, cutoff=_integer)),
+    "hubbard": (Hubbard1D, dict(sites=_integer, t=_number, u=_number)),
+    "custom": (Custom, dict(terms=_terms)),
+}
+
+_INITIAL_STATES = {
+    "thermal": (InitialThermal, dict(nbar=_number)),
+    "basis": (InitialBasis, dict(label=_string)),
+    "ground_of": (InitialGroundOf, dict(model=_section("kind", _MODELS))),
+    "amplitudes": (InitialAmplitudes, dict(re=("amplitudes", _complex_array))),
+}
+
+_GAMMA_POLICIES = {
+    "exact": (Exact, {}),
+    "norm_bound": (NormBound, {}),
+    "fixed": (Fixed, dict(value=_number)),
+    "target_level": (TargetLevel, dict(level=_integer)),
+}
+
+_OPERATORS = {"exact": (ExactW, {}), "trotter": (TrotterW, dict(r=_integer))}
 
 
-def _parse_gamma(parent: _Node, key: str):
-    node = parent.child(key)
-    policy = _string(node, "policy")
-    if policy == "exact":
-        out = Exact()
-    elif policy == "norm_bound":
-        out = NormBound()
-    elif policy == "fixed":
-        out = Fixed(value=_number(node, "value"))
-    elif policy == "target_level":
-        out = TargetLevel(level=_integer(node, "level"))
-    else:
-        raise ConfigError(
-            f"'{node.path}.policy' must be exact|norm_bound|fixed|target_level, got {policy!r}"
-        )
-    node.close()
-    return out
-
-
-def _parse_operator(node: _Node, key: str):
+def _operator(node: _Node, key: str):
     raw = node.take(key)
-    if raw == "exact":
+    if raw == "exact":  # shorthand for {"kind": "exact"}
         return ExactW()
-    sub = _Node(raw, f"{node.path}.{key}")
-    kind = _string(sub, "kind")
-    if kind == "exact":
-        sub.close()
-        return ExactW()
-    if kind == "trotter":
-        r = _integer(sub, "r")
-        sub.close()
-        return TrotterW(r=r)
-    raise ConfigError(f"'{sub.path}.kind' must be exact|trotter, got {kind!r}")
+    return _tagged(_Node(raw, f"{node.path}.{key}"), "kind", _OPERATORS)
 
 
-_OPTIMIZER_FIELDS = dict(
+_OPTIMIZER_READERS = dict(
     tau_lo=_number, tau_hi=_number, x_tol=_number, max_evals=_integer, coarse_grid=_integer
 )
 
 
-def _parse_optimizer(node: _Node) -> OptimizerConfig:
-    kwargs = _fields(node, _OPTIMIZER_FIELDS)
-    node.close()
-    return OptimizerConfig(**kwargs)
+def _mode(node: _Node) -> Union[FixedStep, Variational]:
+    """The run mode and its own key, read from the run object itself."""
+    name = _string(node, "mode")
+    if name == "fixed":
+        mode: Union[FixedStep, Variational] = FixedStep(tau=_number(node, "tau"))
+        if "optimizer" in node.data:
+            raise ConfigError(f"'{node.path}.optimizer' is only valid in variational mode")
+    elif name == "variational":
+        mode = Variational()
+        if "optimizer" in node.data:
+            mode = Variational(_build(node.child("optimizer"), OptimizerConfig, _OPTIMIZER_READERS))
+        if "tau" in node.data:
+            raise ConfigError(f"'{node.path}.tau' is only valid in fixed mode")
+    else:
+        raise ConfigError(f"'{node.path}.mode' must be fixed|variational, got {name!r}")
+    return mode
 
 
-def _target_level(node: _Node, key: str) -> Optional[int]:
-    return _integer(node, key) or None  # level 0 ejects nothing and reports no fidelity
-
-
-_RUN_FIELDS = {
-    "gamma": ("gamma_policy", _parse_gamma),
+_RUN_READERS = {
+    "gamma": ("gamma_policy", _section("policy", _GAMMA_POLICIES)),
     "epsilon": _number,
     "max_stages": _integer,
-    "operator": ("operator_mode", _parse_operator),
+    "operator": ("operator_mode", _operator),
     "seed": _seed,
-    "target_level": _target_level,
+    "target_level": lambda node, key: _integer(node, key) or None,  # level 0 ejects nothing
     "eject_shifted": _boolean,
     "f_tol": _number,
 }
 
 
-def _parse_run(node: _Node) -> RunConfig:
-    mode_name = _string(node, "mode")
-    if mode_name == "fixed":
-        mode = FixedStep(tau=_number(node, "tau"))
-        if "optimizer" in node.data:
-            raise ConfigError(f"'{node.path}.optimizer' is only valid in variational mode")
-    elif mode_name == "variational":
-        opt = node.child("optimizer", None)
-        mode = Variational() if opt is None else Variational(_parse_optimizer(opt))
-        if "tau" in node.data:
-            raise ConfigError(f"'{node.path}.tau' is only valid in fixed mode")
-    else:
-        raise ConfigError(f"'{node.path}.mode' must be fixed|variational, got {mode_name!r}")
-    kwargs = _fields(node, _RUN_FIELDS)
-    node.close()
-    try:
-        return RunConfig(mode=mode, **kwargs)
-    except ConfigError as exc:  # each message starts with the field's name
-        raise ConfigError(f"{node.path}.{exc}") from None
+def _run(node: _Node, key: str) -> RunConfig:
+    run = node.child(key)
+    return _build(run, RunConfig, _RUN_READERS, mode=_mode(run))
+
+
+def _stem(node: _Node, key: str) -> str:
+    output = node.child(key)
+    stem = _string(output, "stem", ExperimentConfig.output_stem)
+    if stem in ("", ".", "..") or Path(stem).name != stem or "\0" in stem:  # joined to --out
+        raise ConfigError(f"'{output.path}.stem' must be a file name, got {stem!r}")
+    output.close()
+    return stem
 
 
 def parse_experiment(data: Any, source: str = "config") -> ExperimentConfig:
@@ -304,16 +277,13 @@ def parse_experiment(data: Any, source: str = "config") -> ExperimentConfig:
     schema = root.take("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"'{source}.schema' must be {SCHEMA_VERSION}, got {schema!r}")
-    model = _parse_model(root.child("model"))
-    initial = _parse_initial(root.child("initial_state"))
-    run = _parse_run(root.child("run"))
-    out_node = root.child("output", None)
-    stem = "trace"
-    if out_node is not None:
-        stem = _string(out_node, "stem", "trace")
-        out_node.close()
-    root.close()
-    return ExperimentConfig(model=model, initial=initial, run=run, output_stem=stem)
+    readers = {
+        "model": _section("kind", _MODELS),
+        "initial_state": ("initial", _section("kind", _INITIAL_STATES)),
+        "run": _run,
+        "output": ("output_stem", _stem),
+    }
+    return _build(root, ExperimentConfig, readers)
 
 
 def read_json(path: Path) -> Any:

@@ -55,7 +55,9 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.tau_lo < self.tau_hi:
-            raise ConfigError(f"need 0 < tau_lo < tau_hi, got [{self.tau_lo}, {self.tau_hi}]")
+            raise ConfigError(
+                f"tau_lo must satisfy 0 < tau_lo < tau_hi = {self.tau_hi}, got {self.tau_lo}"
+            )
         if not self.x_tol > 0:
             raise ConfigError(f"x_tol must be > 0, got {self.x_tol}")
         if self.max_evals < 3:
@@ -296,6 +298,16 @@ def eigen_populations(state: QuantumState, h: SumHamiltonian) -> tuple[np.ndarra
     return evals, np.einsum("ij,ij->j", v.conj(), state.data @ v).real
 
 
+def check_replayable(config: RunConfig) -> None:
+    """Refuse a config with a target level above 0: its schedule holds the
+    cooling stages only, not the ejections a restart would have to replay."""
+    if config.target_level:
+        raise ConfigError(
+            f"trajectories need target_level 0, got {config.target_level}: restart "
+            "trajectories replay cooling stages only, not ejections"
+        )
+
+
 def trajectory_probabilities(
     initial: QuantumState,
     h: SumHamiltonian,
@@ -306,13 +318,8 @@ def trajectory_probabilities(
 
     Exact mode reads the eigen-populations P once, then per stage p0 = w·P and
     P <- w⊙P / p0 with w = cos²((E + gamma) tau); Trotter mode replays each
-    stage with `cooling_step`. A config with a target level above 0 is
-    refused: the schedule holds cooling stages only, not the ejections."""
-    if config.target_level:
-        raise ConfigError(
-            f"trajectories need target_level 0, got {config.target_level}: restart "
-            "trajectories replay cooling stages only, not ejections"
-        )
+    stage with `cooling_step`. The config must pass `check_replayable`."""
+    check_replayable(config)
     state = validate_and_normalize(initial)
     hg = _resolve(h, config)
     if exact := isinstance(config.operator_mode, ExactW):

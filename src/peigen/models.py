@@ -68,7 +68,7 @@ class Hubbard1D:
             raise ValidationError(f"sites must be >= 1, got {self.sites}")
         if 2 * self.sites > 12:
             raise DimensionError(
-                f"{self.sites} sites needs {2 * self.sites} spins; dense limit is 12"
+                f"sites must be <= 6 (2 spins per site, dense limit 12), got {self.sites}"
             )
         _check_finite("t", self.t)
         _check_finite("u", self.u)

@@ -1,9 +1,11 @@
 """Dense reference protocol for the differential tests, built on scipy.
 
 Everything here is a plain d x d matrix: the branch unitaries
-U± = exp(∓i (H + gamma) tau) by `expm`, the ancilla blocks K0 and K1, the
-ejection operator by `cosm`, and the branch map K psi or K rho K^H. It
-shares no code path with the eigenbasis-resident exact mode under test."""
+U± = exp(∓i (H + gamma) tau) by `expm`, or their symmetric Trotter product
+from `expm` term exponentials, the ancilla blocks K0 and K1, the ejection
+operator by `cosm`, and the branch map K psi or K rho K^H. It shares no
+code path with the eigenbasis-resident exact mode or the sweep-plan
+Trotter mode under test."""
 
 import math
 
@@ -16,11 +18,31 @@ def hamiltonian(h):
     return sum(term.mat for _, term in h.terms)
 
 
-def kraus(h, tau):
-    """K0 = (U+ + U-)/2 and K1 = (U+ - U-)/2 of U± = exp(∓i (H + gamma) tau)."""
-    a = (hamiltonian(h) + h.gamma * np.eye(h.dim)) * tau
-    u_plus, u_minus = expm(-1j * a), expm(1j * a)
+def blocks(u_plus, u_minus):
+    """The ancilla blocks K0 = (U+ + U-)/2 and K1 = (U+ - U-)/2."""
     return (u_plus + u_minus) / 2, (u_plus - u_minus) / 2
+
+
+def kraus(h, tau):
+    """K0 and K1 of the exact U± = exp(∓i (H + gamma) tau)."""
+    a = (hamiltonian(h) + h.gamma * np.eye(h.dim)) * tau
+    return blocks(expm(-1j * a), expm(1j * a))
+
+
+def trotter_branches(h, tau, r):
+    """U± as the symmetric product of the terms' `expm` exponentials, to the
+    r-th power, times the gamma phase exp(∓i gamma tau)."""
+    mats = [term.mat for _, term in h.terms]
+    out = []
+    for sign in (1.0, -1.0):
+        dt = sign * tau / r
+        slab = expm(-1j * dt * mats[-1])
+        for m in mats[-2::-1]:
+            half = expm(-0.5j * dt * m)
+            slab = half @ slab @ half
+        phase = np.exp(-1j * sign * h.gamma * tau)
+        out.append(np.linalg.matrix_power(slab, r) * phase)
+    return out
 
 
 def ejection(h, e_s, *, shifted=False):
@@ -41,6 +63,16 @@ def apply(k, data):
 def step(data, h, tau):
     """Both unnormalised branches of one exact cooling step: ((K0 x, p0), (K1 x, p1))."""
     return tuple(apply(k, data) for k in kraus(h, tau))
+
+
+def branch_densities(state, u_plus, u_minus):
+    """[(p0, rho0), (p1, rho1)] of one cooling step from dense branch
+    unitaries, each branch as a normalised density matrix."""
+    out = []
+    for k in blocks(u_plus, u_minus):
+        m, p = apply(k, state.density())
+        out.append((p, m / p))
+    return out
 
 
 def energy(data, h):

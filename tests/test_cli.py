@@ -219,6 +219,12 @@ def _basis_cfg(model, initial):
 HARMONIC_5 = {"kind": "harmonic", "omega": 1.0, "cutoff": 5}
 
 
+def _variational_cfg(**optimizer):
+    doc = _harmonic_cfg(mode="variational", optimizer=optimizer)
+    del doc["run"]["tau"]
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -273,6 +279,22 @@ def test_invalid_model_or_state_values_exit_one(doc, tmp_path, capsys):
         ),
         ({**_harmonic_cfg(), "run": {"mode": "fixed", "tau": math.inf}}, "run.tau"),
         ({**_harmonic_cfg(), "run": {"mode": "fixed", "tau": 10**400}}, "run.tau"),
+        (_basis_cfg({**HARMONIC_5, "cutoff": 1}, {"kind": "basis", "label": "0"}), "model.cutoff"),
+        (
+            _basis_cfg(
+                {"kind": "hubbard", "sites": 7, "t": 1.0, "u": 2.0},
+                {"kind": "basis", "label": "ud" * 7},
+            ),
+            "model.sites",
+        ),
+        (
+            _basis_cfg(HARMONIC_5, {"kind": "ground_of", "model": {**HARMONIC_5, "cutoff": 1}}),
+            "initial_state.model.cutoff",
+        ),
+        (_variational_cfg(tau_lo=2), "run.optimizer.tau_lo"),
+        (_variational_cfg(max_evals=2), "run.optimizer.max_evals"),
+        ({**_harmonic_cfg(), "output": {"stem": "sub/x"}}, "output.stem"),
+        ({**_harmonic_cfg(), "output": {"stem": "../x"}}, "output.stem"),
     ],
     ids=[
         "string-in-re",
@@ -283,6 +305,13 @@ def test_invalid_model_or_state_values_exit_one(doc, tmp_path, capsys):
         "rabi-label",
         "infinite-tau",
         "huge-integer-tau",
+        "cutoff-1",
+        "hubbard-7-sites",
+        "ground-of-cutoff-1",
+        "optimizer-tau-lo",
+        "optimizer-max-evals",
+        "stem-in-a-subdirectory",
+        "stem-outside-out",
     ],
 )
 def test_malformed_config_values_exit_one(doc, named, tmp_path, capsys):
@@ -511,13 +540,19 @@ def test_sweep_honours_target_level(tmp_path, capsys):
     assert abs(doc["final_energy"] - 1.0) < 0.01  # the first excited level, not E_0 = 0
 
 
-def test_sweep_refuses_restarts_with_target_level(tmp_path, capsys):
+def test_sweep_refuses_restarts_with_target_level(tmp_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("the protocol ran before the refusal")
+
+    monkeypatch.setattr("peigen.cli.run_protocol", no_run)
     cfg = _write_cfg(tmp_path, "targeted.json", _targeted_harmonic_cfg())
-    argv = ["sweep", "--config", str(cfg), "--param", "run.tau", "--values", "0.3"]
-    assert main([*argv, "--seeds", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "target_level" in err and "ejection" in err
+    # the second sweep's first value is untargeted: its run would come first
+    for param, values in [("run.tau", "0.3"), ("run.target_level", "0,1")]:
+        argv = ["sweep", "--config", str(cfg), "--param", param, "--values", values]
+        assert main([*argv, "--seeds", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "target_level" in err and "ejection" in err
 
 
 def test_sweep_refuses_negative_seeds(capsys):

@@ -397,24 +397,17 @@ def _custom_with_spectrum(rng, evals):
     u = q * (np.diag(r) / np.abs(np.diag(r)))
     mat = (u * evals) @ u.conj().T
     mat = (mat + mat.conj().T) / 2
-    return build_custom(Custom(terms=(("m", mat),))), mat, u
+    return build_custom(Custom(terms=(("m", mat),))), u
 
 
-def _dense_p0s(mat, gamma, state, schedule):
-    """Reference p0 per stage: K0 = V diag(cos((E + gamma) tau)) V^H from a
-    dense eigh of the total, applied as K0 psi or K0 rho K0^H."""
-    evals, v = np.linalg.eigh(mat)
-    data, p0s = state.data, []
+def _dense_p0s(h, gamma, state, schedule):
+    """Reference p0 per stage: the dense K0 of `reference.kraus`, applied as
+    K0 psi or K0 rho K0^H by `reference.apply`."""
+    h, data, p0s = h.with_gamma(gamma), state.data, []
     for tau in schedule:
-        k0 = (v * np.cos((evals + gamma) * tau)) @ v.conj().T
-        if data.ndim == 1:
-            data = k0 @ data
-            p0s.append(float(np.vdot(data, data).real))
-            data = data / math.sqrt(p0s[-1])
-        else:
-            data = k0 @ data @ k0.conj().T
-            p0s.append(float(np.trace(data).real))
-            data = data / p0s[-1]
+        data, p0 = reference.apply(reference.kraus(h, tau)[0], data)
+        data = data / (math.sqrt(p0) if data.ndim == 1 else p0)
+        p0s.append(p0)
     return np.array(p0s)
 
 
@@ -436,44 +429,44 @@ def test_exact_trajectory_probabilities_match_dense_reference(
     evals = rng.uniform(0.0, 1.0, dim)
     if degenerate:  # two levels shared by at least three eigenvectors
         evals = evals[:2][rng.integers(0, 2, dim)]
-    h, mat, _ = _custom_with_spectrum(rng, evals)
+    h, _ = _custom_with_spectrum(rng, evals)
     rank = {"pure": 0, "rank1": 1, "low_rank": int(rng.integers(2, dim)), "full_rank": dim}
     state = random_state(rng, dim, rank[kind])
     schedule = tuple(float(t) for t in rng.uniform(0.01, 1.0, n_stages))
     cfg = RunConfig(mode=FixedStep(tau=0.3), gamma_policy=Fixed(value=gamma))
     p0s = trajectory_probabilities(state, h, cfg, schedule)
     assert p0s.shape == (n_stages,)
-    assert np.abs(p0s - _dense_p0s(mat, gamma, state, schedule)).max() < 1e-12
+    assert np.abs(p0s - _dense_p0s(h, gamma, state, schedule)).max() < 1e-12
 
 
 def _floor_case(rng, p, mixed):
     """Weight p on the E = 2 level of a spectrum {2, 1, 1, 3, 3, 5}. With
     gamma = 0, tau = pi keeps every population and tau = pi/2 keeps only
     E = 2, so the schedule (pi, pi/2) has p0 = (1, p) up to rounding."""
-    h, mat, u = _custom_with_spectrum(rng, np.array([2.0, 1.0, 1.0, 3.0, 3.0, 5.0]))
+    h, u = _custom_with_spectrum(rng, np.array([2.0, 1.0, 1.0, 3.0, 3.0, 5.0]))
     if mixed:
         weights = np.concatenate([[p], (1 - p) * rng.dirichlet(np.ones(5))])
         rho = (u * weights) @ u.conj().T
-        return h, mat, QuantumState((rho + rho.conj().T) / 2)
+        return h, QuantumState((rho + rho.conj().T) / 2)
     rest = u[:, 1:] @ random_state_vector(rng, 5)
-    return h, mat, QuantumState(math.sqrt(p) * u[:, 0] + math.sqrt(1 - p) * rest)
+    return h, QuantumState(math.sqrt(p) * u[:, 0] + math.sqrt(1 - p) * rest)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(3e-14, 1e-13), st.booleans())
 def test_exact_trajectory_probabilities_near_the_floor(seed, p, mixed):
-    h, mat, state = _floor_case(np.random.default_rng(seed), p, mixed)
+    h, state = _floor_case(np.random.default_rng(seed), p, mixed)
     cfg = RunConfig(mode=FixedStep(tau=0.3), gamma_policy=Fixed(value=0.0))
     schedule = (math.pi, math.pi / 2)
     p0s = trajectory_probabilities(state, h, cfg, schedule)
     assert abs(p0s[0] - 1.0) < 1e-12 and abs(p0s[1] - p) < 0.1 * p
-    assert np.abs(p0s - _dense_p0s(mat, 0.0, state, schedule)).max() < 1e-12
+    assert np.abs(p0s - _dense_p0s(h, 0.0, state, schedule)).max() < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1e-15), st.booleans())
 def test_exact_trajectory_probabilities_below_the_floor_raise(seed, p, mixed):
-    h, _, state = _floor_case(np.random.default_rng(seed), p, mixed)
+    h, state = _floor_case(np.random.default_rng(seed), p, mixed)
     cfg = RunConfig(mode=FixedStep(tau=0.3), gamma_policy=Fixed(value=0.0))
     with pytest.raises(CertainFailureError):
         trajectory_probabilities(state, h, cfg, (math.pi, math.pi / 2))

@@ -35,6 +35,7 @@ from peigen import (
 from peigen import trotter
 from peigen.models import PAULI_X, PAULI_Y, PAULI_Z
 from peigen.trotter import DimensionError, JointUnitary, _coupled, _mode_x, ancilla_x_rotation
+from tests import reference
 from tests.conftest import random_hermitian, random_state_vector
 
 RABI = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
@@ -180,38 +181,11 @@ def _custom_terms(seed):
     return (("diag", diag), ("perm", perm), ("dense", random_hermitian(rng, dim)))
 
 
-def _reference_branches(h, tau, r):
-    """Symmetric product of expm term exponentials, to the r-th power."""
-    from scipy.linalg import expm
-
-    mats = [term.mat for _, term in h.terms]
-    out = []
-    for sign in (1.0, -1.0):
-        dt = sign * tau / r
-        slab = expm(-1j * dt * mats[-1])
-        for m in mats[-2::-1]:
-            half = expm(-0.5j * dt * m)
-            slab = half @ slab @ half
-        phase = np.exp(-1j * sign * h.gamma * tau)
-        out.append(np.linalg.matrix_power(slab, r) * phase)
-    return out
-
-
-def _reference_step(state, u_plus, u_minus):
-    """[(p0, rho0), (p1, rho1)] of one cooling step from dense branch unitaries."""
-    rho = state.density()
-    out = []
-    for k in ((u_plus + u_minus) / 2, (u_plus - u_minus) / 2):
-        m = k @ rho @ k.conj().T
-        out.append((float(np.trace(m).real), m / np.trace(m).real))
-    return out
-
-
-def _check_step(state, h, tau, r, tol=1e-10, reference=None):
-    u_plus, u_minus = reference or _reference_branches(h, tau, r)
+def _check_step(state, h, tau, r, tol=1e-10, branches=None):
+    u_plus, u_minus = branches or reference.trotter_branches(h, tau, r)
     step = cooling_step(state, h, tau, TrotterW(r))
     for (p_ref, rho_ref), p, out in zip(
-        _reference_step(state, u_plus, u_minus),
+        reference.branch_densities(state, u_plus, u_minus),
         (step.p0, step.p1),
         (step.state0, step.state1),
     ):
@@ -272,7 +246,7 @@ def test_trotter_apply_matches_dense_product_formula(name, r):
     rho /= np.trace(rho).real
 
     u_plus, u_minus = _check_step(QuantumState(psi), h, tau, r)
-    _check_step(QuantumState(rho), h, tau, r, reference=(u_plus, u_minus))
+    _check_step(QuantumState(rho), h, tau, r, branches=(u_plus, u_minus))
     for got, want in zip(branch_unitaries(h, tau, r), (u_plus, u_minus)):
         assert np.abs(got - want).max() <= 1e-10
     for got, want in zip(apply_branches(h, tau, r, psi), (u_plus @ psi, u_minus @ psi)):
