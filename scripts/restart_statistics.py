@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Sample post-selection restart statistics for a bundled config.
 
-Replays the deterministic tau schedule as shot-by-shot trajectories: every
-ancilla measurement either keeps the run alive (probability p0 of that
-stage) or forces a restart. The mean number of restarts should match the
-geometric law 1/P_success - 1; this script prints both with a standard
-error so deviations are visible.
+Samples every stage of the run, the ejections of a targeted config and the
+cooling steps, as shot-by-shot trajectories: every ancilla measurement
+either keeps the run alive (probability p0 of that stage) or forces a
+restart. The mean number of restarts should match the geometric law
+1/P_success - 1; this script prints both with a standard error so
+deviations are visible.
 """
 
 import argparse
@@ -17,7 +18,6 @@ from dataclasses import replace
 from peigen import PeigenError, stochastic_trajectory
 from peigen import run as run_protocol
 from peigen.config import build_initial_state, load_experiment, resolve_config_path
-from peigen.cooling import check_replayable
 from peigen.models import build_model
 
 
@@ -36,7 +36,6 @@ def main(argv=None):
 
     try:
         cfg = load_experiment(resolve_config_path(args.config))
-        check_replayable(cfg.run)  # refuse a targeted config before running it
         h = build_model(cfg.model)
         initial = build_initial_state(cfg)
         trace = run_protocol(initial, h, cfg.run)

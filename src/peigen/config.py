@@ -344,13 +344,14 @@ def list_bundled() -> list[str]:
 
 
 def resolve_config_path(name_or_path: str) -> Path:
-    """Accept a filesystem path or the bare name of a bundled config."""
+    """Accept a filesystem path or the bare name of a bundled config (no
+    directory part, no ``.json`` suffix); a missing path never falls back."""
     p = Path(name_or_path)
     if p.exists():
         return p
-    candidate = bundled_config_dir() / f"{Path(name_or_path).stem}.json"
+    candidate = bundled_config_dir() / f"{name_or_path}.json"
     try:
-        if candidate.is_file():
+        if p.name == name_or_path and p.suffix != ".json" and candidate.is_file():
             return Path(str(candidate))
     except OSError:  # pragma: no cover - packaged-resource oddities
         pass

@@ -5,9 +5,10 @@ them lives in `variational.run`.
 
 Traces follow the post-selected (ancilla |0>) branch deterministically and
 record the branch probabilities; only `stochastic_trajectory` actually
-samples outcomes. Exact mode forms no d x d operator: steps and ejections
-scale eigen-coefficients, and every p0 follows from the cos² law on the
-eigen-populations, so trials and trajectories read it in O(d) per stage."""
+samples outcomes, of ejection and cooling stages alike. Exact mode forms no
+d x d operator: steps and ejections scale eigen-coefficients, and every
+cooling p0 follows from the cos² law on the eigen-populations, so trials
+and trajectories read it in O(d) per stage."""
 
 from __future__ import annotations
 
@@ -230,6 +231,28 @@ def eject(
     return out, p
 
 
+def ejected_energies(h: SumHamiltonian, config: RunConfig) -> tuple[float, ...]:
+    """The energies a run ejects, in order: the levels below its target level
+    (none without one). Raises if that level is out of range or an ejection
+    also annihilates it (a zero of `ejection_factors` at its energy)."""
+    target = config.target_level
+    if not target:
+        return ()
+    evals = h.total.eigensystem()[0]
+    if target >= len(evals):
+        raise ConfigError(f"target level {target} out of range for dim {len(evals)}")
+    kept = 1.0  # the target level's weight left after each ejection
+    for level in range(target):
+        f = ejection_factors(evals[target], h.gamma, float(evals[level]), config.eject_shifted)
+        kept *= float(f) ** 2
+        if kept < BRANCH_PROB_FLOOR:
+            raise CertainFailureError(
+                f"ejection of level {level} annihilates target level {target} "
+                f"(weight left {kept:.3e})"
+            )
+    return tuple(float(e) for e in evals[:target])
+
+
 # ---------------------------------------------------------------------------
 # trace records
 
@@ -298,33 +321,25 @@ def eigen_populations(state: QuantumState, h: SumHamiltonian) -> tuple[np.ndarra
     return evals, np.einsum("ij,ij->j", v.conj(), state.data @ v).real
 
 
-def check_replayable(config: RunConfig) -> None:
-    """Refuse a config with a target level above 0: its schedule holds the
-    cooling stages only, not the ejections a restart would have to replay."""
-    if config.target_level:
-        raise ConfigError(
-            f"trajectories need target_level 0, got {config.target_level}: restart "
-            "trajectories replay cooling stages only, not ejections"
-        )
-
-
 def trajectory_probabilities(
     initial: QuantumState,
     h: SumHamiltonian,
     config: RunConfig,
     schedule: tuple[float, ...],
 ) -> np.ndarray:
-    """Deterministic per-stage p0 along the post-selected branch of a schedule.
-
-    Exact mode reads the eigen-populations P once, then per stage p0 = w·P and
-    P <- w⊙P / p0 with w = cos²((E + gamma) tau); Trotter mode replays each
-    stage with `cooling_step`. The config must pass `check_replayable`."""
-    check_replayable(config)
+    """Deterministic p0 of each stage of a run, as its trace records them: one
+    per `ejected_energies` ejection (`eject`), then one per ``schedule`` tau.
+    Exact-mode cooling reads the eigen-populations P once, then per stage
+    p0 = w·P and P <- w⊙P / p0 with w = cos²((E + gamma) tau); Trotter mode
+    replays each stage with `cooling_step`."""
     state = validate_and_normalize(initial)
     hg = _resolve(h, config)
+    p0s = []
+    for e_s in ejected_energies(hg, config):
+        state, p0 = eject(state, hg, e_s, shifted=config.eject_shifted)
+        p0s.append(p0)
     if exact := isinstance(config.operator_mode, ExactW):
         evals, pops = eigen_populations(state, hg)
-    p0s = []
     for tau in schedule:
         if exact:
             w = np.cos((evals + hg.gamma) * tau) ** 2
@@ -347,7 +362,8 @@ def stochastic_trajectory(
     *,
     max_shots: int = 1_000_000,
 ) -> TrajectoryResult:
-    """Sample ancilla outcomes Bernoulli(p0); restart from scratch on a 1.
+    """Sample ancilla outcomes Bernoulli(p0), ejections included; restart
+    from scratch on a 1.
 
     Since every failure restarts from the same initial state, the per-stage
     probabilities come once from `trajectory_probabilities`; see there."""

@@ -18,10 +18,10 @@ HERMITICITY_ATOL = 1e-12
 
 
 def as_square_matrix(m: object) -> np.ndarray:
-    """Coerce ``m`` to a finite square complex ndarray (read-only copy)."""
+    """Coerce ``m`` to a finite non-empty square complex ndarray (read-only copy)."""
     a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     a.setflags(write=False)
@@ -38,6 +38,14 @@ def _monomial_defect(perm: np.ndarray, vals: np.ndarray) -> str | None:
     if not (vals[perm] == vals.conj()).all():
         return "vals[perm] != conj(vals): the operator is not Hermitian"
     return None
+
+
+def _checked_hermitian(a: np.ndarray) -> np.ndarray:
+    """``a``, after checking it is Hermitian within HERMITICITY_ATOL."""
+    defect = float(np.abs(a - a.conj().T).max())
+    if defect > HERMITICITY_ATOL:
+        raise ValidationError(f"matrix is not Hermitian (max |A - A^H| = {defect:.3e})")
+    return a
 
 
 def _block_eigh(
@@ -114,31 +122,29 @@ class HermitianOperator:
     ``((perm, vals), ...)`` with ``P_g x == vals_g * x[perm_g]``, plus an
     optional dense remainder R, so that ``A = sum_g P_g + R``.
 
-    `HermitianOperator(mat)` is the dense-only case, `from_monomial` (diagonal
-    terms, signed Pauli strings) the one-part case, and `sum` fuses the
-    structure of several operators. The dense ``mat`` is formed only when
-    first read: the eigensystem (solved per block of the nonzero pattern by
-    `_block_eigh`), `block` and `expectation` read the structure. Each cache
-    (``mat``, eigensystem, monomial structure) is written once, read-only
-    and never mutated; concurrent readers observe either no cache or the
-    completed value.
+    `HermitianOperator(mat)` reads a matrix's structure once: one part if it
+    passes the exact checks of `from_monomial` (diagonal terms, signed Pauli
+    strings), else the remainder. `sum` fuses the structure of several
+    operators. The dense ``mat`` is formed only when first read: the
+    eigensystem (solved per block of the nonzero pattern by `_block_eigh`),
+    `block` and `expectation` read the structure. Each cache (``mat``,
+    eigensystem) is written once, read-only and never mutated; concurrent
+    readers observe either no cache or the completed value.
     """
 
-    __slots__ = ("_mat", "dim", "_eig", "_mono", "_parts", "_rest")
+    __slots__ = ("_mat", "dim", "_eig", "_parts", "_rest")
 
     def __init__(self, mat: object) -> None:
-        a = as_square_matrix(mat)
-        defect = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-        if defect > HERMITICITY_ATOL:
-            raise ValidationError(
-                f"matrix is not Hermitian (max |A - A^H| = {defect:.3e})"
-            )
-        self._mat: np.ndarray | None = a
-        self.dim = int(a.shape[0])
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._mono: tuple[np.ndarray, np.ndarray] | bool | None = None
-        self._parts: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
-        self._rest: np.ndarray | None = a
+        a = _checked_hermitian(as_square_matrix(mat))
+        nz = a != 0
+        rows = np.arange(len(a))
+        perm = np.where(nz.any(axis=1), nz.argmax(axis=1), rows)
+        vals = a[rows, perm]
+        perm.setflags(write=False)
+        vals.setflags(write=False)
+        mono = bool((nz.sum(axis=1) <= 1).all()) and _monomial_defect(perm, vals) is None
+        self._parts, self._rest = (((perm, vals),), None) if mono else ((), a)
+        self._mat, self.dim, self._eig = a, len(a), None
 
     @classmethod
     def _structured(cls, parts, rest: np.ndarray | None, dim: int) -> "HermitianOperator":
@@ -147,10 +153,6 @@ class HermitianOperator:
         op = cls.__new__(cls)
         op._parts, op._rest, op.dim, op._eig = tuple(parts), rest, dim, None
         op._mat = rest if not parts else None
-        if len(parts) == 1 and rest is None:
-            op._mono = parts[0]
-        else:
-            op._mono = None if not parts else False
         return op
 
     @classmethod
@@ -158,9 +160,9 @@ class HermitianOperator:
         """The operator with ``A x == vals * x[perm]``, i.e. ``A[i, perm[i]] ==
         vals[i]`` and zeros elsewhere, without forming the dense matrix.
 
-        Applies the exact checks of `monomial`: ``perm`` is an in-range
-        involution, ``vals[perm] == vals.conj()`` holds exactly (so ``A`` is
-        exactly Hermitian) and ``vals`` is finite."""
+        Checks exactly that ``perm`` is an in-range involution, that
+        ``vals[perm] == vals.conj()`` (so ``A`` is exactly Hermitian) and
+        that ``vals`` is finite."""
         p, v = np.array(perm), np.array(vals, dtype=complex)
         if p.ndim != 1 or not p.size or v.shape != p.shape:
             raise DimensionError(
@@ -201,7 +203,8 @@ class HermitianOperator:
                 dense.append(op._rest)
         rest = reduce(np.add, dense) if dense else None
         if len(dense) > 1:  # terms Hermitian within tolerance may sum past it
-            rest = cls(rest)._rest
+            rest = _checked_hermitian(rest)
+            rest.setflags(write=False)
         return cls._structured(tuple(fused.values()), rest, ops[0].dim)
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,25 +259,13 @@ class HermitianOperator:
         return self._eig
 
     def monomial(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(perm, vals)`` with ``A x == vals * x[perm]``, or None.
-
-        Set when every row has at most one nonzero, ``perm`` is an involution
-        and ``vals[perm] == vals.conj()`` holds exactly: diagonal terms and
-        signed Pauli strings. Then ``A @ A == diag(|vals|^2)``, so matrix
-        functions of ``A`` have closed forms. A matrix that is Hermitian only
-        within HERMITICITY_ATOL fails the exact check and gets None; so does
-        an operator of several parts."""
-        if self._mono is None:  # dense only: read the structure off the matrix
-            nz = self.mat != 0
-            rows = np.arange(self.dim)
-            perm = np.where(nz.any(axis=1), nz.argmax(axis=1), rows)
-            vals = self.mat[rows, perm]
-            ok = bool((nz.sum(axis=1) <= 1).all()) and _monomial_defect(perm, vals) is None
-            if ok:
-                perm.setflags(write=False)
-                vals.setflags(write=False)
-            self._mono = (perm, vals) if ok else False
-        return self._mono or None
+        """``(perm, vals)`` with ``A x == vals * x[perm]`` if the operator is
+        one monomial part, else None. Then ``A @ A == diag(|vals|^2)``, so
+        matrix functions of ``A`` have closed forms. A matrix Hermitian only
+        within HERMITICITY_ATOL fails the exact check and gets None, as do an
+        operator of several parts and a summed remainder (`sum` keeps it
+        whole)."""
+        return self._parts[0] if len(self._parts) == 1 and self._rest is None else None
 
     def norm2(self) -> float:
         """Spectral norm, i.e. the largest eigenvalue magnitude.

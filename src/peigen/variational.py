@@ -24,10 +24,10 @@ from .cooling import (
     cooling_step,
     eigen_populations,
     eject,
-    ejection_factors,
+    ejected_energies,
 )
-from .errors import CertainFailureError, ConfigError
-from .models import SumHamiltonian, exact_spectrum
+from .errors import CertainFailureError
+from .models import SumHamiltonian
 from .operators import QuantumState, expectation, validate_and_normalize
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -156,28 +156,14 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
     trace reports the fidelity with the target eigenspace and whether the
     run converged onto it (within f_tol). Non-convergence at max_stages
     yields converged=False, not an exception."""
-    target_level = config.target_level
-    if target_level is not None:
-        evals = exact_spectrum(h)[0]
-        if target_level >= len(evals):
-            raise ConfigError(f"target level {target_level} out of range for dim {len(evals)}")
     state = validate_and_normalize(initial)
     hg = _resolve(h, config)
-    kept = 1.0  # the target level's weight left after each ejection
-    for level in range(target_level or 0):
-        f = ejection_factors(evals[target_level], hg.gamma, float(evals[level]), config.eject_shifted)
-        kept *= float(f) ** 2
-        if kept < BRANCH_PROB_FLOOR:
-            raise CertainFailureError(
-                f"ejection of level {level} annihilates target level {target_level} "
-                f"(weight left {kept:.3e})"
-            )
+    ejected = ejected_energies(hg, config)
     total = hg.total
     e0 = e_prev = expectation(state, total)
     stages: list[StageRecord] = []
     p_cum = 1.0
-    for level in range(target_level or 0):
-        e_s = float(evals[level])
+    for level, e_s in enumerate(ejected):
         try:
             state, p = eject(state, hg, e_s, shifted=config.eject_shifted)
         except CertainFailureError as exc:
@@ -230,9 +216,10 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
         e_prev = energy
 
     fidelity = None
-    if target_level is not None:  # the populations of the target eigenspace
-        pops = eigen_populations(state, hg)[1]
-        fidelity = float(pops[np.abs(evals - evals[target_level]) < 1e-9].sum())
+    target = config.target_level
+    if target is not None:  # the populations of the target eigenspace
+        evals, pops = eigen_populations(state, hg)
+        fidelity = float(pops[np.abs(evals - evals[target]) < 1e-9].sum())
     return CoolingTrace(
         stages=tuple(stages),
         converged=converged,
@@ -242,7 +229,7 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
         initial_energy=e0,
         p_success=p_cum,
         gamma=hg.gamma,
-        target_level=target_level,
+        target_level=target,
         target_fidelity=fidelity,
         converged_to_target=(
             None if fidelity is None else bool(converged and fidelity >= 1.0 - config.f_tol)

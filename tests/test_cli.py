@@ -4,12 +4,21 @@ determinism, spectrum/verify/sweep subcommands."""
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from peigen import ConfigError, build_model, exact_spectrum, expectation
+from peigen import (
+    ConfigError,
+    build_model,
+    exact_spectrum,
+    expectation,
+    run,
+    stochastic_trajectory,
+)
 from peigen.cli import main
 from peigen.config import build_initial_state, bundled_config_dir, parse_experiment
 
@@ -201,6 +210,21 @@ def test_missing_config_file(tmp_path, capsys):
     assert _run_cli(tmp_path / "nope.json", tmp_path) == 1
 
 
+@pytest.mark.parametrize(
+    "path", ["/nonexistent/dir/harmonic_fixed.json", "harmonic_fixed.json", "./harmonic_fixed"]
+)
+def test_missing_path_never_falls_back_to_a_bundled_config(path, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so that no relative path exists
+    assert main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {path!r} not found")
+    assert not list(tmp_path.iterdir())
+
+
+def test_bare_name_resolves_to_the_bundled_config(tmp_path, capsys):
+    assert main(["run", "--config", "harmonic_fixed", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "harmonic_fixed.json").is_file()
+
+
 def test_usage_error_exits_one():
     assert main(["run"]) == 1  # missing config argument
     assert main(["frobnicate"]) == 1
@@ -246,6 +270,25 @@ def test_invalid_model_or_state_values_exit_one(doc, tmp_path, capsys):
     assert _run_cli(_write_cfg(tmp_path, "bad.json", doc), tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_hubbard_json_reports_sector_and_hopping_unit(tmp_path):
+    argv = ["run", "--config", "hubbard2_variational", "--out", str(tmp_path), "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "hubbard2_variational.json").read_text())
+    assert doc["sector_info"] == "n_up=1 n_dn=1"
+    assert doc["energy_unit"] == {"divisor": 1.0, "label": "t"}
+    assert not (tmp_path / "hubbard2_variational.csv").exists()
+
+
+def test_custom_model_reports_raw_energy_unit(tmp_path):
+    # a Pauli X (one monomial part) and a dense term
+    terms = [{"re": [[0, 1], [1, 0]]}, {"re": [[0.5, 0.2], [0.2, -0.5]]}]
+    cfg = _basis_cfg({"kind": "custom", "terms": terms}, {"kind": "basis", "label": "0"})
+    assert _run_cli(_write_cfg(tmp_path, "custom.json", cfg), tmp_path) == 0
+    doc, _ = _read_trace(tmp_path, "t")
+    assert doc["energy_unit"] == {"divisor": 1.0, "label": "raw"}
+    assert "sector_info" not in doc
 
 
 @pytest.mark.parametrize(
@@ -420,6 +463,15 @@ def test_verify_all_ok(capsys):
     assert "ok   trotter-order" in out
 
 
+def test_verify_summarises_fig2b_and_appendix_a(capsys):
+    assert main(["verify", "--only", "fig2b,appendix-a"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ok   fig2b-identity: cutoff 24; phi=0.1: ")
+    assert re.fullmatch(
+        r"ok   appendix-a: 200 instances, 0 violations, eigenstate deviation \S+", lines[1]
+    )
+
+
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--only", "bogus"]) == 1
 
@@ -540,19 +592,19 @@ def test_sweep_honours_target_level(tmp_path, capsys):
     assert abs(doc["final_energy"] - 1.0) < 0.01  # the first excited level, not E_0 = 0
 
 
-def test_sweep_refuses_restarts_with_target_level(tmp_path, capsys, monkeypatch):
-    def no_run(*args):
-        raise AssertionError("the protocol ran before the refusal")
-
-    monkeypatch.setattr("peigen.cli.run_protocol", no_run)
+def test_sweep_restarts_replay_the_ejections_of_a_targeted_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "targeted.json", _targeted_harmonic_cfg())
-    # the second sweep's first value is untargeted: its run would come first
-    for param, values in [("run.tau", "0.3"), ("run.target_level", "0,1")]:
-        argv = ["sweep", "--config", str(cfg), "--param", param, "--values", values]
-        assert main([*argv, "--seeds", "2"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "target_level" in err and "ejection" in err
+    argv = ["sweep", "--config", str(cfg), "--param", "run.target_level", "--values", "0,1"]
+    assert main([*argv, "--seeds", "3"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[v, s] for v in "01" for s in "012"]
+    parsed = parse_experiment(_targeted_harmonic_cfg(), source="targeted.json")
+    h, initial = build_model(parsed.model), build_initial_state(parsed)
+    trace = run(initial, h, parsed.run)
+    assert rows[3][2] == str(trace.n_stages) and trace.stages[0].kind == "eject"
+    for seed, row in enumerate(rows[3:]):
+        traj = stochastic_trajectory(initial, h, replace(parsed.run, seed=seed), trace.schedule)
+        assert row[6] == str(traj.restarts)
 
 
 def test_sweep_refuses_negative_seeds(capsys):

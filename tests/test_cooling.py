@@ -1,4 +1,6 @@
 import math
+import re
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from peigen import (
     CertainFailureError,
     ConfigError,
     Custom,
+    ExactW,
     Fixed,
     FixedStep,
     QuantumState,
@@ -303,16 +306,78 @@ def test_trajectory_requires_seed(harmonic, thermal_half):
         stochastic_trajectory(thermal_half, harmonic, cfg, (0.3,))
 
 
-def test_trajectories_refuse_a_targeted_config(harmonic, thermal_half):
+def _targeted_cfg(target, mode=FixedStep(tau=0.3), operator_mode=ExactW()):
+    """A harmonic run that ejects the levels below ``target`` first."""
+    return RunConfig(
+        mode=mode,
+        gamma_policy=Fixed(value=0.3),
+        operator_mode=operator_mode,
+        seed=0,
+        target_level=target,
+        eject_shifted=True,
+    )
+
+
+def _check_replayed_p0s(trace, p0s, operator_mode):
+    """One p0 per trace stage: ejections and Trotter cooling bitwise equal to
+    the trace's, exact-mode cooling (the cos² law) within 1e-12."""
+    want = np.array([s.p0 for s in trace.stages])
+    assert len(p0s) == trace.n_stages and trace.stages[0].kind == "eject"
+    trotter = isinstance(operator_mode, TrotterW)
+    bitwise = np.array([trotter or s.kind == "eject" for s in trace.stages])
+    assert np.array_equal(p0s[bitwise], want[bitwise])
+    assert np.abs(p0s - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", [FixedStep(tau=0.3), Variational()])
+@pytest.mark.parametrize("operator_mode", [ExactW(), TrotterW(2)])
+@pytest.mark.parametrize("target", [1, 2])
+def test_trajectories_replay_every_stage_of_a_targeted_run(
+    harmonic, thermal_half, target, operator_mode, mode
+):
+    cfg = _targeted_cfg(target, mode, operator_mode)
+    tr = run(thermal_half, harmonic, cfg)
+    assert [s.kind for s in tr.stages[:target]] == ["eject"] * target
+    p0s = trajectory_probabilities(thermal_half, harmonic, cfg, tr.schedule)
+    _check_replayed_p0s(tr, p0s, operator_mode)
+
+
+@pytest.mark.parametrize("operator_mode", [ExactW(), TrotterW(3)])
+def test_trajectories_replay_a_targeted_hubbard_run(operator_mode):
+    cfg = load_experiment(bundled_config_dir() / "hubbard2_variational.json")
+    h, initial = build_model(cfg.model), build_initial_state(cfg)
+    targeted = replace(cfg.run, target_level=1, operator_mode=operator_mode)
+    tr = run(initial, h, targeted)
+    p0s = trajectory_probabilities(initial, h, targeted, tr.schedule)
+    _check_replayed_p0s(tr, p0s, operator_mode)
+
+
+def test_trajectories_refuse_what_a_targeted_run_refuses(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3, seed=0)
     for level in (None, 0):
-        targeted = replace(cfg, target_level=level)
-        assert len(trajectory_probabilities(thermal_half, harmonic, targeted, (0.3,))) == 1
-        assert stochastic_trajectory(thermal_half, harmonic, targeted, (0.3,)).shots_used >= 1
-    targeted = replace(cfg, target_level=1)
-    for sample in (trajectory_probabilities, stochastic_trajectory):
-        with pytest.raises(ConfigError, match="replay cooling stages only"):
-            sample(thermal_half, harmonic, targeted, (0.3,))
+        untargeted = replace(cfg, target_level=level)
+        assert len(trajectory_probabilities(thermal_half, harmonic, untargeted, (0.3,))) == 1
+        assert stochastic_trajectory(thermal_half, harmonic, untargeted, (0.3,)).shots_used >= 1
+    # level 30 is out of range; with gamma = 1 ejecting level 0 annihilates level 2
+    annihilating = replace(_targeted_cfg(2), gamma_policy=Fixed(value=1.0))
+    for bad, error in [(_targeted_cfg(30), ConfigError), (annihilating, CertainFailureError)]:
+        with pytest.raises(error) as refused:
+            run(thermal_half, harmonic, bad)
+        for sample in (trajectory_probabilities, stochastic_trajectory):
+            with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
+                sample(thermal_half, harmonic, bad, (0.3,))
+
+
+@pytest.mark.parametrize("target", [1, 2])
+def test_targeted_restart_mean_matches_geometric_law(harmonic, thermal_half, target):
+    cfg = _targeted_cfg(target)
+    tr = run(thermal_half, harmonic, cfg)
+    restarts = [
+        stochastic_trajectory(thermal_half, harmonic, replace(cfg, seed=s), tr.schedule).restarts
+        for s in range(400)
+    ]
+    se = statistics.stdev(restarts) / math.sqrt(len(restarts))
+    assert abs(statistics.fmean(restarts) - (1 / tr.p_success - 1)) <= 5 * se
 
 
 def test_trajectory_shot_budget(harmonic, thermal_half):

@@ -27,8 +27,9 @@ def test_rejects_non_hermitian():
 
 
 def test_rejects_non_square():
-    with pytest.raises(DimensionError):
-        HermitianOperator(np.zeros((2, 3)))
+    for shape in [(2, 3), (0, 0)]:  # an empty matrix too
+        with pytest.raises(DimensionError):
+            HermitianOperator(np.zeros(shape))
 
 
 def test_eigensystem_sorted_and_cached():
@@ -164,9 +165,11 @@ def test_from_monomial_materialises_lazily():
     assert np.array_equal(m, dense) and op.mat is m
     with pytest.raises(ValueError):
         m[0, 0] = 1.0  # read-only
-    # the dense constructor derives the same structure
-    q, w = HermitianOperator(dense).monomial()
+    # the dense constructor derives the same structure, as its one part
+    from_dense = HermitianOperator(dense)
+    q, w = from_dense.monomial()
     assert np.array_equal(q, perm) and np.array_equal(w, vals)
+    assert from_dense._rest is None and from_dense.mat is not None
     x = random_state_vector(rng, 9)
     assert np.allclose(vals * x[perm], dense @ x, atol=1e-15)
 
@@ -228,6 +231,16 @@ def test_structured_total_mat_is_the_sum_of_term_mats(seed):
     assert np.array_equal(total.block(idx), want[np.ix_(idx, idx)])
     assert total._mat is None  # neither the block nor the sum formed it
     assert np.array_equal(total.mat, want)
+
+
+def test_total_keeps_a_summed_remainder_whole():
+    # neither term is a monomial, their sum is the identity
+    a = HermitianOperator(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    b = HermitianOperator(np.array([[0.0, -1.0], [-1.0, 1.0]]))
+    assert a.monomial() is None and b.monomial() is None
+    total = SumHamiltonian([("a", a), ("b", b)]).total
+    assert total._parts == () and total.monomial() is None
+    assert np.array_equal(total.mat, np.eye(2)) and not total.mat.flags.writeable
 
 
 def test_total_checks_the_sum_of_dense_terms():

@@ -22,7 +22,7 @@ def test_restart_statistics_refuses_fewer_than_two_trajectories(n, capsys):
     assert "--trajectories must be >= 2" in err
 
 
-def test_restart_statistics_refuses_a_targeted_config(tmp_path, capsys, monkeypatch):
+def test_restart_statistics_samples_a_targeted_config(tmp_path, capsys):
     cfg = tmp_path / "targeted.json"
     run = {"mode": "fixed", "tau": 0.3, "gamma": {"policy": "fixed", "value": 0.3},
            "eject_shifted": True, "target_level": 1}
@@ -32,16 +32,12 @@ def test_restart_statistics_refuses_a_targeted_config(tmp_path, capsys, monkeypa
         "initial_state": {"kind": "thermal", "nbar": 0.5},
         "run": run,
     }))
-    script = _script("restart_statistics")
-
-    def no_run(*args):
-        raise AssertionError("the protocol ran before the refusal")
-
-    monkeypatch.setattr(script, "run_protocol", no_run)
-    assert script.main(["--config", str(cfg), "--trajectories", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:")
-    assert "target_level" in err and "ejection" in err
+    assert _script("restart_statistics").main(["--config", str(cfg), "--trajectories", "200"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{cfg}: 14 stages, P_success = 0.021973"
+    mean, se = (float(x) for x in lines[1].split(": ")[1].split(" ± "))
+    expected = float(lines[2].split()[-1])
+    assert abs(mean - expected) <= 5 * se
 
 
 def test_restart_statistics_two_trajectories(capsys):
