@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Rerun the bundled experiment configs and print per-run summaries.
 
-Covers the four headline protocols: harmonic fixed-step and variational
-cooling, Rabi variational cooling under r=3 Trotterization, and the 2- and
-3-site Hubbard chains. Writes trace files next to --out (default: ./panels).
+Runs every bundled config (`peigen.config.list_bundled()`), or the --only
+subset, and writes its trace files to --out (default: ./panels).
 """
 
 import argparse
@@ -13,16 +12,6 @@ import sys
 from peigen.cli import main as cli_main
 from peigen.config import list_bundled
 
-PANELS = (
-    "harmonic_fixed",
-    "harmonic_variational",
-    "rabi_fixed",
-    "rabi_variational",
-    "hubbard2_variational",
-    "hubbard3_variational",
-)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="panels", help="output directory for trace files")
@@ -30,7 +19,7 @@ def main(argv=None):
         "--only", help="comma-separated subset of bundled config names", default=None
     )
     args = ap.parse_args(argv)
-    names = args.only.split(",") if args.only else list(PANELS)
+    names = args.only.split(",") if args.only else list_bundled()
     unknown = set(names) - set(list_bundled())
     if unknown:
         ap.error(f"unknown config(s): {', '.join(sorted(unknown))}")

@@ -183,49 +183,20 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _check_summary(check: dict) -> str:
-    name = check.get("name", "")
-    if name == "appendix-a":
-        return (
-            f"{check['instances']} instances, {len(check['violations'])} violations, "
-            f"eigenstate deviation {check['eigenstate_max_deviation']:.3g}"
-        )
-    if name == "trotter-order":
-        parts = []
-        for c in check["checks"]:
-            if c["exact"]:
-                parts.append(f"{c['model']} exact ({max(c['errors']):.2g})")
-            else:
-                parts.append(f"{c['model']} slope {c['slope']:.3f}")
-        return "; ".join(parts)
-    if name == "fig2a-identity":
-        return f"max distance {check['max_distance']:.3g} over {check['points']} points"
-    if name == "fig2b-identity":
-        if check["inconclusive"]:
-            return f"inconclusive: {check['inconclusive']}"
-        dists = ", ".join(f"phi={k}: {v:.3g}" for k, v in check["distances"].items())
-        return f"cutoff {check['cutoff']}; {dists}"
-    return json.dumps({k: v for k, v in check.items() if k not in ("name", "passed")})
-
-
 def cmd_verify(args) -> int:
-    names = [n.strip() for n in args.only.split(",")] if args.only else [None]
-    checks: list[dict] = []
-    for nm in names:
-        try:
-            rep = run_all(only=nm, break_circuits=args.debug_break_circuits)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 1
-        checks.extend(rep["checks"])
-    report = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
-    for check in checks:
+    names = [n.strip() for n in args.only.split(",")] if args.only else None
+    try:
+        report = run_all(names, break_circuits=args.debug_break_circuits)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 1
+    for check in report["checks"]:
         status = "ok  " if check["passed"] else "FAIL"
-        print(f"{status} {check['name']}: {_check_summary(check)}")
+        print(f"{status} {check['name']}: {check['summary']}")
     if args.out:
         _write(Path(args.out), "report.json", json.dumps(report, indent=2) + "\n")
     if not report["all_passed"]:
-        failed = ", ".join(c["name"] for c in checks if not c["passed"])
+        failed = ", ".join(c["name"] for c in report["checks"] if not c["passed"])
         print(f"verification FAILED: {failed}", file=sys.stderr)
         return 4
     return 0

@@ -65,6 +65,17 @@ class ExperimentConfig:
     run: RunConfig
     output_stem: str = "trace"
 
+    def __post_init__(self) -> None:
+        initial, dim = self.initial, model_dim(self.model)
+        if isinstance(initial, InitialThermal) and not isinstance(self.model, HarmonicOscillator):
+            kind = next(k for k, (cls, _) in _MODELS.items() if isinstance(self.model, cls))
+            raise ConfigError(f"initial_state.kind thermal needs a harmonic model, got {kind}")
+        if isinstance(initial, InitialAmplitudes) and np.shape(initial.amplitudes)[:1] != (dim,):
+            shape = np.shape(initial.amplitudes)
+            raise ConfigError(f"initial_state.re has shape {shape}, the model has dim {dim}")
+        if isinstance(initial, InitialGroundOf) and (d := model_dim(initial.model)) != dim:
+            raise ConfigError(f"initial_state.model has dim {d}, the model has dim {dim}")
+
 
 # ---------------------------------------------------------------------------
 # strict dict walking
@@ -306,25 +317,19 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
 
 
 def build_initial_state(cfg: ExperimentConfig) -> QuantumState:
-    """Materialize the configured initial state, dim-checked against the model."""
+    """Materialize the configured initial state; the config has checked that
+    its dimension is the model's."""
     spec = cfg.model
     if isinstance(cfg.initial, InitialThermal):
-        if not isinstance(spec, HarmonicOscillator):
-            raise ConfigError("thermal initial state requires the harmonic model")
-        state = thermal_state(spec, cfg.initial.nbar)
-    elif isinstance(cfg.initial, InitialBasis):
-        state = basis_state(spec, cfg.initial.label)
-    elif isinstance(cfg.initial, InitialGroundOf):
+        return thermal_state(spec, cfg.initial.nbar)
+    if isinstance(cfg.initial, InitialBasis):
+        return basis_state(spec, cfg.initial.label)
+    if isinstance(cfg.initial, InitialGroundOf):
         evals, vecs = build_model(cfg.initial.model).total.eigensystem()
         if evals.size > 1 and (gap := evals[1] - evals[0]) <= 1e-9:  # else vecs[:, 0] is arbitrary
             raise ConfigError(f"ground_of: degenerate ground level (E1 - E0 = {gap:.3e})")
-        state = QuantumState(vecs[:, 0])
-    else:
-        state = validate_and_normalize(QuantumState(cfg.initial.amplitudes), tol=1e-6)
-    dim = model_dim(spec)
-    if state.dim != dim:
-        raise ConfigError(f"initial state dim {state.dim} != model dim {dim}")
-    return state
+        return QuantumState(vecs[:, 0])
+    return validate_and_normalize(QuantumState(cfg.initial.amplitudes), tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

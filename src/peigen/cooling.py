@@ -65,6 +65,10 @@ class OptimizerConfig:
             raise ConfigError(f"max_evals must be >= 3, got {self.max_evals}")
         if self.coarse_grid < 2:
             raise ConfigError(f"coarse_grid must be >= 2, got {self.coarse_grid}")
+        if self.max_evals < self.coarse_grid:  # else the grid stops short of tau_hi
+            raise ConfigError(
+                f"max_evals must be >= coarse_grid = {self.coarse_grid}, got {self.max_evals}"
+            )
 
 
 @dataclass(frozen=True)

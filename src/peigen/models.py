@@ -80,6 +80,14 @@ class Custom:
 
     terms: tuple[tuple[str, np.ndarray], ...]
 
+    def __post_init__(self) -> None:
+        shapes = sorted({np.shape(mat) for _, mat in self.terms})
+        square = len(shapes) == 1 and len(shapes[0]) == 2 and shapes[0][0] == shapes[0][1] > 0
+        if not square:
+            raise DimensionError(
+                f"terms must be non-empty square matrices of one size, got shapes {shapes}"
+            )
+
 
 ModelSpec = Union[HarmonicOscillator, Rabi, Hubbard1D, Custom]
 

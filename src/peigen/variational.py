@@ -109,13 +109,10 @@ def minimize_stage(
 
     xs = np.linspace(opt.tau_lo, opt.tau_hi, opt.coarse_grid)
     for x in xs:
-        if len(trials) >= opt.max_evals:
-            break
         ev(float(x))
-    n_grid = len(trials)
-    i_best = min(range(n_grid), key=lambda i: (trials[i].energy, trials[i].tau))
+    i_best = min(range(len(xs)), key=lambda i: (trials[i].energy, trials[i].tau))
     a = float(xs[max(i_best - 1, 0)])
-    b = float(xs[min(i_best + 1, n_grid - 1)])
+    b = float(xs[min(i_best + 1, len(xs) - 1)])
 
     x1 = b - INVPHI * (b - a)
     x2 = a + INVPHI * (b - a)
@@ -130,11 +127,11 @@ def minimize_stage(
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - INVPHI * (b - a)
-            f1 = ev(x1) if len(trials) < opt.max_evals else None
+            f1 = ev(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + INVPHI * (b - a)
-            f2 = ev(x2) if len(trials) < opt.max_evals else None
+            f2 = ev(x2)
 
     best = min(trials, key=lambda t: (t.energy, t.tau))
     return MinimizeResult(

@@ -1,7 +1,8 @@
 """Randomized property suites and identity checks: the cooling inequality,
 the spectral-weight update law, ejection support removal, Trotter-order
 scaling, and the circuit decomposition identities. Each suite returns a
-plain-dict report consumed by both the test suite and the CLI."""
+plain-dict report consumed by both the test suite and the CLI; its
+``summary`` is the one line ``peigen verify`` prints for it."""
 
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from .operators import HermitianOperator, QuantumState, expectation
 from .trotter import trotter_error, verify_fig2a, verify_fig2b
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(dim, dim), scale=scale) + 1j * rng.normal(size=(dim, dim), scale=scale)
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
 
 
@@ -97,6 +98,10 @@ def appendix_a_suite(n_instances: int = 1000, seed: int = 7, dim_max: int = 8) -
         "strict_margin_min": worst_margin,
         "eigenstate_max_deviation": eig_max_dev,
         "passed": not violations and eig_max_dev <= 1e-10,
+        "summary": (
+            f"{n_instances} instances, {len(violations)} violations, "
+            f"eigenstate deviation {eig_max_dev:.3g}"
+        ),
     }
 
 
@@ -130,6 +135,7 @@ def spectral_weight_suite(n_instances: int = 100, seed: int = 11) -> dict:
         "instances": n_instances,
         "max_deviation": max_dev,
         "passed": max_dev <= 1e-10,
+        "summary": f"{n_instances} instances, max deviation {max_dev:.3g}",
     }
 
 
@@ -166,6 +172,7 @@ def eject_support_suite(n_instances: int = 100, seed: int = 13) -> dict:
         "instances": n_instances,
         "max_overlap": max_overlap,
         "passed": max_overlap <= 1e-12,
+        "summary": f"{n_instances} instances, max overlap {max_overlap:.3g}",
     }
 
 
@@ -189,19 +196,21 @@ def trotter_scaling_suite(
     A single-term Hamiltonian is Trotter-exact, so the harmonic model is
     checked for exactness (error <= 1e-12) instead of a slope fitted to
     rounding noise."""
-    checks = []
+    checks, parts = [], []
     for name, spec in BENCHMARK_MODELS:
         h = build_model(spec)
         hg = h.with_gamma(gamma_for(h, Exact()))
         errs = [trotter_error(hg, tau, r) for r in rs]
         if len(h.terms) == 1:
             passed = max(errs) <= 1e-12
+            parts.append(f"{name} exact ({max(errs):.2g})")
             checks.append(
                 {"model": name, "errors": errs, "slope": None, "exact": True, "passed": passed}
             )
         else:
             slope = float(np.polyfit(np.log(list(rs)), np.log(errs), 1)[0])
             passed = slope_window[0] <= slope <= slope_window[1]
+            parts.append(f"{name} slope {slope:.3f}")
             checks.append(
                 {"model": name, "errors": errs, "slope": slope, "exact": False, "passed": passed}
             )
@@ -209,6 +218,7 @@ def trotter_scaling_suite(
         "name": "trotter-order",
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
+        "summary": "; ".join(parts),
     }
 
 
@@ -225,6 +235,7 @@ def fig2a_suite(n_points: int = 100, *, broken: bool = False) -> dict:
         "points": n_points,
         "max_distance": max_dist,
         "passed": max_dist <= 1e-10,
+        "summary": f"max distance {max_dist:.3g} over {n_points} points",
     }
 
 
@@ -240,12 +251,14 @@ def fig2b_suite(
             inconclusive = str(exc)
             break
     max_dist = float(max(dists.values())) if dists else math.inf
+    listed = ", ".join(f"phi={k:g}: {v:.3g}" for k, v in dists.items())
     return {
         "name": "fig2b-identity",
         "cutoff": cutoff,
         "distances": {f"{k:g}": v for k, v in dists.items()},
         "inconclusive": inconclusive,
         "passed": inconclusive is None and max_dist <= 1e-8,
+        "summary": f"inconclusive: {inconclusive}" if inconclusive else f"cutoff {cutoff}; {listed}",
     }
 
 
@@ -257,15 +270,16 @@ _SUITES: dict[str, Callable[..., dict]] = {
 }
 
 
-def run_all(only: str | None = None, *, break_circuits: bool = False) -> dict:
-    """Run the verification suites (optionally a single one by name)."""
-    if only is not None and only not in _SUITES:
-        raise KeyError(f"unknown check {only!r}; available: {', '.join(sorted(_SUITES))}")
-    names = [only] if only else list(_SUITES)
-    checks = []
+def run_all(names: Sequence[str] | None = None, *, break_circuits: bool = False) -> dict:
+    """Run the named verification suites in order (all of them by default).
+    An unknown name raises ``KeyError`` before any suite runs;
+    ``break_circuits`` drops gates from the fig2a and fig2b circuits."""
+    names = list(_SUITES) if names is None else names
     for name in names:
-        if name in ("fig2a", "fig2b") and break_circuits:
-            checks.append(_SUITES[name](broken=True))
-        else:
-            checks.append(_SUITES[name]())
+        if name not in _SUITES:
+            raise KeyError(f"unknown check {name!r}; available: {', '.join(sorted(_SUITES))}")
+    checks = [
+        _SUITES[n](broken=True) if break_circuits and n in ("fig2a", "fig2b") else _SUITES[n]()
+        for n in names
+    ]
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}

@@ -166,6 +166,67 @@ def test_null_section_names_the_section(section, tmp_path, capsys):
     assert f"{section}' must be an object, got null" in capsys.readouterr().err
 
 
+def _fixed_cfg(**changes):
+    doc = {
+        "schema": 1,
+        "model": {"kind": "harmonic", "omega": 1.0, "cutoff": 5},
+        "initial_state": {"kind": "basis", "label": "0"},
+        "run": {"mode": "fixed", "tau": 0.3},
+    }
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_fixed_cfg(schema=2), "'cfg.json.schema' must be 1, got 2"),
+        (
+            _fixed_cfg(**{"model.kind": "bogus"}),
+            "'cfg.json.model.kind' must be harmonic|rabi|hubbard|custom, got 'bogus'",
+        ),
+        (_fixed_cfg(**{"model.cutoff": None}), "missing required key 'cfg.json.model.cutoff'"),
+        (
+            _fixed_cfg(**{"run.mode": "variational"}),
+            "'cfg.json.run.tau' is only valid in fixed mode",
+        ),
+        (
+            _fixed_cfg(**{"run.optimizer": {}}),
+            "'cfg.json.run.optimizer' is only valid in variational mode",
+        ),
+        (
+            _fixed_cfg(**{"run.mode": "annealed"}),
+            "'cfg.json.run.mode' must be fixed|variational, got 'annealed'",
+        ),
+        (
+            _fixed_cfg(model={"kind": "custom", "terms": []}),
+            "'cfg.json.model.terms' must be a non-empty list",
+        ),
+    ],
+    ids=[
+        "schema-2",
+        "unknown-model-kind",
+        "harmonic-without-cutoff",
+        "tau-in-variational-mode",
+        "optimizer-in-fixed-mode",
+        "unknown-run-mode",
+        "no-custom-terms",
+    ],
+)
+def test_config_rejection_names_the_key(doc, message):
+    with pytest.raises(ConfigError) as info:
+        parse_experiment(doc, source="cfg.json")
+    assert str(info.value) == message
+
+
 def _ground_of_cfg(sites: int, u: float) -> dict:
     model = {"kind": "hubbard", "sites": sites, "t": 1.0, "u": u}
     return {
@@ -228,6 +289,13 @@ def test_bare_name_resolves_to_the_bundled_config(tmp_path, capsys):
 def test_usage_error_exits_one():
     assert main(["run"]) == 1  # missing config argument
     assert main(["frobnicate"]) == 1
+    assert main([]) == 1  # no subcommand: the help, and exit 1
+
+
+def test_seed_needs_a_run_object(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "no_run.json", {**_harmonic_cfg(), "run": 5})
+    assert _run_cli(cfg, tmp_path, "--seed", "1") == 1
+    assert capsys.readouterr().err == "error: cannot apply --seed: config has no 'run' object\n"
 
 
 def _basis_cfg(model, initial):
@@ -336,6 +404,29 @@ def test_custom_model_reports_raw_energy_unit(tmp_path):
         ),
         (_variational_cfg(tau_lo=2), "run.optimizer.tau_lo"),
         (_variational_cfg(max_evals=2), "run.optimizer.max_evals"),
+        (
+            _variational_cfg(max_evals=5),
+            "bad.json.run.optimizer.max_evals must be >= coarse_grid = 7, got 5",
+        ),
+        (
+            _basis_cfg(
+                {"kind": "rabi", "omega0": 1.2, "omega": 0.8, "g": 1.0, "cutoff": 5},
+                {"kind": "thermal", "nbar": 0.5},
+            ),
+            "bad.json.initial_state.kind thermal needs a harmonic model, got rabi",
+        ),
+        (
+            _basis_cfg(HARMONIC_5, {"kind": "amplitudes", "re": [1, 0, 0]}),
+            "bad.json.initial_state.re has shape (3,), the model has dim 5",
+        ),
+        (
+            _basis_cfg(HARMONIC_5, {"kind": "ground_of", "model": {**HARMONIC_5, "cutoff": 6}}),
+            "bad.json.initial_state.model has dim 6, the model has dim 5",
+        ),
+        (
+            _basis_cfg({"kind": "custom", "terms": [{"re": 1.0}]}, {"kind": "amplitudes", "re": [1]}),
+            "bad.json.model.terms must be non-empty square matrices of one size, got shapes [()]",
+        ),
         ({**_harmonic_cfg(), "output": {"stem": "sub/x"}}, "output.stem"),
         ({**_harmonic_cfg(), "output": {"stem": "../x"}}, "output.stem"),
     ],
@@ -353,6 +444,11 @@ def test_custom_model_reports_raw_energy_unit(tmp_path):
         "ground-of-cutoff-1",
         "optimizer-tau-lo",
         "optimizer-max-evals",
+        "optimizer-max-evals-below-grid",
+        "thermal-on-rabi",
+        "amplitudes-of-another-dim",
+        "ground-of-another-dim",
+        "custom-term-not-square",
         "stem-in-a-subdirectory",
         "stem-outside-out",
     ],
@@ -629,6 +725,27 @@ def test_sweep_unknown_param(capsys):
     )
     assert code == 1
     assert "unknown sweep parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("run.optimizer.tau_lo", "unknown sweep parameter 'run.optimizer.tau_lo' (missing 'optimizer')"),
+        ("run.gamma", "sweep parameter 'run.gamma' is not a scalar field"),
+    ],
+)
+def test_sweep_refuses_a_param_that_is_no_scalar_field(param, message, capsys):
+    argv = ["sweep", "--config", "harmonic_fixed", "--param", param, "--values", "1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_sweep_value_that_is_not_json_is_a_string(capsys):
+    argv = ["sweep", "--config", "harmonic_fixed", "--param", "run.mode", "--values", "fixed"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2 and rows[1].startswith("fixed,,")
 
 
 def test_sweep_empty_values(capsys):

@@ -76,6 +76,13 @@ def test_step_mixed_state(harmonic, thermal_half):
     assert abs(step.p0 - float((pn * np.cos(0.3 * ns) ** 2).sum())) < 1e-12
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+def test_step_refuses_a_zero_state(harmonic, mixed):
+    zero = QuantumState(np.zeros((30, 30) if mixed else 30))
+    with pytest.raises(CertainFailureError, match="^both branch probabilities vanish; state is corrupt$"):
+        cooling_step(zero, harmonic, 0.3)
+
+
 def test_step_dimension_mismatch(harmonic):
     with pytest.raises(ValidationError):
         cooling_step(basis_vector(8, 0), harmonic, 0.3)

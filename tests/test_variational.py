@@ -2,20 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peigen import (
+    CertainFailureError,
     ConfigError,
     Custom,
     Exact,
     ExactW,
+    Fixed,
     FixedStep,
     HarmonicOscillator,
     OptimizerConfig,
     QuantumState,
     Rabi,
     RunConfig,
+    TrotterW,
     ValidationError,
     Variational,
     basis_vector,
@@ -62,6 +65,16 @@ def test_objective_frozen_value(harmonic):
     assert abs(p0 - (1 + math.cos(0.3) ** 2) / 2) < 1e-12
 
 
+def test_trotter_objective_and_fixed_run_see_certain_failure(harmonic):
+    # |1>, tau=pi/2, gamma 0: cos^2((1 + 0) pi/2) = 0 empties the 0-branch
+    psi = basis_vector(30, 1)
+    assert stage_objective(psi, harmonic, math.pi / 2, TrotterW(1)) == (math.inf, 0.0)
+    cfg = RunConfig(mode=FixedStep(math.pi / 2), gamma_policy=Fixed(0.0))
+    with pytest.raises(CertainFailureError) as info:
+        run(psi, harmonic, cfg)
+    assert str(info.value).startswith("cooling stage at tau=1.5708 has zero success probability")
+
+
 def test_objective_constant_on_eigenstates(harmonic):
     psi = basis_vector(30, 2)
     es = [stage_objective(psi, harmonic, t, ExactW())[0] for t in (0.1, 0.4, 0.7)]
@@ -105,10 +118,14 @@ def test_minimize_budget_flag_and_best_so_far(harmonic, thermal_half):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(7, 40))
-def test_minimize_never_exceeds_budget(max_evals):
-    res = minimize_stage(_plus(), _two_level(), OptimizerConfig(max_evals=max_evals))
-    assert len(res.trials) <= max_evals
+@given(st.integers(2, 7), st.integers(0, 33))
+@example(coarse_grid=3, extra=0)  # the grid spends the whole budget
+@example(coarse_grid=3, extra=1)  # room for one golden-section point only
+def test_minimize_never_exceeds_budget(coarse_grid, extra):
+    opt = OptimizerConfig(max_evals=max(coarse_grid, 3) + extra, coarse_grid=coarse_grid)
+    res = minimize_stage(_plus(), _two_level(), opt)
+    assert len(res.trials) <= opt.max_evals
+    assert res.trials[coarse_grid - 1].tau == opt.tau_hi  # the grid is never cut short
 
 
 def test_minimize_tie_break_prefers_smaller_tau(harmonic):
@@ -124,6 +141,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(x_tol=0.0)
     with pytest.raises(ConfigError):
         OptimizerConfig(max_evals=2)
+    with pytest.raises(ConfigError, match=r"^max_evals must be >= coarse_grid = 7, got 5$"):
+        OptimizerConfig(max_evals=5)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 pass, the broken-circuit controls fail, and the report dicts carry what the
 CLI needs."""
 
+import re
+
 import pytest
 
+from peigen import verify
 from peigen.verify import (
     appendix_a_suite,
     eject_support_suite,
@@ -76,14 +79,36 @@ def test_run_all_structure():
 
 
 def test_run_all_single_suite_and_unknown_name():
-    rep = run_all(only="fig2a")
+    rep = run_all(["fig2a"])
     assert len(rep["checks"]) == 1 and rep["checks"][0]["name"] == "fig2a-identity"
     with pytest.raises(KeyError):
-        run_all(only="nope")
+        run_all(["nope"])
+
+
+def test_run_all_runs_names_in_order_and_refuses_an_unknown_one_first(monkeypatch):
+    ran = []
+    for name in ("fig2a", "trotter"):
+        monkeypatch.setitem(
+            verify._SUITES, name, lambda name=name: ran.append(name) or {"passed": True}
+        )
+    assert run_all(["trotter", "fig2a"])["all_passed"] and ran == ["trotter", "fig2a"]
+    with pytest.raises(KeyError, match="unknown check 'nope'"):
+        run_all(["fig2a", "nope"])
+    assert ran == ["trotter", "fig2a"]  # nothing ran before the refusal
 
 
 def test_run_all_break_circuits_fails_only_circuit_suites():
-    rep = run_all(only="fig2a", break_circuits=True)
+    rep = run_all(["fig2a"], break_circuits=True)
     assert not rep["all_passed"]
-    trotter = run_all(only="trotter", break_circuits=True)
+    trotter = run_all(["trotter"], break_circuits=True)
     assert trotter["all_passed"]  # flag only touches the circuit identities
+
+
+def test_every_report_carries_its_summary_line():
+    assert re.fullmatch(r"max distance \S+ over 4 points", fig2a_suite(n_points=4)["summary"])
+    inconclusive = fig2b_suite(phis=(6.0,), cutoff=8)
+    assert inconclusive["summary"] == f"inconclusive: {inconclusive['inconclusive']}"
+    rep = appendix_a_suite(n_instances=5, seed=3)
+    assert rep["summary"].startswith("5 instances, 0 violations, eigenstate deviation ")
+    assert spectral_weight_suite(n_instances=3)["summary"].startswith("3 instances, max deviation ")
+    assert eject_support_suite(n_instances=3)["summary"].startswith("3 instances, max overlap ")
