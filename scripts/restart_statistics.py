@@ -6,7 +6,8 @@ cooling steps, as shot-by-shot trajectories: every ancilla measurement
 either keeps the run alive (probability p0 of that stage) or forces a
 restart. The mean number of restarts should match the geometric law
 1/P_success - 1; this script prints both with a standard error so
-deviations are visible.
+deviations are visible, and exits 1 if the mean lies more than 5 standard
+errors of the law, sqrt(1 - P) / (P sqrt(n)), from it.
 """
 
 import argparse
@@ -53,6 +54,15 @@ def main(argv=None):
     expected = 1.0 / trace.p_success - 1.0
     print(f"mean restarts over {args.trajectories} trajectories: {mean:.3f} ± {se:.3f}")
     print(f"geometric-law expectation 1/P - 1:                   {expected:.3f}")
+    # the law's own standard error: the sample's reads 0 when no trajectory restarted
+    law_se = math.sqrt(1.0 - trace.p_success) / (trace.p_success * math.sqrt(len(restarts)))
+    if abs(mean - expected) > 5 * law_se:
+        print(
+            f"error: {args.config}: mean restarts {mean:.3f} is more than 5 standard errors "
+            f"({law_se:.3f} each) from the geometric law {expected:.3f}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -263,7 +263,7 @@ _RUN_READERS = {
     "max_stages": _integer,
     "operator": ("operator_mode", _operator),
     "seed": _seed,
-    "target_level": lambda node, key: _integer(node, key) or None,  # level 0 ejects nothing
+    "target_level": _integer,
     "eject_shifted": _boolean,
     "f_tol": _number,
 }

@@ -18,14 +18,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    CertainFailureError,
-    ConfigError,
-    UndefinedOperatorError,
-    ValidationError,
-)
+from .errors import CertainFailureError, ConfigError, UndefinedOperatorError
 from .models import GammaPolicy, Exact, SumHamiltonian, gamma_for
-from .operators import QuantumState, validate_and_normalize
+from .operators import QuantumState, check_dim, validate_and_normalize
 from .trotter import apply_branches, branch_unitaries, kraus_blocks
 
 BRANCH_PROB_FLOOR = 1e-14
@@ -117,12 +112,21 @@ class RunConfig:
             raise ConfigError(f"operator.r (Trotter steps) must be >= 1, got {self.operator_mode.r}")
         if self.target_level is not None and self.target_level < 0:
             raise ConfigError(f"target_level must be >= 0, got {self.target_level}")
+        if self.target_level is not None and self.target_level > self.max_stages:
+            raise ConfigError(  # each level below the target is one ejection stage
+                f"target_level must be <= max_stages = {self.max_stages}, got {self.target_level}"
+            )
         if not self.f_tol > 0:
             raise ConfigError(f"f_tol must be > 0, got {self.f_tol}")
 
 
-def _resolve(h: SumHamiltonian, config: RunConfig) -> SumHamiltonian:
-    return h.with_gamma(gamma_for(h, config.gamma_policy))
+def _start(
+    initial: QuantumState, h: SumHamiltonian, config: RunConfig
+) -> tuple[QuantumState, SumHamiltonian]:
+    """The checked, normalized initial state and the model shifted by the
+    run's gamma. The state's dimension is checked before gamma is resolved."""
+    check_dim(initial, h.dim)
+    return validate_and_normalize(initial), h.with_gamma(gamma_for(h, config.gamma_policy))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +181,7 @@ def cooling_step(
     U+- is formed. In Trotter mode a pure state gets K0 psi and K1 psi from
     the branches applied to psi, factor by factor; a mixed state gets dense
     K0 and K1."""
-    if state.dim != h.dim:
-        raise ValidationError(f"state dim {state.dim} != Hamiltonian dim {h.dim}")
+    check_dim(state, h.dim)
     if not isinstance(operator_mode, TrotterW):
         x = (h.total.eigensystem()[0] + h.gamma) * tau
         branches = _eigen_branches(state, h, (np.cos(x), -1j * np.sin(x)))
@@ -226,6 +229,7 @@ def eject(
     cos(pi (E_j + gamma) / (2 (E_s + gamma))), the only well-defined variant
     when E_s = 0. Raises on a numerically certain failure (input entirely in
     the ejected eigenspace)."""
+    check_dim(state, h.dim)
     f = ejection_factors(h.total.eigensystem()[0], h.gamma, e_s, shifted)
     ((out, p),) = _eigen_branches(state, h, (f,))
     if out is None:
@@ -317,8 +321,7 @@ class TrajectoryResult:
 
 def eigen_populations(state: QuantumState, h: SumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the total H and P_j = <j|rho|j> in its eigenbasis."""
-    if state.dim != h.dim:
-        raise ValidationError(f"state dim {state.dim} != Hamiltonian dim {h.dim}")
+    check_dim(state, h.dim)
     evals, v = h.total.eigensystem()
     if state.is_pure:
         return evals, np.abs(v.conj().T @ state.data) ** 2
@@ -336,8 +339,7 @@ def trajectory_probabilities(
     Exact-mode cooling reads the eigen-populations P once, then per stage
     p0 = w·P and P <- w⊙P / p0 with w = cos²((E + gamma) tau); Trotter mode
     replays each stage with `cooling_step`."""
-    state = validate_and_normalize(initial)
-    hg = _resolve(h, config)
+    state, hg = _start(initial, h, config)
     p0s = []
     for e_s in ejected_energies(hg, config):
         state, p0 = eject(state, hg, e_s, shifted=config.eject_shifted)

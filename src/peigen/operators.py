@@ -319,6 +319,12 @@ class QuantumState:
         return self.data
 
 
+def check_dim(state: QuantumState, dim: int) -> None:
+    """Refuse, as a `DimensionError`, a state that does not live in ``dim`` dimensions."""
+    if state.dim != dim:
+        raise DimensionError(f"state dim {state.dim} != operator dim {dim}")
+
+
 def expectation(state: QuantumState, h: HermitianOperator) -> float:
     """<H> for a pure or mixed state; asserts the imaginary residue is tiny.
 
@@ -326,8 +332,7 @@ def expectation(state: QuantumState, h: HermitianOperator) -> float:
     ``R @ x``) for a pure state x, ``sum_g sum_i vals_g[i] rho[perm_g[i],
     i]`` (plus ``tr(rho R)``) for a mixed one, so no dense H is formed."""
     parts, rest, dim = h._parts, h._rest, h.dim
-    if dim != state.dim:
-        raise DimensionError(f"operator dim {dim} != state dim {state.dim}")
+    check_dim(state, dim)
     x = state.data
     if state.is_pure:
         hx = np.zeros(dim, dtype=complex) if rest is None else rest @ x

@@ -1,8 +1,9 @@
 """The classical outer loop: per-stage bounded scalar minimization of the
 post-selected average energy over tau (coarse grid + golden-section
-refinement), and `run`, the one protocol driver. A run optionally ejects
-the levels below a target, then repeats cooling steps at a fixed or
-optimized tau until the stage energy settles."""
+refinement), and `run`, the one protocol driver. A run is one loop of
+ancilla-conditioned stages: ejections of the levels below an optional
+target, then cooling steps at a fixed or optimized tau until the stage
+energy settles."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .cooling import (
     RunConfig,
     StageRecord,
     Variational,
-    _resolve,
+    _start,
     cooling_step,
     eigen_populations,
     eject,
@@ -28,7 +29,7 @@ from .cooling import (
 )
 from .errors import CertainFailureError
 from .models import SumHamiltonian
-from .operators import QuantumState, expectation, validate_and_normalize
+from .operators import QuantumState, expectation
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -144,70 +145,51 @@ def minimize_stage(
 
 
 def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingTrace:
-    """Cool along the 0-branch until |E_{k-1} - E_k| <= epsilon.
+    """Run the protocol's stages along the 0-branch, at most max_stages.
 
-    Each stage's tau is the fixed step or the minimizer of that stage's
-    post-selected energy, whose trial log the stage carries. With a config
-    ``target_level`` j, the levels below j are first ejected (oracle
-    energies), each recorded as a stage counting toward max_stages, and the
-    trace reports the fidelity with the target eigenspace and whether the
-    run converged onto it (within f_tol). Non-convergence at max_stages
-    yields converged=False, not an exception."""
-    state = validate_and_normalize(initial)
-    hg = _resolve(h, config)
+    With a config ``target_level`` j, the first j stages eject the levels
+    below j (oracle energies); the trace then reports the fidelity with the
+    target eigenspace and whether the run converged onto it (within f_tol).
+    Every further stage is a cooling step at the fixed tau or at the
+    minimizer of that stage's post-selected energy, whose trial log the
+    stage carries, until a cooling stage moves the energy by at most
+    epsilon. Non-convergence at max_stages yields converged=False, not an
+    exception."""
+    state, hg = _start(initial, h, config)
     ejected = ejected_energies(hg, config)
     total = hg.total
     e0 = e_prev = expectation(state, total)
     stages: list[StageRecord] = []
     p_cum = 1.0
-    for level, e_s in enumerate(ejected):
-        try:
-            state, p = eject(state, hg, e_s, shifted=config.eject_shifted)
-        except CertainFailureError as exc:
-            raise CertainFailureError(f"ejection of level {level} failed: {exc}") from exc
-        p_cum *= p
-        e_prev = expectation(state, total)
-        stages.append(
-            StageRecord(
-                k=len(stages) + 1,
-                kind="eject",
-                tau=None,
-                energy=e_prev,
-                p0=p,
-                p_suc=p_cum,
-                e_s=e_s,
-                shifted=config.eject_shifted,
-            )
-        )
-
     converged = False
     while len(stages) < config.max_stages:
-        if not isinstance(config.mode, Variational):
-            tau, trials, exhausted = config.mode.tau, (), False
+        if (level := len(stages)) < len(ejected):
+            try:
+                state, p0 = eject(state, hg, ejected[level], shifted=config.eject_shifted)
+            except CertainFailureError as exc:
+                raise CertainFailureError(f"ejection of level {level} failed: {exc}") from exc
+            record = dict(kind="eject", tau=None, e_s=ejected[level], shifted=config.eject_shifted)
         else:
-            res = minimize_stage(state, hg, config.mode.optimizer, operator_mode=config.operator_mode)
-            tau, trials, exhausted = res.tau_star, res.trials, res.budget_exhausted
-        step = cooling_step(state, hg, tau, config.operator_mode)
-        if step.state0 is None:
-            raise CertainFailureError(
-                f"cooling stage at tau={tau:.6g} has zero success probability"
+            if not isinstance(config.mode, Variational):
+                tau, trials, exhausted = config.mode.tau, (), False
+            else:
+                res = minimize_stage(
+                    state, hg, config.mode.optimizer, operator_mode=config.operator_mode
+                )
+                tau, trials, exhausted = res.tau_star, res.trials, res.budget_exhausted
+            step = cooling_step(state, hg, tau, config.operator_mode)
+            if step.state0 is None:
+                raise CertainFailureError(
+                    f"cooling stage at tau={tau:.6g} has zero success probability"
+                )
+            state, p0 = step.state0, step.p0
+            record = dict(
+                kind="cool", tau=float(tau), trials=trials, opt_budget_exhausted=exhausted
             )
-        state = step.state0
-        p_cum *= step.p0
+        p_cum *= p0
         energy = expectation(state, total)
-        stages.append(
-            StageRecord(
-                k=len(stages) + 1,
-                kind="cool",
-                tau=float(tau),
-                energy=energy,
-                p0=step.p0,
-                p_suc=p_cum,
-                trials=trials,
-                opt_budget_exhausted=exhausted,
-            )
-        )
-        if abs(e_prev - energy) <= config.epsilon:
+        stages.append(StageRecord(k=len(stages) + 1, energy=energy, p0=p0, p_suc=p_cum, **record))
+        if record["kind"] == "cool" and abs(e_prev - energy) <= config.epsilon:
             converged = True
             break
         e_prev = energy

@@ -210,6 +210,10 @@ def _fixed_cfg(**changes):
             _fixed_cfg(model={"kind": "custom", "terms": []}),
             "'cfg.json.model.terms' must be a non-empty list",
         ),
+        (
+            _fixed_cfg(**{"run.target_level": 3, "run.max_stages": 1}),
+            "cfg.json.run.target_level must be <= max_stages = 1, got 3",
+        ),
     ],
     ids=[
         "schema-2",
@@ -219,6 +223,7 @@ def _fixed_cfg(**changes):
         "optimizer-in-fixed-mode",
         "unknown-run-mode",
         "no-custom-terms",
+        "more-ejections-than-stages",
     ],
 )
 def test_config_rejection_names_the_key(doc, message):
@@ -269,6 +274,11 @@ def test_malformed_json_reports_location(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path, capsys):
     assert _run_cli(tmp_path / "nope.json", tmp_path) == 1
+
+
+def test_config_that_is_a_directory(tmp_path, capsys):
+    assert _run_cli(tmp_path, tmp_path) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {tmp_path}: ")
 
 
 @pytest.mark.parametrize(
@@ -478,6 +488,14 @@ def test_target_keys_only_in_targeted_traces(tmp_path):
     doc, rows = _read_trace(tmp_path, "t")
     assert keys <= doc.keys() and doc["target_level"] == 1
     assert rows[0]["tau"] == ""  # the ejection stage
+
+
+def test_target_level_zero_reports_the_ground_state_fidelity(tmp_path):
+    cfg = _write_cfg(tmp_path, "ground.json", _harmonic_cfg(target_level=0))
+    assert _run_cli(cfg, tmp_path) == 0
+    doc, rows = _read_trace(tmp_path, "t")
+    assert doc["target_level"] == 0 and doc["target_fidelity"] > 0.98
+    assert all(row["tau"] for row in rows)  # level 0 ejects nothing
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,24 @@ from peigen import (
     CertainFailureError,
     ConfigError,
     Custom,
+    DimensionError,
     ExactW,
     Fixed,
     FixedStep,
+    OptimizerConfig,
     QuantumState,
     Rabi,
     RunConfig,
     TrotterW,
     UndefinedOperatorError,
-    ValidationError,
     Variational,
     basis_vector,
     cooling_step,
     eject,
     expectation,
+    minimize_stage,
     run,
+    stage_objective,
     stochastic_trajectory,
     trajectory_probabilities,
 )
@@ -84,7 +87,7 @@ def test_step_refuses_a_zero_state(harmonic, mixed):
 
 
 def test_step_dimension_mismatch(harmonic):
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionError, match="^state dim 8 != operator dim 30$"):
         cooling_step(basis_vector(8, 0), harmonic, 0.3)
 
 
@@ -552,8 +555,47 @@ def test_trajectory_probabilities_empty_schedule(harmonic, thermal_half):
 
 def test_trajectory_probabilities_dimension_mismatch(harmonic):
     cfg = RunConfig(mode=FixedStep(tau=0.3))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionError, match="^state dim 8 != operator dim 30$"):
         trajectory_probabilities(basis_vector(8, 0), harmonic, cfg, (0.3,))
+
+
+_TARGETED = RunConfig(
+    mode=FixedStep(tau=0.3), gamma_policy=Fixed(value=1.0), eject_shifted=True, target_level=1
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, h: eject(s, h.with_gamma(1.0), 0.0, shifted=True),
+        lambda s, h: cooling_step(s, h, 0.3, TrotterW(2)),
+        lambda s, h: stage_objective(s, h, 0.3, TrotterW(2)),
+        lambda s, h: minimize_stage(s, h, OptimizerConfig()),
+        lambda s, h: run(s, h, RunConfig(mode=Variational())),
+        lambda s, h: run(s, h, _TARGETED),
+        lambda s, h: trajectory_probabilities(s, h, _TARGETED, (0.3,)),
+        lambda s, h: stochastic_trajectory(s, h, replace(_TARGETED, seed=0), (0.3,)),
+    ],
+    ids=[
+        "eject",
+        "trotter-step",
+        "trotter-objective",
+        "minimize-stage",
+        "run",
+        "targeted-run",
+        "trajectory-probabilities",
+        "stochastic-trajectory",
+    ],
+)
+@pytest.mark.parametrize("mixed", [False, True])
+def test_a_state_of_the_wrong_dimension_is_a_dimension_error(call, mixed, harmonic, monkeypatch):
+    def no_gamma(*args):  # a run refuses the state before it resolves gamma
+        raise AssertionError("gamma resolved")
+
+    monkeypatch.setattr("peigen.cooling.gamma_for", no_gamma)
+    state = QuantumState(np.eye(8) / 8) if mixed else basis_vector(8, 0)
+    with pytest.raises(DimensionError, match="^state dim 8 != operator dim 30$"):
+        call(state, harmonic)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +687,34 @@ def test_exact_mode_builds_no_dense_operator(monkeypatch, harmonic, thermal_half
 def test_run_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(mode=FixedStep(tau=0.3), **kwargs)
+
+
+def test_run_config_refuses_more_ejections_than_stages():
+    with pytest.raises(ConfigError, match="^target_level must be <= max_stages = 1, got 3$"):
+        RunConfig(mode=FixedStep(tau=0.3), max_stages=1, target_level=3)
+
+
+@pytest.mark.parametrize("target", [None, 0, 2])
+@pytest.mark.parametrize("mode", [FixedStep(tau=0.3), Variational()])
+@pytest.mark.parametrize("operator_mode", [ExactW(), TrotterW(2)])
+@pytest.mark.parametrize("max_stages", [2, 3])
+def test_a_run_never_exceeds_max_stages(
+    harmonic, thermal_half, target, mode, operator_mode, max_stages
+):
+    cfg = RunConfig(
+        mode=mode,
+        gamma_policy=Fixed(value=1.5),
+        epsilon=1e-12,  # no cooling stage settles this early
+        max_stages=max_stages,
+        operator_mode=operator_mode,
+        target_level=target,
+        eject_shifted=True,
+    )
+    tr = run(thermal_half, harmonic, cfg)
+    assert tr.n_stages == max_stages and tr.stop_reason == "max_stages"
+    n_eject = target or 0
+    assert [s.kind for s in tr.stages] == ["eject"] * n_eject + ["cool"] * (max_stages - n_eject)
+    assert [s.k for s in tr.stages] == list(range(1, max_stages + 1))
 
 
 def test_run_config_rejects_bad_modes():

@@ -17,14 +17,17 @@ from peigen import (
     Fixed,
     FixedStep,
     HarmonicOscillator,
+    HermitianOperator,
     Hubbard1D,
     NegativeShiftWarning,
     NormBound,
     QuantumState,
     Rabi,
     RunConfig,
+    SumHamiltonian,
     TargetLevel,
     TrotterW,
+    ValidationError,
     Variational,
     apply_branches,
     basis_state,
@@ -44,6 +47,8 @@ from peigen.models import (
     PAULI_Y,
     PAULI_Z,
     build_custom,
+    hubbard_basis_index,
+    rabi_basis_index,
 )
 
 RABI_DSC = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
@@ -310,8 +315,65 @@ def test_exact_spectrum_forms_no_dense_total():
 
 
 def test_hubbard_size_guard():
-    with pytest.raises(DimensionError):
-        Hubbard1D(sites=7, t=1.0, u=2.0)  # 14 spins > 12
+    with pytest.raises(DimensionError, match=r"4\.3 GB at L=7\), got 7$"):
+        Hubbard1D(sites=7, t=1.0, u=2.0)  # its dense eigenvectors would not fit
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Hubbard1D(0, 1.0, 2.0), ValidationError, "sites must be >= 1, got 0"),
+        (lambda: Rabi(math.nan, 0.8, 1.0, 4), ValidationError, "omega0 must be finite, got nan"),
+        (lambda: SumHamiltonian(()), ValidationError, "SumHamiltonian needs at least one term"),
+        (
+            lambda: SumHamiltonian(
+                (("a", HermitianOperator(np.eye(2))), ("b", HermitianOperator(np.eye(3))))
+            ),
+            DimensionError,
+            "terms have mixed dimensions [2, 3]",
+        ),
+        (
+            lambda: thermal_state(HarmonicOscillator(1.0, 4), -1.0),
+            ValidationError,
+            "nbar must be >= 0, got -1.0",
+        ),
+        (
+            lambda: rabi_basis_index(Rabi(1.2, 0.8, 1.0, 4), "up", 4),
+            ConfigError,
+            "Fock label 4 out of range for cutoff 4",
+        ),
+        (
+            lambda: hubbard_basis_index(Hubbard1D(2, 1.0, 2.0), "uux"),
+            ConfigError,
+            "pattern 'uux' must have one u/d per mode (4 modes)",
+        ),
+        (
+            lambda: hubbard_sector_minimum(build_model(Hubbard1D(2, 1.0, 2.0)), 2, 3, 0),
+            ConfigError,
+            "empty sector n_up=3, n_dn=0 for L=2",
+        ),
+        (
+            lambda: gamma_for(build_model(HarmonicOscillator(1.0, 4)), TargetLevel(99)),
+            ConfigError,
+            "target level 99 out of range for dim 4",
+        ),
+    ],
+    ids=[
+        "hubbard-no-sites",
+        "rabi-nan-omega0",
+        "sum-of-no-terms",
+        "sum-of-mixed-dims",
+        "thermal-negative-nbar",
+        "rabi-fock-label-at-cutoff",
+        "hubbard-bad-pattern",
+        "hubbard-empty-sector",
+        "gamma-target-out-of-range",
+    ],
+)
+def test_model_inputs_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,25 @@ def test_rejects_non_square():
             HermitianOperator(np.zeros(shape))
 
 
+def test_rejects_non_finite():
+    with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+        HermitianOperator([[np.nan]])
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (np.zeros((2, 2, 2)), "state must be 1-D or 2-D, got ndim=3"),
+        (np.zeros((2, 3)), r"density matrix must be square, got \(2, 3\)"),
+        (np.zeros(0), "empty state"),
+    ],
+    ids=["ndim-3", "not-square", "empty"],
+)
+def test_state_rejects_bad_shapes(data, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        QuantumState(data)
+
+
 def test_eigensystem_sorted_and_cached():
     rng = np.random.default_rng(7)
     h = HermitianOperator(random_hermitian(rng, 5))
@@ -96,6 +115,19 @@ def test_validate_and_normalize_mixed():
     assert abs(np.trace(out.data).real - 1.0) < 1e-14
     with pytest.raises(ValidationError):
         validate_and_normalize(QuantumState(np.diag([1.5, -0.5])))  # not PSD
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        ([[0.5, 0.1], [0.2, 0.5]], r"density matrix not Hermitian \(defect 1\.000e-01\)"),
+        (np.eye(2), "density trace 2 deviates from 1 by more than 1e-06"),
+    ],
+    ids=["not-hermitian", "trace-2"],
+)
+def test_validate_and_normalize_rejects_a_bad_density_matrix(rho, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        validate_and_normalize(QuantumState(np.array(rho)))
 
 
 def test_basis_vector_bounds():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,19 @@ def test_restart_statistics_samples_a_targeted_config(tmp_path, capsys):
 def test_restart_statistics_two_trajectories(capsys):
     assert _script("restart_statistics").main(["--trajectories", "2"]) == 0
     assert "mean restarts over 2 trajectories" in capsys.readouterr().out
+
+
+def test_restart_statistics_fails_off_the_geometric_law(monkeypatch, capsys):
+    script = _script("restart_statistics")
+    real = script.stochastic_trajectory
+
+    def ten_more_restarts(*args):  # far off the geometric law
+        result = real(*args)
+        return replace(result, restarts=result.restarts + 10)
+
+    monkeypatch.setattr(script, "stochastic_trajectory", ten_more_restarts)
+    assert script.main(["--trajectories", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert "geometric-law expectation 1/P - 1:" in out
+    assert err.startswith("error: harmonic_fixed: mean restarts ")
+    assert "more than 5 standard errors" in err

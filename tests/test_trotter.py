@@ -54,6 +54,13 @@ def test_joint_unitary_rejects_non_unitary():
         JointUnitary(np.diag([1.0, 2.0]))
     with pytest.raises(DimensionError):
         JointUnitary(np.eye(3))  # odd dimension: no ancilla factor
+    with pytest.raises(DimensionError, match=r"^expected a square matrix, got \(2, 3\)$"):
+        JointUnitary(np.zeros((2, 3)))
+
+
+def test_apply_branches_needs_a_trotter_step(harmonic):
+    with pytest.raises(ValidationError, match="^Trotter steps r must be >= 1, got 0$"):
+        apply_branches(harmonic, 0.3, 0, np.eye(30)[0])
 
 
 def test_exact_w_is_unitary_and_block_diagonal_in_x(harmonic):

@@ -9,6 +9,7 @@ from peigen import (
     CertainFailureError,
     ConfigError,
     Custom,
+    DimensionError,
     Exact,
     ExactW,
     Fixed,
@@ -19,7 +20,6 @@ from peigen import (
     Rabi,
     RunConfig,
     TrotterW,
-    ValidationError,
     Variational,
     basis_vector,
     build_model,
@@ -143,6 +143,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_evals=2)
     with pytest.raises(ConfigError, match=r"^max_evals must be >= coarse_grid = 7, got 5$"):
         OptimizerConfig(max_evals=5)
+    with pytest.raises(ConfigError, match="^coarse_grid must be >= 2, got 1$"):
+        OptimizerConfig(coarse_grid=1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ def test_exact_objective_certain_failure_below_the_floor(target, mixed):
 
 
 def test_stage_objective_dimension_mismatch(harmonic):
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionError, match="^state dim 4 != operator dim 30$"):
         stage_objective(basis_vector(4, 0), harmonic, 0.3, ExactW())
 
 
