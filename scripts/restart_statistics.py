@@ -5,9 +5,9 @@ Samples every stage of the run, the ejections of a targeted config and the
 cooling steps, as shot-by-shot trajectories: every ancilla measurement
 either keeps the run alive (probability p0 of that stage) or forces a
 restart. The mean number of restarts should match the geometric law
-1/P_success - 1; this script prints both with a standard error so
-deviations are visible, and exits 1 if the mean lies more than 5 standard
-errors of the law, sqrt(1 - P) / (P sqrt(n)), from it.
+1/P_success - 1; this script prints both with the law's standard error,
+sqrt(1 - P) / (P sqrt(n)), so deviations are visible, and exits 1 if the
+mean lies more than 5 of them from the law.
 """
 
 import argparse
@@ -50,12 +50,11 @@ def main(argv=None):
 
     print(f"{args.config}: {trace.n_stages} stages, P_success = {trace.p_success:.6f}")
     mean = statistics.fmean(restarts)
-    se = statistics.stdev(restarts) / math.sqrt(len(restarts))
-    expected = 1.0 / trace.p_success - 1.0
-    print(f"mean restarts over {args.trajectories} trajectories: {mean:.3f} ± {se:.3f}")
-    print(f"geometric-law expectation 1/P - 1:                   {expected:.3f}")
-    # the law's own standard error: the sample's reads 0 when no trajectory restarted
+    # the law's standard error: the sample's reads 0 when no trajectory restarted
     law_se = math.sqrt(1.0 - trace.p_success) / (trace.p_success * math.sqrt(len(restarts)))
+    expected = 1.0 / trace.p_success - 1.0
+    print(f"mean restarts over {args.trajectories} trajectories: {mean:.3f} ± {law_se:.3f}")
+    print(f"geometric-law expectation 1/P - 1:                   {expected:.3f}")
     if abs(mean - expected) > 5 * law_se:
         print(
             f"error: {args.config}: mean restarts {mean:.3f} is more than 5 standard errors "

@@ -176,14 +176,26 @@ def build_harmonic(spec: HarmonicOscillator) -> SumHamiltonian:
 
 
 def build_rabi(spec: Rabi) -> SumHamiltonian:
-    nfock = spec.cutoff
-    a = np.diag(np.sqrt(np.arange(1, nfock, dtype=float)), k=1)
-    x_mode = a + a.conj().T
-    sz = np.repeat([1.0, -1.0], nfock)
-    num = np.tile(np.arange(nfock, dtype=float), 2)
-    h1 = 0.5 * spec.omega0 * sz + spec.omega * num
-    h2 = spec.g * np.kron(PAULI_X, x_mode)
-    return SumHamiltonian((("free", _diagonal(h1)), ("coupling", HermitianOperator(h2))))
+    """Qubit-major terms "free" and "coupling", with no dense matrix. The
+    coupling g sx (x) (a + a^dag) is one term of two monomial parts, the even
+    and the odd bonds (n, n+1) of the Fock ladder: each maps |q,n> to
+    |1-q,n+-1> with value g sqrt(max(n, n+-1)). An all-zero part is dropped,
+    so cutoff 2 keeps one part and g = 0 none (the coupling is then a zero
+    diagonal). Several parts make a dense-eigensystem Trotter group."""
+    nfock, d = spec.cutoff, 2 * spec.cutoff
+    idx = np.arange(d)
+    q, n = np.divmod(idx, nfock)
+    h1 = 0.5 * spec.omega0 * (1 - 2 * q) + spec.omega * n
+    parts = []
+    for parity in (0, 1):
+        m = np.where(n % 2 == parity, n + 1, n - 1)  # bond partner of n
+        bonded = (m >= 0) & (m < nfock)
+        perm = np.where(bonded, (1 - q) * nfock + m, idx)
+        vals = np.where(bonded, spec.g * np.sqrt(np.maximum(n, m)), 0.0)
+        if vals.any():
+            parts.append(HermitianOperator.from_monomial(perm, vals))
+    coupling = HermitianOperator.sum(parts) if parts else _diagonal(np.zeros(d))
+    return SumHamiltonian((("free", _diagonal(h1)), ("coupling", coupling)))
 
 
 def _hubbard_occupations(L: int) -> np.ndarray:

@@ -69,9 +69,11 @@ class _SweepPlan:
 
     Adjacent monomial terms with one ``perm`` that commute exactly (``a *
     b[perm] == b * a[perm]`` bit for bit with every member) fuse into one
-    group with the summed ``vals``. A group is ``(perm, eig, mag, unit)``:
-    ``perm`` if a non-diagonal monomial, ``(V, V^H)`` if dense, else None;
-    ``|vals|`` and ``vals / |vals|`` (0 at zeros), or eigenvalues and ones."""
+    group with the summed ``vals``; a term of several parts (the Rabi
+    coupling) or with a remainder is a dense group. A group is ``(perm, eig,
+    mag, unit)``: ``perm`` if a non-diagonal monomial, ``(V, V^H)`` if
+    dense, else None; ``|vals|`` and ``vals / |vals|`` (0 at zeros), or
+    eigenvalues and ones."""
 
     def __init__(self, terms) -> None:
         runs: list = []  # (perm, [vals, ...]) per monomial run, (None, term) per dense term

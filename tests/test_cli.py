@@ -684,6 +684,31 @@ def test_sweep_trotter_trajectories_are_frozen(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (  # g = 0: the coupling is a zero diagonal, fused with the free term
+            ["--config", "rabi_variational", "--param", "model.g", "--values", "0,0.5,-1"],
+            "0,,1,true,-0.6,1,\n"
+            "0.5,,2,true,-0.72728802,0.922140756,\n"
+            "-1,,4,true,-1.23802237,0.464675432,\n",
+        ),
+        (  # cutoff 2: the coupling is one monomial part
+            ["--config", "rabi_fixed", "--param", "model.cutoff", "--values", "2,3", "--seeds", "2"],
+            "2,0,8,true,-1.01366236,0.852863423,0\n"
+            "2,1,8,true,-1.01366236,0.852863423,0\n"
+            "3,0,27,true,-1.18953729,0.667944267,0\n"
+            "3,1,27,true,-1.18953729,0.667944267,0\n",
+        ),
+    ],
+    ids=["g", "cutoff"],
+)
+def test_sweep_rabi_coupling_edges_are_frozen(argv, want, capsys):
+    assert main(["sweep", *argv]) == 0
+    header = "value,seed,stages,converged,final_energy,p_success,restarts\n"
+    assert capsys.readouterr().out == header + want
+
+
 def _targeted_harmonic_cfg():
     return _harmonic_cfg(
         gamma={"policy": "fixed", "value": 0.3}, eject_shifted=True, target_level=1

@@ -50,6 +50,7 @@ from peigen.models import (
     hubbard_basis_index,
     rabi_basis_index,
 )
+from tests.conftest import random_state_vector
 
 RABI_DSC = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
 
@@ -237,10 +238,40 @@ def test_rabi_terms_match_dense_build(cutoff):
     coupling = spec.g * np.kron(PAULI_X, a + a.conj().T)
     h = build_model(spec)
     assert [label for label, _ in h.terms] == ["free", "coupling"]
+    # built from structure: no term and not the total formed a dense matrix
+    assert all(term._mat is None for _, term in h.terms)
+    assert h.total._mat is None and h.total._rest is None
     assert np.array_equal(h.total.mat, free + coupling)
-    assert h.terms[0][1]._mat is None
     assert np.array_equal(h.terms[0][1].mat, free)
     assert np.array_equal(h.terms[1][1].mat, coupling)
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, -0.7])
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 20, 101])
+def test_rabi_coupling_structure_is_bitwise_the_dense_build(cutoff, g):
+    # cutoff 2 leaves one monomial part and g = 0 a zero diagonal, as the
+    # dense matrix read by HermitianOperator(mat) does
+    h = build_model(Rabi(omega0=1.2, omega=0.8, g=g, cutoff=cutoff))
+    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1)
+    dense = HermitianOperator(g * np.kron(PAULI_X, a + a.T))
+    ref = SumHamiltonian((("free", h.terms[0][1]), ("coupling", dense)))
+    coupling = h.terms[1][1]
+    # equal values; the dense g * 0 zeros carry the sign of g
+    assert np.array_equal(coupling.mat, dense.mat)
+    got, want = coupling.monomial(), dense.monomial()
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+    for op, op_ref in ((coupling, dense), (h.total, ref.total)):
+        assert all(_bits(x) == _bits(y) for x, y in zip(op.eigensystem(), op_ref.eigensystem()))
+    psi = random_state_vector(np.random.default_rng(cutoff), h.dim)
+    branches = apply_branches(h.with_gamma(0.4), 0.3, 3, psi)
+    want_branches = apply_branches(ref.with_gamma(0.4), 0.3, 3, psi)
+    assert all(_bits(x) == _bits(y) for x, y in zip(branches, want_branches))
 
 
 def test_harmonic_total_matches_dense_build():

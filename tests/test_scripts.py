@@ -43,7 +43,10 @@ def test_restart_statistics_samples_a_targeted_config(tmp_path, capsys):
 
 def test_restart_statistics_two_trajectories(capsys):
     assert _script("restart_statistics").main(["--trajectories", "2"]) == 0
-    assert "mean restarts over 2 trajectories" in capsys.readouterr().out
+    # neither trajectory restarts, so the sample's standard error would read 0;
+    # the printed one is the law's, sqrt(1 - P) / (P sqrt(2)) at P = 0.666728
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "mean restarts over 2 trajectories: 0.000 ± 0.612"
 
 
 def test_restart_statistics_fails_off_the_geometric_law(monkeypatch, capsys):
