@@ -1,14 +1,14 @@
-"""The protocol's physics: the conditional cooling step, ejection of
-selected eigenstates, the stage and trace records, and a stochastic
-restart-on-failure trajectory mode. The classical outer loop that drives
-them lives in `variational.run`.
+"""The protocol's physics: the conditional cooling step, the ejection of a
+selected eigenstate as one such step (`ejection_step`), the stage and trace
+records, and a stochastic restart-on-failure trajectory mode. The classical
+outer loop that drives them lives in `variational.run`.
 
 Traces follow the post-selected (ancilla |0>) branch deterministically and
 record the branch probabilities; only `stochastic_trajectory` actually
 samples outcomes, of ejection and cooling stages alike. Exact mode forms no
-d x d operator: steps and ejections scale eigen-coefficients, and every
-cooling p0 follows from the cos² law on the eigen-populations, so trials
-and trajectories read it in O(d) per stage."""
+d x d operator: a step scales eigen-coefficients, and every cooling p0
+follows from the cos² law on the eigen-populations, so trials and
+trajectories read it in O(d) per stage."""
 
 from __future__ import annotations
 
@@ -28,6 +28,19 @@ BRANCH_PROB_FLOOR = 1e-14
 
 # ---------------------------------------------------------------------------
 # run configuration
+
+
+def _require(ok: bool, rule: str, value: object) -> None:
+    """Refuse ``value`` unless ``ok``, as "<rule>, got <value>"; a rule names its field first."""
+    if not ok:
+        raise ConfigError(f"{rule}, got {value}")
+
+
+def _at_least(name: str, value: object, low: int) -> None:
+    """An integer field's checks; a bool is not an integer, as in JSON."""
+    _require(value >= low, f"{name} must be >= {low}", value)
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    _require(integer, f"{name} must be an integer", value)
 
 
 @dataclass(frozen=True)
@@ -50,20 +63,14 @@ class OptimizerConfig:
     coarse_grid: int = 7
 
     def __post_init__(self) -> None:
-        if not 0 < self.tau_lo < self.tau_hi:
-            raise ConfigError(
-                f"tau_lo must satisfy 0 < tau_lo < tau_hi = {self.tau_hi}, got {self.tau_lo}"
-            )
-        if not self.x_tol > 0:
-            raise ConfigError(f"x_tol must be > 0, got {self.x_tol}")
-        if self.max_evals < 3:
-            raise ConfigError(f"max_evals must be >= 3, got {self.max_evals}")
-        if self.coarse_grid < 2:
-            raise ConfigError(f"coarse_grid must be >= 2, got {self.coarse_grid}")
-        if self.max_evals < self.coarse_grid:  # else the grid stops short of tau_hi
-            raise ConfigError(
-                f"max_evals must be >= coarse_grid = {self.coarse_grid}, got {self.max_evals}"
-            )
+        lo, hi, evals, grid = self.tau_lo, self.tau_hi, self.max_evals, self.coarse_grid
+        _require(0 < lo < hi, f"tau_lo must satisfy 0 < tau_lo < tau_hi = {hi}", lo)
+        _require(math.isfinite(hi), "tau_hi must be finite", hi)
+        _require(self.x_tol > 0, "x_tol must be > 0", self.x_tol)
+        _at_least("max_evals", evals, 3)
+        _at_least("coarse_grid", grid, 2)
+        # else the grid stops short of tau_hi
+        _require(evals >= grid, f"max_evals must be >= coarse_grid = {grid}", evals)
 
 
 @dataclass(frozen=True)
@@ -102,22 +109,18 @@ class RunConfig:
     f_tol: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_stages < 1:
-            raise ConfigError(f"max_stages must be >= 1, got {self.max_stages}")
-        if isinstance(self.mode, FixedStep) and not self.mode.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.mode.tau}")
-        if isinstance(self.operator_mode, TrotterW) and self.operator_mode.r < 1:
-            raise ConfigError(f"operator.r (Trotter steps) must be >= 1, got {self.operator_mode.r}")
-        if self.target_level is not None and self.target_level < 0:
-            raise ConfigError(f"target_level must be >= 0, got {self.target_level}")
-        if self.target_level is not None and self.target_level > self.max_stages:
-            raise ConfigError(  # each level below the target is one ejection stage
-                f"target_level must be <= max_stages = {self.max_stages}, got {self.target_level}"
-            )
-        if not self.f_tol > 0:
-            raise ConfigError(f"f_tol must be > 0, got {self.f_tol}")
+        _require(self.epsilon > 0, "epsilon must be > 0", self.epsilon)
+        _at_least("max_stages", self.max_stages, 1)
+        if isinstance(self.mode, FixedStep):
+            _require(self.mode.tau > 0, "tau must be > 0", self.mode.tau)
+            _require(math.isfinite(self.mode.tau), "tau must be finite", self.mode.tau)
+        if isinstance(self.operator_mode, TrotterW):
+            _at_least("operator.r (Trotter steps)", self.operator_mode.r, 1)
+        if (target := self.target_level) is not None:
+            _at_least("target_level", target, 0)
+            most = self.max_stages  # each level below the target is one ejection stage
+            _require(target <= most, f"target_level must be <= max_stages = {most}", target)
+        _require(self.f_tol > 0, "f_tol must be > 0", self.f_tol)
 
 
 def _start(
@@ -201,48 +204,32 @@ def cooling_step(
 # ejection
 
 
-def ejection_factors(evals: np.ndarray, gamma: float, e_s: float, shifted: bool) -> np.ndarray:
-    """cos(pi E / (2 E_s)) at the energies ``evals``, or with ``shifted``
-    cos(pi (E + gamma) / (2 (E_s + gamma))): how the ejection of E_s scales
-    each eigen-coefficient. Raises where the ejection is undefined."""
-    gamma = gamma if shifted else 0.0
-    denom = e_s + gamma
+def ejection_step(h: SumHamiltonian, e_s: float, shifted: bool = False) -> tuple[SumHamiltonian, float]:
+    """(h_s, tau_s) such that `cooling_step(state, h_s, tau_s)` ejects E_s:
+    U_s = exp(-i (pi / 2 E_s) H sigma_x^A) is W_0(pi / 2 E_s), or with
+    ``shifted`` W_gamma(pi / 2 (E_s + gamma)), the only variant defined at
+    E_s = 0. The kept branch scales eigen-coefficients by cos((E_j + gamma')
+    tau_s), zero on the E_s eigenspace. Raises where tau_s is undefined."""
+    h_s = h if shifted else h.with_gamma(0.0)
+    denom = e_s + h_s.gamma
     if abs(denom) < 1e-12:
         raise UndefinedOperatorError(
             f"ejection undefined at E_s{'+gamma' if shifted else ''} = {denom:.3e}; "
             "use the shifted variant with a nonzero gamma"
         )
-    return np.cos((evals + gamma) * (math.pi / (2.0 * denom)))
+    return h_s, math.pi / (2.0 * denom)
 
 
-def eject(
-    state: QuantumState,
-    h: SumHamiltonian,
-    e_s: float,
-    *,
-    shifted: bool = False,
-) -> tuple[QuantumState, float]:
-    """Post-selected branch of U_s = exp(-i (pi / 2 E_s) H sigma_x^A).
-
-    Scales eigen-coefficients by cos(pi E_j / (2 E_s)), which annihilates the
-    E_s eigenspace. With ``shifted`` the shifted energies are used instead:
-    cos(pi (E_j + gamma) / (2 (E_s + gamma))), the only well-defined variant
-    when E_s = 0. Raises on a numerically certain failure (input entirely in
-    the ejected eigenspace)."""
-    check_dim(state, h.dim)
-    f = ejection_factors(h.total.eigensystem()[0], h.gamma, e_s, shifted)
-    ((out, p),) = _eigen_branches(state, h, (f,))
-    if out is None:
-        raise CertainFailureError(
-            f"ejection at E_s={e_s:.6g} has zero success probability (p={p:.3e})"
-        )
-    return out, p
+def _ejection_failed(level: int, e_s: float, p: float) -> CertainFailureError:
+    return CertainFailureError(
+        f"ejection of level {level} at E_s={e_s:.6g} has zero success probability (p={p:.3e})"
+    )
 
 
 def ejected_energies(h: SumHamiltonian, config: RunConfig) -> tuple[float, ...]:
     """The energies a run ejects, in order: the levels below its target level
     (none without one). Raises if that level is out of range or an ejection
-    also annihilates it (a zero of `ejection_factors` at its energy)."""
+    also annihilates it (a zero of its kept factor at the target energy)."""
     target = config.target_level
     if not target:
         return ()
@@ -251,8 +238,8 @@ def ejected_energies(h: SumHamiltonian, config: RunConfig) -> tuple[float, ...]:
         raise ConfigError(f"target level {target} out of range for dim {len(evals)}")
     kept = 1.0  # the target level's weight left after each ejection
     for level in range(target):
-        f = ejection_factors(evals[target], h.gamma, float(evals[level]), config.eject_shifted)
-        kept *= float(f) ** 2
+        h_s, tau_s = ejection_step(h, float(evals[level]), config.eject_shifted)
+        kept *= float(np.cos((evals[target] + h_s.gamma) * tau_s)) ** 2
         if kept < BRANCH_PROB_FLOOR:
             raise CertainFailureError(
                 f"ejection of level {level} annihilates target level {target} "
@@ -335,15 +322,19 @@ def trajectory_probabilities(
     schedule: tuple[float, ...],
 ) -> np.ndarray:
     """Deterministic p0 of each stage of a run, as its trace records them: one
-    per `ejected_energies` ejection (`eject`), then one per ``schedule`` tau.
-    Exact-mode cooling reads the eigen-populations P once, then per stage
-    p0 = w·P and P <- w⊙P / p0 with w = cos²((E + gamma) tau); Trotter mode
-    replays each stage with `cooling_step`."""
+    per `ejected_energies` ejection (a `cooling_step` at its `ejection_step`),
+    then one per ``schedule`` tau. Exact-mode cooling reads the
+    eigen-populations P once, then per stage p0 = w·P and P <- w⊙P / p0 with
+    w = cos²((E + gamma) tau); Trotter mode replays each stage with
+    `cooling_step`."""
     state, hg = _start(initial, h, config)
     p0s = []
-    for e_s in ejected_energies(hg, config):
-        state, p0 = eject(state, hg, e_s, shifted=config.eject_shifted)
-        p0s.append(p0)
+    for level, e_s in enumerate(ejected_energies(hg, config)):
+        step = cooling_step(state, *ejection_step(hg, e_s, config.eject_shifted))
+        if step.state0 is None:
+            raise _ejection_failed(level, e_s, step.p0)
+        state = step.state0
+        p0s.append(step.p0)
     if exact := isinstance(config.operator_mode, ExactW):
         evals, pops = eigen_populations(state, hg)
     for tau in schedule:

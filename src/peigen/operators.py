@@ -190,6 +190,11 @@ class HermitianOperator:
         (so a pair that cancels does so exactly), in order of first
         appearance; the remainders add into one, checked for Hermiticity
         when there are several."""
+        if not ops:
+            raise ValidationError("HermitianOperator.sum needs at least one operator")
+        dims = {op.dim for op in ops}
+        if len(dims) != 1:
+            raise DimensionError(f"operators have mixed dimensions {sorted(dims)}")
         fused: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         dense = []
         for op in ops:

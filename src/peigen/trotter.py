@@ -144,6 +144,8 @@ def apply_branches(
     factors update y in place through one scratch array."""
     if r < 1:
         raise ValidationError(f"Trotter steps r must be >= 1, got {r}")
+    if x.shape[0] != h.dim:
+        raise DimensionError(f"state dim {x.shape[0]} != operator dim {h.dim}")
     steps, kmag, nunit = _plan(h).program(r)
     theta = (0.5 * tau / r) * kmag
     cols = (1,) * (x.ndim - 1)  # tables broadcast over the columns of a block

@@ -21,11 +21,12 @@ from .cooling import (
     RunConfig,
     StageRecord,
     Variational,
+    _ejection_failed,
     _start,
     cooling_step,
     eigen_populations,
-    eject,
     ejected_energies,
+    ejection_step,
 )
 from .errors import CertainFailureError
 from .models import SumHamiltonian
@@ -148,13 +149,13 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
     """Run the protocol's stages along the 0-branch, at most max_stages.
 
     With a config ``target_level`` j, the first j stages eject the levels
-    below j (oracle energies); the trace then reports the fidelity with the
-    target eigenspace and whether the run converged onto it (within f_tol).
-    Every further stage is a cooling step at the fixed tau or at the
-    minimizer of that stage's post-selected energy, whose trial log the
-    stage carries, until a cooling stage moves the energy by at most
-    epsilon. Non-convergence at max_stages yields converged=False, not an
-    exception."""
+    below j (oracle energies), each an exact cooling step at its
+    `ejection_step`; the trace then reports the fidelity with the target
+    eigenspace and whether the run converged onto it (within f_tol). Every
+    further stage is a cooling step at the fixed tau or at the minimizer of
+    that stage's post-selected energy, whose trial log the stage carries,
+    until a cooling stage moves the energy by at most epsilon.
+    Non-convergence at max_stages yields converged=False, not an exception."""
     state, hg = _start(initial, h, config)
     ejected = ejected_energies(hg, config)
     total = hg.total
@@ -164,10 +165,7 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
     converged = False
     while len(stages) < config.max_stages:
         if (level := len(stages)) < len(ejected):
-            try:
-                state, p0 = eject(state, hg, ejected[level], shifted=config.eject_shifted)
-            except CertainFailureError as exc:
-                raise CertainFailureError(f"ejection of level {level} failed: {exc}") from exc
+            h_s, tau, operator_mode = *ejection_step(hg, ejected[level], config.eject_shifted), ExactW()
             record = dict(kind="eject", tau=None, e_s=ejected[level], shifted=config.eject_shifted)
         else:
             if not isinstance(config.mode, Variational):
@@ -177,15 +175,18 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
                     state, hg, config.mode.optimizer, operator_mode=config.operator_mode
                 )
                 tau, trials, exhausted = res.tau_star, res.trials, res.budget_exhausted
-            step = cooling_step(state, hg, tau, config.operator_mode)
-            if step.state0 is None:
-                raise CertainFailureError(
-                    f"cooling stage at tau={tau:.6g} has zero success probability"
-                )
-            state, p0 = step.state0, step.p0
+            h_s, operator_mode = hg, config.operator_mode
             record = dict(
                 kind="cool", tau=float(tau), trials=trials, opt_budget_exhausted=exhausted
             )
+        step = cooling_step(state, h_s, tau, operator_mode)
+        if step.state0 is None:
+            if record["kind"] == "eject":
+                raise _ejection_failed(level, ejected[level], step.p0)
+            raise CertainFailureError(
+                f"cooling stage at tau={tau:.6g} has zero success probability"
+            )
+        state, p0 = step.state0, step.p0
         p_cum *= p0
         energy = expectation(state, total)
         stages.append(StageRecord(k=len(stages) + 1, energy=energy, p0=p0, p_suc=p_cum, **record))

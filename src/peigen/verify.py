@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cooling import ExactW, cooling_step, eject
+from .cooling import cooling_step, ejection_step
 from .errors import TruncationLeakageError
 from .models import (
     Exact,
@@ -144,7 +144,7 @@ def spectral_weight_suite(n_instances: int = 100, seed: int = 11) -> dict:
 
 
 def eject_support_suite(n_instances: int = 100, seed: int = 13) -> dict:
-    """After eject at E_s the state must have <= 1e-12 overlap with that level."""
+    """The kept branch of `ejection_step` at E_s must have <= 1e-12 overlap with that level."""
     rng = np.random.default_rng(seed)
     max_overlap = 0.0
     done = 0
@@ -163,7 +163,7 @@ def eject_support_suite(n_instances: int = 100, seed: int = 13) -> dict:
             continue
         s = int(rng.choice(candidates))
         state = random_pure_state(rng, dim)
-        out, p = eject(state, h, float(evals[s]))
+        out = cooling_step(state, *ejection_step(h, float(evals[s]))).state0
         overlap = abs(complex(np.vdot(v[:, s], out.data)))
         max_overlap = max(max_overlap, overlap)
         done += 1

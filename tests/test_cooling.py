@@ -25,7 +25,7 @@ from peigen import (
     Variational,
     basis_vector,
     cooling_step,
-    eject,
+    ejection_step,
     expectation,
     minimize_stage,
     run,
@@ -33,7 +33,12 @@ from peigen import (
     stochastic_trajectory,
     trajectory_probabilities,
 )
-from peigen.config import build_initial_state, bundled_config_dir, load_experiment
+from peigen.config import (
+    build_initial_state,
+    bundled_config_dir,
+    load_experiment,
+    parse_experiment,
+)
 from peigen.cooling import BRANCH_PROB_FLOOR
 from peigen.models import build_custom, build_model
 from tests import reference
@@ -125,32 +130,42 @@ def test_step_energy_inequality_with_exact_shift(seed, tau_scale):
 
 
 def test_eject_removes_level_and_keeps_orthogonal(harmonic):
-    out, p = eject(_plus01(), harmonic, 1.0)
-    assert abs(p - 0.5) < 1e-12
-    assert abs(abs(out.data[0]) - 1.0) < 1e-12  # what survives is |0>
-    assert abs(out.data[1]) < 1e-12
+    step = cooling_step(_plus01(), *ejection_step(harmonic, 1.0))
+    assert abs(step.p0 - 0.5) < 1e-12
+    assert abs(abs(step.state0.data[0]) - 1.0) < 1e-12  # what survives is |0>
+    assert abs(step.state0.data[1]) < 1e-12
 
 
 def test_eject_certain_failure_on_target_eigenstate(harmonic):
-    with pytest.raises(CertainFailureError):
-        eject(basis_vector(30, 1), harmonic, 1.0)
+    step = cooling_step(basis_vector(30, 1), *ejection_step(harmonic, 1.0))
+    assert step.state0 is None and step.p0 < BRANCH_PROB_FLOOR  # a run refuses it
+    assert abs(step.p1 - 1.0) < 1e-12
 
 
 def test_eject_zero_energy_needs_shift(harmonic):
     with pytest.raises(UndefinedOperatorError):
-        eject(basis_vector(30, 2), harmonic, 0.0)  # E_s = 0, raw form undefined
+        ejection_step(harmonic, 0.0)  # E_s = 0, raw form undefined
     hg = harmonic.with_gamma(1.0)
-    out, p = eject(basis_vector(30, 3), hg, 0.0, shifted=True)
-    assert abs(p - 1.0) < 1e-12  # odd levels survive the shifted ejector intact
+    step = cooling_step(basis_vector(30, 3), *ejection_step(hg, 0.0, shifted=True))
+    assert abs(step.p0 - 1.0) < 1e-12  # odd levels survive the shifted ejector intact
 
 
 def test_eject_shifted_annihilates_even_levels(harmonic, thermal_half):
     hg = harmonic.with_gamma(1.0)
-    out, p = eject(thermal_half, hg, 0.0, shifted=True)
-    d = np.diag(out.data).real
-    assert abs(p - 0.25) < 1e-12  # sum of odd thermal weights
+    step = cooling_step(thermal_half, *ejection_step(hg, 0.0, shifted=True))
+    d = np.diag(step.state0.data).real
+    assert abs(step.p0 - 0.25) < 1e-12  # sum of odd thermal weights
     assert np.all(d[0::2] < 1e-14)
     assert abs(d[1] - 8 / 9) < 1e-12
+
+
+def test_ejection_step_is_a_cooling_step_at_tau_s(harmonic):
+    hg = harmonic.with_gamma(0.3)
+    h_s, tau_s = ejection_step(hg, 2.0)
+    assert h_s.gamma == 0.0 and tau_s == math.pi / 4.0
+    assert h_s.total is hg.total  # the unshifted form shares the cached eigensystem
+    h_s, tau_s = ejection_step(hg, 2.0, shifted=True)
+    assert h_s is hg and tau_s == math.pi / (2.0 * 2.3)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +562,85 @@ def test_exact_trajectory_probabilities_below_the_floor_raise(seed, p, mixed):
         trajectory_probabilities(state, h, cfg, (math.pi, math.pi / 2))
 
 
+# Each stage's (kind, tau, energy, p0, p_suc) of three targeted runs, frozen
+# because none of the frozen CSVs has an ejection stage. Equality is exact:
+# every literal is a float repr.
+_TARGETED_RUNS = [
+    (
+        {"kind": "harmonic", "omega": 1.0, "cutoff": 30},
+        {"kind": "thermal", "nbar": 0.5},
+        {"mode": "fixed", "tau": 0.3, "gamma": {"policy": "fixed", "value": 0.3},
+         "eject_shifted": True, "target_level": 1},
+        [
+            ("eject", None, 1.3653846153844698, 0.23076923076923075, 0.23076923076923075),
+            ("cool", 0.3, 1.2007258715426363, 0.7636761573732914, 0.17623295939383646),
+            ("cool", 0.3, 1.1427791296640333, 0.8042064516768123, 0.14172768294262095),
+            ("cool", 0.3, 1.1032712560989792, 0.8189759655236148, 0.11607156597935775),
+            ("cool", 0.3, 1.0743542472929977, 0.8291198750779455, 0.0962372422849066),
+            ("cool", 0.3, 1.0533160276296316, 0.8365902745961941, 0.08051114094951047),
+            ("cool", 0.3, 1.038220176490062, 0.8420540339506302, 0.06779473101450306),
+            ("cool", 0.3, 1.0275287345630237, 0.8459982157483337, 0.05735422147540781),
+            ("cool", 0.3, 1.0200517580873172, 0.8488158323211654, 0.048683171238780736),
+            ("cool", 0.3, 1.0148970777678525, 0.8508136532131654, 0.04142030677166914),
+            ("cool", 0.3, 1.0114118783901713, 0.8522230361925955, 0.0352993395969806),
+            ("cool", 0.3, 1.0091272995096814, 0.8532141979960955, 0.030117897724029622),
+            ("cool", 0.3, 1.0077117481686386, 0.8539102499640195, 0.02571798157391691),
+            ("cool", 0.3, 1.006934158378447, 0.8543991996918483, 0.02197342287444431),
+        ],
+    ),
+    (
+        {"kind": "rabi", "omega0": 1.2, "omega": 0.8, "g": 1.0, "cutoff": 20},
+        {"kind": "basis", "label": "down,0"},
+        {"mode": "variational", "operator": "exact", "target_level": 1, "max_stages": 8},
+        [
+            ("eject", None, 0.005267775905369393, 0.3614141662958146, 0.3614141662958146),
+            ("cool", 0.4087072977247918, -0.43598270400506883, 0.7205086431254974, 0.26040203056413025),
+            ("cool", 1.0, -0.6535922967276466, 0.43591111808366306, 0.11351214029446621),
+            ("cool", 0.30104878371253474, -0.6764167042763114, 0.9517238343309886, 0.1080322094041665),
+            ("cool", 0.6608048651498613, -0.6836324489653849, 0.8067610709784041, 0.08715618095906859),
+            ("cool", 0.39734148598774294, -0.6854005813848115, 0.9275766892373524, 0.08084404178058441),
+            ("cool", 0.7479024325749306, -0.6860383684843476, 0.7610081136098281, 0.06152297173203667),
+        ],
+    ),
+    (
+        {"kind": "hubbard", "sites": 2, "t": 1.0, "u": 2.0},
+        {"kind": "basis", "label": "uudd"},
+        {"mode": "variational", "operator": {"kind": "trotter", "r": 3}, "target_level": 1},
+        [
+            ("eject", None, 2.3127098682627545, 0.4559411885085807, 0.4559411885085807),
+            ("cool", 0.3491951348501388, 2.0002132397995274, 0.1360041463066555, 0.0620098921091514),
+            ("cool", 0.42709756742506944, 1.9994916379877536, 0.03520835517501347, 0.0021832663057432676),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "model, initial, run_obj, want",
+    _TARGETED_RUNS,
+    ids=["harmonic-fixed", "rabi-exact-variational", "hubbard-trotter-variational"],
+)
+def test_targeted_run_stages_are_frozen(model, initial, run_obj, want):
+    doc = {"schema": 1, "model": model, "initial_state": initial, "run": run_obj}
+    cfg = parse_experiment(doc, source="targeted")
+    tr = run(build_initial_state(cfg), build_model(cfg.model), cfg.run)
+    assert [(s.kind, s.tau, s.energy, s.p0, s.p_suc) for s in tr.stages] == want
+    assert tr.converged and tr.p_success == want[-1][-1]
+
+
+def test_a_certain_ejection_failure_reads_the_same_in_run_and_replay(harmonic):
+    # |0> lies wholly in the level-0 eigenspace that a target of level 1 ejects first
+    cfg = RunConfig(
+        mode=FixedStep(tau=0.3), gamma_policy=Fixed(value=1.0), eject_shifted=True, target_level=1
+    )
+    want = r"^ejection of level 0 at E_s=0 has zero success probability \(p=\d\.\d{3}e-\d\d\)$"
+    with pytest.raises(CertainFailureError, match=want) as refused:
+        run(basis_vector(30, 0), harmonic, cfg)
+    for sample in (trajectory_probabilities, stochastic_trajectory):
+        with pytest.raises(CertainFailureError, match=f"^{re.escape(str(refused.value))}$"):
+            sample(basis_vector(30, 0), harmonic, replace(cfg, seed=0), (0.3,))
+
+
 def test_trajectory_probabilities_empty_schedule(harmonic, thermal_half):
     cfg = RunConfig(mode=FixedStep(tau=0.3))
     p0s = trajectory_probabilities(thermal_half, harmonic, cfg, ())
@@ -567,7 +661,7 @@ _TARGETED = RunConfig(
 @pytest.mark.parametrize(
     "call",
     [
-        lambda s, h: eject(s, h.with_gamma(1.0), 0.0, shifted=True),
+        lambda s, h: cooling_step(s, *ejection_step(h.with_gamma(1.0), 0.0, shifted=True)),
         lambda s, h: cooling_step(s, h, 0.3, TrotterW(2)),
         lambda s, h: stage_objective(s, h, 0.3, TrotterW(2)),
         lambda s, h: minimize_stage(s, h, OptimizerConfig()),
@@ -642,11 +736,8 @@ def test_exact_step_and_ejection_match_dense_reference(seed, kind, degenerate, t
     e_s = float(evals[rng.integers(dim)])
     assume(abs(e_s + (gamma if shifted else 0.0)) > 1e-3)
     out, p_ref = reference.apply(reference.ejection(h, e_s, shifted=shifted), state.data)
-    if p_ref < BRANCH_PROB_FLOOR:  # the state lies in the ejected eigenspace
-        with pytest.raises(CertainFailureError):
-            eject(state, h, e_s, shifted=shifted)
-    else:
-        _assert_branch_matches(*eject(state, h, e_s, shifted=shifted), out, p_ref, tol)
+    step = cooling_step(state, *ejection_step(h, e_s, shifted))
+    _assert_branch_matches(step.state0, step.p0, out, p_ref, tol)
 
 
 def test_exact_mode_builds_no_dense_operator(monkeypatch, harmonic, thermal_half):
@@ -688,6 +779,51 @@ def test_run_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(mode=FixedStep(tau=0.3), **kwargs)
 
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(max_stages=2.5), "max_stages must be an integer, got 2.5"),
+        (dict(max_stages=True), "max_stages must be an integer, got True"),
+        (dict(operator_mode=TrotterW(2.5)), "operator.r (Trotter steps) must be an integer, got 2.5"),
+        (dict(operator_mode=TrotterW(True)), "operator.r (Trotter steps) must be an integer, got True"),
+        (dict(target_level=1.5), "target_level must be an integer, got 1.5"),
+        (dict(target_level=True), "target_level must be an integer, got True"),
+        (dict(mode=FixedStep(tau=math.inf)), "tau must be finite, got inf"),
+    ],
+    ids=["float-stages", "bool-stages", "float-r", "bool-r", "float-target", "bool-target", "inf-tau"],
+)
+def test_run_config_refuses_what_the_json_reader_refuses(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(**{"mode": FixedStep(tau=0.3), **kwargs})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(tau_hi=math.inf), "tau_hi must be finite, got inf"),
+        (dict(max_evals=12.5), "max_evals must be an integer, got 12.5"),
+        (dict(coarse_grid=7.0), "coarse_grid must be an integer, got 7.0"),
+        (dict(coarse_grid=True, max_evals=3), "coarse_grid must be >= 2, got True"),
+    ],
+    ids=["inf-tau-hi", "float-evals", "float-grid", "bool-grid"],
+)
+def test_optimizer_config_refuses_what_the_json_reader_refuses(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        OptimizerConfig(**kwargs)
+
+
+def test_run_config_takes_numpy_integers(harmonic, thermal_half):
+    cfg = RunConfig(
+        mode=Variational(OptimizerConfig(max_evals=np.int64(12), coarse_grid=np.int32(7))),
+        max_stages=np.int64(3),
+        operator_mode=TrotterW(np.int64(2)),
+        target_level=np.int64(1),
+        gamma_policy=Fixed(value=1.5),
+        eject_shifted=True,
+    )
+    assert run(thermal_half, harmonic, cfg).n_stages == 3
 
 def test_run_config_refuses_more_ejections_than_stages():
     with pytest.raises(ConfigError, match="^target_level must be <= max_stages = 1, got 3$"):

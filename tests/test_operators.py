@@ -283,6 +283,14 @@ def test_total_checks_the_sum_of_dense_terms():
         h.total
 
 
+def test_sum_refuses_mixed_dimensions_and_no_operators():
+    ops = [HermitianOperator(np.diag([1.0, 2.0])), HermitianOperator(np.diag([1.0, 2.0, 3.0]))]
+    with pytest.raises(DimensionError, match=r"^operators have mixed dimensions \[2, 3\]$"):
+        HermitianOperator.sum(ops)
+    with pytest.raises(ValidationError, match="^HermitianOperator.sum needs at least one operator$"):
+        HermitianOperator.sum([])
+
+
 # ---------------------------------------------------------------------------
 # the block eigensolver against a dense eigh
 

@@ -63,6 +63,19 @@ def test_apply_branches_needs_a_trotter_step(harmonic):
         apply_branches(harmonic, 0.3, 0, np.eye(30)[0])
 
 
+
+@pytest.mark.parametrize(
+    "model, size",
+    [(Hubbard1D(sites=2, t=1.0, u=2.0), 17), (Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=4), 9)],
+    ids=["hubbard", "rabi"],
+)
+@pytest.mark.parametrize("block", [False, True])
+def test_apply_branches_refuses_a_wrong_dimension(model, size, block):
+    h = build_model(model)
+    x = np.ones((size, 3) if block else size, dtype=complex)
+    with pytest.raises(DimensionError, match=f"^state dim {size} != operator dim {h.dim}$"):
+        apply_branches(h, 0.3, 3, x)
+
 def test_exact_w_is_unitary_and_block_diagonal_in_x(harmonic):
     w = exact_W(harmonic, 0.3)
     assert w.system_dim == 30
