@@ -67,6 +67,7 @@ class OptimizerConfig:
         _require(0 < lo < hi, f"tau_lo must satisfy 0 < tau_lo < tau_hi = {hi}", lo)
         _require(math.isfinite(hi), "tau_hi must be finite", hi)
         _require(self.x_tol > 0, "x_tol must be > 0", self.x_tol)
+        _require(math.isfinite(self.x_tol), "x_tol must be finite", self.x_tol)
         _at_least("max_evals", evals, 3)
         _at_least("coarse_grid", grid, 2)
         # else the grid stops short of tau_hi
@@ -110,6 +111,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _require(self.epsilon > 0, "epsilon must be > 0", self.epsilon)
+        _require(math.isfinite(self.epsilon), "epsilon must be finite", self.epsilon)
         _at_least("max_stages", self.max_stages, 1)
         if isinstance(self.mode, FixedStep):
             _require(self.mode.tau > 0, "tau must be > 0", self.mode.tau)
@@ -121,6 +123,9 @@ class RunConfig:
             most = self.max_stages  # each level below the target is one ejection stage
             _require(target <= most, f"target_level must be <= max_stages = {most}", target)
         _require(self.f_tol > 0, "f_tol must be > 0", self.f_tol)
+        _require(math.isfinite(self.f_tol), "f_tol must be finite", self.f_tol)
+        if self.seed is not None:
+            _at_least("seed", self.seed, 0)
 
 
 def _start(
@@ -307,12 +312,17 @@ class TrajectoryResult:
 
 
 def eigen_populations(state: QuantumState, h: SumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the total H and P_j = <j|rho|j> in its eigenbasis."""
+    """Ascending eigenvalues of the total H and P_j = <j|rho|j> in its eigenbasis,
+    read on the state's support S: |V_S^H psi_S|^2, or Re sum_i conj(V_S) ⊙ (rho_SS V_S)."""
     check_dim(state, h.dim)
     evals, v = h.total.eigensystem()
+    x, nz = state.data, state.data != 0
+    s = np.flatnonzero(nz if state.is_pure else nz.any(axis=0) | nz.any(axis=1))
+    if s.size < len(x):  # at full support V and rho are read whole
+        v, x = v[s], x[s] if state.is_pure else x[np.ix_(s, s)]
     if state.is_pure:
-        return evals, np.abs(v.conj().T @ state.data) ** 2
-    return evals, np.einsum("ij,ij->j", v.conj(), state.data @ v).real
+        return evals, np.abs(v.conj().T @ x) ** 2
+    return evals, np.einsum("ij,ij->j", v.conj(), x @ v).real
 
 
 def trajectory_probabilities(
@@ -368,8 +378,7 @@ def stochastic_trajectory(
         raise ConfigError("stochastic_trajectory requires a seed in the run config")
     p0s = trajectory_probabilities(initial, h, config, tuple(schedule))
     rng = np.random.default_rng(config.seed)
-    restarts = 0
-    shots = 0
+    restarts = shots = 0
     if len(p0s) == 0:
         return TrajectoryResult(success=True, restarts=0, shots_used=0)
     while shots < max_shots:

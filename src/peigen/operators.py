@@ -49,8 +49,8 @@ def _checked_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def _block_eigh(
-    r: np.ndarray, c: np.ndarray, v: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray]:
+    r: np.ndarray, c: np.ndarray, v: np.ndarray, d: int, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """``np.linalg.eigh`` of the d x d matrix with nonzeros ``(r, c, v)``
     (`HermitianOperator._entries`), solved per connected component of the
     pattern of its strict lower triangle (all that ``eigh`` reads), without
@@ -65,7 +65,8 @@ def _block_eigh(
     its first test. Blocks are gathered into one flat buffer, grouped by
     size and then by kind, with the entries of ``mat`` bit for bit. The
     blocks of a group share one stacked call, real ones the real solver, so
-    a matrix that is one complex component gets exactly ``eigh(mat)``."""
+    a matrix that is one complex component gets exactly ``eigh(mat)``;
+    ``vectors=False`` calls ``eigvalsh`` instead and returns no eigenvectors."""
     lower = r > c
     er, ec = r[lower], c[lower]
     root = np.arange(d)
@@ -102,10 +103,12 @@ def _block_eigh(
     for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), d]):
         n = int(size[order[a]])
         idx = order[a:b].reshape(-1, n)
-        sub = buf[start[a] : start[b]].reshape(-1, n, n)
-        solved.append((idx, *np.linalg.eigh(sub if groups[a] % 2 else sub.real)))
+        sub = (buf if groups[a] % 2 else buf.real)[start[a] : start[b]].reshape(-1, n, n)
+        solved.append((idx, *(np.linalg.eigh(sub) if vectors else (np.linalg.eigvalsh(sub), None))))
     w = np.concatenate([s[1].ravel() for s in solved])
     ascending = np.argsort(w, kind="stable")
+    if not vectors:
+        return w[ascending], None
     rank = np.empty(d, dtype=np.intp)  # rank[k]: ascending position of w[k]
     rank[ascending] = np.arange(d)
     evecs = np.zeros((d, d), dtype=complex)
@@ -355,7 +358,9 @@ def expectation(state: QuantumState, h: HermitianOperator) -> float:
 
 
 def validate_and_normalize(state: QuantumState, tol: float = 1e-6) -> QuantumState:
-    """Check the state invariants within ``tol`` and return it exactly normalized."""
+    """Check the state invariants within ``tol`` and return it exactly normalized.
+
+    A density matrix's PSD check reads each block of its nonzero pattern (`_block_eigh`)."""
     if state.is_pure:
         nrm = float(np.linalg.norm(state.data))
         if abs(nrm - 1.0) > tol:
@@ -368,7 +373,8 @@ def validate_and_normalize(state: QuantumState, tol: float = 1e-6) -> QuantumSta
     tr = float(np.trace(d).real)
     if abs(tr - 1.0) > tol:
         raise ValidationError(f"density trace {tr:.6g} deviates from 1 by more than {tol:g}")
-    evmin = float(np.linalg.eigvalsh(d).min())
+    r, c = np.nonzero(d)
+    evmin = _block_eigh(r, c, d[r, c], len(d), vectors=False)[0][0]
     if evmin < -tol:
         raise ValidationError(f"density matrix not positive semidefinite (min eigenvalue {evmin:.3e})")
     return QuantumState(d / tr)

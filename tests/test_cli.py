@@ -214,6 +214,20 @@ def _fixed_cfg(**changes):
             _fixed_cfg(**{"run.target_level": 3, "run.max_stages": 1}),
             "cfg.json.run.target_level must be <= max_stages = 1, got 3",
         ),
+        (_fixed_cfg(**{"run.seed": -1}), "cfg.json.run.seed must be >= 0, got -1"),
+        (_fixed_cfg(**{"run.seed": 2.5}), "'cfg.json.run.seed' must be an integer or null, got 2.5"),
+        (_fixed_cfg(**{"run.seed": True}), "'cfg.json.run.seed' must be an integer or null, got True"),
+        (
+            _fixed_cfg(**{"run.epsilon": math.inf}),
+            "'cfg.json.run.epsilon' must be a finite number, got inf",
+        ),
+        (_fixed_cfg(**{"run.f_tol": math.inf}), "'cfg.json.run.f_tol' must be a finite number, got inf"),
+        (
+            _fixed_cfg(
+                **{"run.mode": "variational", "run.tau": None, "run.optimizer": {"x_tol": math.inf}}
+            ),
+            "'cfg.json.run.optimizer.x_tol' must be a finite number, got inf",
+        ),
     ],
     ids=[
         "schema-2",
@@ -224,6 +238,12 @@ def _fixed_cfg(**changes):
         "unknown-run-mode",
         "no-custom-terms",
         "more-ejections-than-stages",
+        "negative-seed",
+        "float-seed",
+        "bool-seed",
+        "infinite-epsilon",
+        "infinite-f-tol",
+        "infinite-x-tol",
     ],
 )
 def test_config_rejection_names_the_key(doc, message):

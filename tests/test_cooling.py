@@ -39,7 +39,7 @@ from peigen.config import (
     load_experiment,
     parse_experiment,
 )
-from peigen.cooling import BRANCH_PROB_FLOOR
+from peigen.cooling import BRANCH_PROB_FLOOR, eigen_populations
 from peigen.models import build_custom, build_model
 from tests import reference
 from tests.conftest import random_hermitian, random_state, random_state_vector
@@ -562,6 +562,51 @@ def test_exact_trajectory_probabilities_below_the_floor_raise(seed, p, mixed):
         trajectory_probabilities(state, h, cfg, (math.pi, math.pi / 2))
 
 
+def _whole_populations(state, h):
+    """P_j read on the whole of V and of the state: |V^H psi|^2, or
+    Re sum_i conj(V) ⊙ (rho V)."""
+    v = h.total.eigensystem()[1]
+    if state.is_pure:
+        return np.abs(v.conj().T @ state.data) ** 2
+    return np.einsum("ij,ij->j", v.conj(), state.data @ v).real
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["pure", "rank1", "low_rank", "full_rank"]),
+    st.booleans(),
+)
+def test_eigen_populations_read_the_support(seed, kind, full):
+    """On a random support the populations match the whole-matrix formula
+    within 1e-14; at full support they are that formula, bit for bit. A
+    mixed state may carry an entry, Hermitian within tolerance, whose mirror
+    is zero: its row and its column both join the support."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 12))
+    h, _ = _custom_with_spectrum(rng, rng.uniform(-1.0, 1.0, dim))
+    n = dim if full else int(rng.integers(1, dim))
+    support = np.sort(rng.choice(dim, n, replace=False))
+    rank = {"pure": 0, "rank1": 1, "low_rank": int(rng.integers(1, n + 1)), "full_rank": n}[kind]
+    sub = random_state(rng, n, rank).data
+    if rank == 0:
+        data = np.zeros(dim, dtype=complex)
+        data[support] = sub
+    else:
+        data = np.zeros((dim, dim), dtype=complex)
+        data[np.ix_(support, support)] = sub
+        if not full and rng.random() < 0.5:
+            data[support[0], int(np.setdiff1d(np.arange(dim), support)[0])] = 5e-14
+    state = QuantumState(data)
+    evals, pops = eigen_populations(state, h)
+    want = _whole_populations(state, h)
+    assert np.array_equal(evals, h.total.eigensystem()[0])
+    if full:
+        assert np.array_equal(pops, want)
+    else:
+        assert np.abs(pops - want).max() <= 1e-14
+
+
 # Each stage's (kind, tau, energy, p0, p_suc) of three targeted runs, frozen
 # because none of the frozen CSVs has an ejection stage. Equality is exact:
 # every literal is a float repr.
@@ -791,8 +836,18 @@ def test_run_config_rejects_bad_values(kwargs):
         (dict(target_level=1.5), "target_level must be an integer, got 1.5"),
         (dict(target_level=True), "target_level must be an integer, got True"),
         (dict(mode=FixedStep(tau=math.inf)), "tau must be finite, got inf"),
+        # an infinite epsilon would stop after one stage as converged
+        (dict(epsilon=math.inf), "epsilon must be finite, got inf"),
+        (dict(f_tol=math.inf), "f_tol must be finite, got inf"),
+        # numpy's generator would refuse these only when a trajectory is sampled
+        (dict(seed=2.5), "seed must be an integer, got 2.5"),
+        (dict(seed=True), "seed must be an integer, got True"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
     ],
-    ids=["float-stages", "bool-stages", "float-r", "bool-r", "float-target", "bool-target", "inf-tau"],
+    ids=[
+        "float-stages", "bool-stages", "float-r", "bool-r", "float-target", "bool-target", "inf-tau",
+        "inf-epsilon", "inf-f-tol", "float-seed", "bool-seed", "negative-seed",
+    ],
 )
 def test_run_config_refuses_what_the_json_reader_refuses(kwargs, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -803,11 +858,12 @@ def test_run_config_refuses_what_the_json_reader_refuses(kwargs, message):
     "kwargs, message",
     [
         (dict(tau_hi=math.inf), "tau_hi must be finite, got inf"),
+        (dict(x_tol=math.inf), "x_tol must be finite, got inf"),  # else no refinement
         (dict(max_evals=12.5), "max_evals must be an integer, got 12.5"),
         (dict(coarse_grid=7.0), "coarse_grid must be an integer, got 7.0"),
         (dict(coarse_grid=True, max_evals=3), "coarse_grid must be >= 2, got True"),
     ],
-    ids=["inf-tau-hi", "float-evals", "float-grid", "bool-grid"],
+    ids=["inf-tau-hi", "inf-x-tol", "float-evals", "float-grid", "bool-grid"],
 )
 def test_optimizer_config_refuses_what_the_json_reader_refuses(kwargs, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

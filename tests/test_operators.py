@@ -18,6 +18,7 @@ from peigen import (
     expectation,
     validate_and_normalize,
 )
+from peigen.operators import _block_eigh
 from tests.conftest import random_hermitian, random_state_vector
 
 
@@ -410,3 +411,86 @@ def test_model_hamiltonians_split_into_blocks(spec, components):
     assert np.array_equal(evals, w0) and np.array_equal(v, v0)  # structure reads as mat
     support = np.abs(v) > 0
     assert all(len(set(label[col])) == 1 for col in support.T)
+
+
+# ---------------------------------------------------------------------------
+# the block PSD check of a density matrix against a dense eigvalsh
+
+
+def _unitary(rng: np.random.Generator, n: int, real: bool) -> np.ndarray:
+    a = rng.normal(size=(n, n)) + (0 if real else 1j * rng.normal(size=(n, n)))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _density_blocks(rng: np.random.Generator, least: float) -> np.ndarray:
+    """Unit-trace Hermitian blocks, real or complex, with one eigenvalue
+    ``least`` and every other eigenvalue positive, plus zero rows, under a
+    random permutation. Some carry an entry Hermitian only within 1e-13
+    whose mirror is zero, so it may join two blocks or lie unread between
+    them."""
+    spectra = [rng.uniform(0.1, 1.0, int(rng.integers(1, 6))) for _ in range(int(rng.integers(2, 6)))]
+    total = sum(w.sum() for w in spectra) - spectra[0][0]
+    spectra = [w * (1.0 - least) / total for w in spectra]
+    spectra[0][0] = least
+    d = sum(len(w) for w in spectra) + int(rng.integers(0, 4))
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for w in spectra:
+        u = _unitary(rng, len(w), real=rng.random() < 0.5)
+        m[start : start + len(w), start : start + len(w)] = (u * w) @ u.conj().T
+        start += len(w)
+    if rng.random() < 0.4:
+        i, j = (int(x) for x in rng.integers(d, size=2))
+        if m[j, i] == 0 and i != j:
+            m[i, j] = 5e-14 * (1 + 1j)
+    perm = rng.permutation(d)
+    return m[np.ix_(perm, perm)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, -1e-3]))
+def test_block_psd_check_matches_dense_eigvalsh(seed, least):
+    m = _density_blocks(np.random.default_rng(seed), least)
+    got = _block_eigh(*np.nonzero(m), m[m != 0], len(m), vectors=False)
+    dense = np.linalg.eigvalsh(m)
+    assert got[1] is None and np.all(np.diff(got[0]) >= 0)
+    assert np.abs(got[0] - dense).max() <= 1e-12
+    assert abs(got[0][0] - dense.min()) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([-1.0, 1.0]))
+def test_validate_refuses_what_the_dense_check_refuses(seed, side):
+    """Least eigenvalue just past -tol (side -1) or just inside it (side +1)."""
+    tol = 1e-6
+    m = _density_blocks(np.random.default_rng(seed), -tol + side * 1e-9)
+    dense_refuses = bool(np.linalg.eigvalsh(m).min() < -tol)
+    assert dense_refuses == (side < 0)
+    try:
+        validate_and_normalize(QuantumState(m), tol)
+    except ValidationError as exc:
+        assert str(exc).startswith("density matrix not positive semidefinite")
+        refused = True
+    else:
+        refused = False
+    assert refused == dense_refuses
+
+
+def test_diagonal_density_validates_without_a_dense_solve(monkeypatch):
+    """A diagonal 2000 x 2000 rho is 2000 blocks of size 1, so every
+    ``eigvalsh`` call sees 1 x 1 matrices, never the whole rho."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    d = 2000
+    rho = np.diag(np.random.default_rng(5).dirichlet(np.ones(d))).astype(complex)
+    out = validate_and_normalize(QuantumState(rho))
+    assert abs(np.trace(out.data).real - 1.0) < 1e-14
+    assert shapes and all(s[-2:] == (1, 1) for s in shapes)
+    assert sum(math.prod(s[:-2]) for s in shapes) == d
