@@ -159,7 +159,7 @@ def _branch(out: np.ndarray, pure: bool) -> tuple[Optional[QuantumState], float]
     p = float(np.vdot(out, out).real if pure else np.trace(out).real)
     if p < BRANCH_PROB_FLOOR:
         return None, max(p, 0.0)
-    return QuantumState(out / (math.sqrt(p) if pure else p)), p
+    return QuantumState(out * (1.0 / (math.sqrt(p) if pure else p))), p
 
 
 def _eigen_branches(state: QuantumState, h: SumHamiltonian, factors: tuple) -> list:
@@ -313,11 +313,10 @@ class TrajectoryResult:
 
 def eigen_populations(state: QuantumState, h: SumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the total H and P_j = <j|rho|j> in its eigenbasis,
-    read on the state's support S: |V_S^H psi_S|^2, or Re sum_i conj(V_S) ⊙ (rho_SS V_S)."""
+    read on the state's `support` S: |V_S^H psi_S|^2, or Re sum_i conj(V_S) ⊙ (rho_SS V_S)."""
     check_dim(state, h.dim)
     evals, v = h.total.eigensystem()
-    x, nz = state.data, state.data != 0
-    s = np.flatnonzero(nz if state.is_pure else nz.any(axis=0) | nz.any(axis=1))
+    x, s = state.data, state.support
     if s.size < len(x):  # at full support V and rho are read whole
         v, x = v[s], x[s] if state.is_pure else x[np.ix_(s, s)]
     if state.is_pure:

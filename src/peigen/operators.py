@@ -7,7 +7,7 @@ bookkeeping that every other module builds on."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -294,7 +294,7 @@ class QuantumState:
     """System state: pure (1-D amplitude vector) or mixed (2-D density matrix).
 
     Construction checks shape and finiteness only; `validate_and_normalize`
-    enforces the norm/positivity invariants at protocol boundaries.
+    enforces the invariants at protocol boundaries and hands on its `support`.
     """
 
     data: np.ndarray
@@ -325,6 +325,12 @@ class QuantumState:
         if self.is_pure:
             return np.outer(self.data, self.data.conj())
         return self.data
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Ascending indices of psi's nonzeros, or of rho's rows and columns holding one."""
+        nz = self.data != 0
+        return np.flatnonzero(nz if self.is_pure else nz.any(axis=0) | nz.any(axis=1))
 
 
 def check_dim(state: QuantumState, dim: int) -> None:
@@ -360,24 +366,29 @@ def expectation(state: QuantumState, h: HermitianOperator) -> float:
 def validate_and_normalize(state: QuantumState, tol: float = 1e-6) -> QuantumState:
     """Check the state invariants within ``tol`` and return it exactly normalized.
 
-    A density matrix's PSD check reads each block of its nonzero pattern (`_block_eigh`)."""
+    One scan of a density matrix's nonzeros (r, c, v) gives its Hermiticity defect
+    (the dense one to the bit), its PSD blocks (`_block_eigh`) and the `support` of rho * (1/tr)."""
     if state.is_pure:
         nrm = float(np.linalg.norm(state.data))
         if abs(nrm - 1.0) > tol:
             raise ValidationError(f"pure-state norm {nrm:.6g} deviates from 1 by more than {tol:g}")
         return QuantumState(state.data / nrm)
     d = state.data
-    defect = float(np.abs(d - d.conj().T).max())
+    nz = d != 0
+    r, c = np.nonzero(nz)
+    v = d[r, c]
+    defect = float(np.abs(v - d[c, r].conj()).max()) if v.size else 0.0
     if defect > HERMITICITY_ATOL:
         raise ValidationError(f"density matrix not Hermitian (defect {defect:.3e})")
     tr = float(np.trace(d).real)
     if abs(tr - 1.0) > tol:
         raise ValidationError(f"density trace {tr:.6g} deviates from 1 by more than {tol:g}")
-    r, c = np.nonzero(d)
-    evmin = _block_eigh(r, c, d[r, c], len(d), vectors=False)[0][0]
+    evmin = _block_eigh(r, c, v, len(d), vectors=False)[0][0]
     if evmin < -tol:
         raise ValidationError(f"density matrix not positive semidefinite (min eigenvalue {evmin:.3e})")
-    return QuantumState(d / tr)
+    out = QuantumState(d * (1.0 / tr))
+    out.__dict__["support"] = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    return out
 
 
 def basis_vector(dim: int, index: int) -> QuantumState:

@@ -1,8 +1,7 @@
 """Randomized property suites and identity checks: the cooling inequality,
-the spectral-weight update law, ejection support removal, Trotter-order
-scaling, and the circuit decomposition identities. Each suite returns a
-plain-dict report consumed by both the test suite and the CLI; its
-``summary`` is the one line ``peigen verify`` prints for it."""
+Trotter-order scaling, and the circuit decomposition identities. Each suite
+returns a plain-dict report consumed by both the test suite and the CLI;
+its ``summary`` is the one line ``peigen verify`` prints for it."""
 
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cooling import cooling_step, ejection_step
+from .cooling import cooling_step
 from .errors import TruncationLeakageError
 from .models import (
     Exact,
@@ -102,77 +101,6 @@ def appendix_a_suite(n_instances: int = 1000, seed: int = 7, dim_max: int = 8) -
             f"{n_instances} instances, {len(violations)} violations, "
             f"eigenstate deviation {eig_max_dev:.3g}"
         ),
-    }
-
-
-# ---------------------------------------------------------------------------
-# spectral-weight update suite
-
-
-def spectral_weight_suite(n_instances: int = 100, seed: int = 11) -> dict:
-    """One cooling step must reweight eigen-populations by cos^2((E+g)tau)/P0."""
-    rng = np.random.default_rng(seed)
-    max_dev = 0.0
-    for _ in range(n_instances):
-        dim = int(rng.integers(2, 9))
-        mats = [random_hermitian(rng, dim) for _ in range(int(rng.integers(1, 3)))]
-        h = SumHamiltonian(
-            tuple((f"t{i}", HermitianOperator(m)) for i, m in enumerate(mats)),
-            gamma=float(rng.uniform(-1.0, 2.0)),
-        )
-        evals, v = h.total.eigensystem()
-        state = random_pure_state(rng, dim)
-        tau = float(rng.uniform(0.05, 1.0))
-        step = cooling_step(state, h, tau)
-        if step.state0 is None:
-            continue
-        w_in = np.abs(v.conj().T @ state.data) ** 2
-        w_out = np.abs(v.conj().T @ step.state0.data) ** 2
-        expected = np.cos((evals + h.gamma) * tau) ** 2 * w_in / step.p0
-        max_dev = max(max_dev, float(np.abs(w_out - expected).max()))
-    return {
-        "name": "spectral-weight",
-        "instances": n_instances,
-        "max_deviation": max_dev,
-        "passed": max_dev <= 1e-10,
-        "summary": f"{n_instances} instances, max deviation {max_dev:.3g}",
-    }
-
-
-# ---------------------------------------------------------------------------
-# ejection support-removal suite
-
-
-def eject_support_suite(n_instances: int = 100, seed: int = 13) -> dict:
-    """The kept branch of `ejection_step` at E_s must have <= 1e-12 overlap with that level."""
-    rng = np.random.default_rng(seed)
-    max_overlap = 0.0
-    done = 0
-    while done < n_instances:
-        dim = int(rng.integers(3, 9))
-        h = _single_term(random_hermitian(rng, dim))
-        evals, v = h.total.eigensystem()
-        candidates = [
-            s
-            for s in range(dim)
-            if abs(evals[s]) > 0.1
-            and (s == 0 or evals[s] - evals[s - 1] > 1e-6)
-            and (s == dim - 1 or evals[s + 1] - evals[s] > 1e-6)
-        ]
-        if not candidates:
-            continue
-        s = int(rng.choice(candidates))
-        state = random_pure_state(rng, dim)
-        out = cooling_step(state, *ejection_step(h, float(evals[s]))).state0
-        overlap = abs(complex(np.vdot(v[:, s], out.data)))
-        max_overlap = max(max_overlap, overlap)
-        done += 1
-    return {
-        "name": "eject-support",
-        "instances": n_instances,
-        "max_overlap": max_overlap,
-        "passed": max_overlap <= 1e-12,
-        "summary": f"{n_instances} instances, max overlap {max_overlap:.3g}",
     }
 
 

@@ -34,3 +34,12 @@ def random_state(rng: np.random.Generator, dim: int, rank: int) -> QuantumState:
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T
     return QuantumState(rho / np.trace(rho).real)
+
+
+def with_signed_zeros(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
+    """``a`` with some zero entries given a negative real or imaginary zero."""
+    a = a.copy()
+    zeros = np.flatnonzero(a == 0)
+    a.flat[rng.permutation(zeros)[: zeros.size // 2]] = complex(-0.0, 0.0)
+    a.flat[rng.permutation(zeros)[: zeros.size // 3]] = complex(0.0, -0.0)
+    return a

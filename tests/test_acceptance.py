@@ -38,14 +38,8 @@ from peigen import (
 )
 from peigen.cli import main
 from peigen.models import hubbard_basis_index, hubbard_sector_minimum, rabi_basis_index
-from peigen.verify import (
-    appendix_a_suite,
-    eject_support_suite,
-    fig2a_suite,
-    fig2b_suite,
-    spectral_weight_suite,
-    trotter_scaling_suite,
-)
+from peigen.verify import appendix_a_suite, fig2a_suite, fig2b_suite, trotter_scaling_suite
+from tests.eigenbasis_suites import eject_overlap, spectral_weight_deviation
 
 HARMONIC_SPEC = HarmonicOscillator(omega=1.0, cutoff=30)
 RABI_SPEC = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
@@ -226,16 +220,8 @@ def test_criterion_05_cooling_inequality_suite():
 
 
 def test_criterion_06_spectral_weight_update():
-    rep = spectral_weight_suite(n_instances=100)
-    _report(
-        6,
-        [
-            (
-                rep["max_deviation"] <= 1e-10,
-                f"100 instances, max coefficient deviation {rep['max_deviation']:.3g} ≤ 1e-10",
-            )
-        ],
-    )
+    dev = spectral_weight_deviation(n_instances=100)
+    _report(6, [(dev <= 1e-10, f"100 instances, max coefficient deviation {dev:.3g} ≤ 1e-10")])
 
 
 def test_criterion_07_trotter_order():
@@ -304,7 +290,7 @@ def test_criterion_09_excited_state_pipeline():
         eject_shifted=True,
     )
     tr = run(init, h, replace(cfg, target_level=1))
-    rep = eject_support_suite(n_instances=100)
+    overlap = eject_overlap(n_instances=100)
     _report(
         9,
         [
@@ -317,10 +303,7 @@ def test_criterion_09_excited_state_pipeline():
                 tr.p_success <= 2 / 9 + 1e-9,
                 f"cumulative P_suc {tr.p_success:.6f} ≤ 2/9 + 1e-9",
             ),
-            (
-                rep["max_overlap"] <= 1e-12,
-                f"eject overlap ≤ {rep['max_overlap']:.3g} over 100 random cases",
-            ),
+            (overlap <= 1e-12, f"eject overlap ≤ {overlap:.3g} over 100 random cases"),
         ],
     )
 

@@ -32,6 +32,7 @@ from peigen import (
     stage_objective,
     stochastic_trajectory,
     trajectory_probabilities,
+    validate_and_normalize,
 )
 from peigen.config import (
     build_initial_state,
@@ -39,10 +40,10 @@ from peigen.config import (
     load_experiment,
     parse_experiment,
 )
-from peigen.cooling import BRANCH_PROB_FLOOR, eigen_populations
+from peigen.cooling import BRANCH_PROB_FLOOR, _branch, eigen_populations
 from peigen.models import build_custom, build_model
 from tests import reference
-from tests.conftest import random_hermitian, random_state, random_state_vector
+from tests.conftest import random_hermitian, random_state, random_state_vector, with_signed_zeros
 
 
 def _plus01(dim=30):
@@ -605,6 +606,56 @@ def test_eigen_populations_read_the_support(seed, kind, full):
         assert np.array_equal(pops, want)
     else:
         assert np.abs(pops - want).max() <= 1e-14
+
+
+def _scanned_populations(state, h):
+    """P_j read on the support found by a fresh scan of the state's nonzeros."""
+    v = h.total.eigensystem()[1]
+    x, nz = state.data, state.data != 0
+    s = np.flatnonzero(nz if state.is_pure else nz.any(axis=0) | nz.any(axis=1))
+    if s.size < len(x):
+        v, x = v[s], x[s] if state.is_pure else x[np.ix_(s, s)]
+    if state.is_pure:
+        return np.abs(v.conj().T @ x) ** 2
+    return np.einsum("ij,ij->j", v.conj(), x @ v).real
+
+
+def _on_random_support(rng, rank):
+    """A pure state (rank 0) or a density matrix of the given rank, zero
+    outside a random support, with signed zeros."""
+    dim = int(rng.integers(2, 12))
+    support = np.sort(rng.choice(dim, int(rng.integers(1, dim + 1)), replace=False))
+    sub = random_state(rng, len(support), min(rank, len(support))).data
+    data = np.zeros((dim,) * (1 if rank == 0 else 2), dtype=complex)
+    data[support if rank == 0 else np.ix_(support, support)] = sub
+    return with_signed_zeros(rng, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_eigen_populations_read_the_carried_support_bitwise(seed, rank):
+    """The support a state carries (scanned on first read, or handed over by
+    `validate_and_normalize`) gives the populations of a fresh scan, bit for bit."""
+    rng = np.random.default_rng(seed)
+    state = QuantumState(_on_random_support(rng, rank))
+    h, _ = _custom_with_spectrum(rng, rng.uniform(-1.0, 1.0, state.dim))
+    for s in (state, validate_and_normalize(state)):
+        want = _scanned_populations(s, h)
+        assert eigen_populations(s, h)[1].tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(-1e-7, 1e-7))
+def test_branch_normalises_as_a_division(seed, pure, off):
+    """Random support, signed zeros, a norm or trace off 1 by up to 1e-7 or a
+    small branch: ``out * (1/n)`` equals ``out / n`` entry for entry."""
+    rng = np.random.default_rng(seed)
+    scale = (1.0 + off) * (1.0 if rng.random() < 0.5 else rng.uniform(1e-6, 1.0))
+    out = _on_random_support(rng, 0 if pure else int(rng.integers(1, 4)))
+    out = out * (math.sqrt(scale) if pure else scale)
+    got, p = _branch(out, pure)
+    assert p == float(np.vdot(out, out).real if pure else np.trace(out).real)
+    assert np.array_equal(got.data, out / (math.sqrt(p) if pure else p))
 
 
 # Each stage's (kind, tau, energy, p0, p_suc) of three targeted runs, frozen

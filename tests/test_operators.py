@@ -19,7 +19,7 @@ from peigen import (
     validate_and_normalize,
 )
 from peigen.operators import _block_eigh
-from tests.conftest import random_hermitian, random_state_vector
+from tests.conftest import random_hermitian, random_state_vector, with_signed_zeros
 
 
 def test_rejects_non_hermitian():
@@ -122,9 +122,10 @@ def test_validate_and_normalize_mixed():
     "rho, message",
     [
         ([[0.5, 0.1], [0.2, 0.5]], r"density matrix not Hermitian \(defect 1\.000e-01\)"),
+        ([[0.5, 2e-12 * (0.6 - 0.8j)], [0, 0.5]], r"density matrix not Hermitian \(defect 2\.000e-12\)"),
         (np.eye(2), "density trace 2 deviates from 1 by more than 1e-06"),
     ],
-    ids=["not-hermitian", "trace-2"],
+    ids=["not-hermitian", "zero-mirror", "trace-2"],
 )
 def test_validate_and_normalize_rejects_a_bad_density_matrix(rho, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -494,3 +495,88 @@ def test_diagonal_density_validates_without_a_dense_solve(monkeypatch):
     assert abs(np.trace(out.data).real - 1.0) < 1e-14
     assert shapes and all(s[-2:] == (1, 1) for s in shapes)
     assert sum(math.prod(s[:-2]) for s in shapes) == d
+
+
+def _dense_defect(m: np.ndarray) -> float:
+    return float(np.abs(m - m.conj().T).max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["lone", "pair", "diagonal"]),
+    st.sampled_from([5e-14, *(float(np.nextafter(1e-12, x)) for x in (0, 1)), 1e-12, 2e-12, 1e-3]),
+)
+def test_hermiticity_check_matches_the_dense_defect(seed, kind, delta):
+    """The entry-wise defect accepts exactly what ``max |rho - rho^H|``
+    accepts, and a refusal prints that dense defect. Perturbations: an
+    off-diagonal entry whose mirror is zero, a mirror pair off by delta, and
+    a complex diagonal entry."""
+    rng = np.random.default_rng(seed)
+    m = _density_blocks(rng, 0.2)
+    phase = complex(*rng.choice([(1.0, 0.0), (0.0, -1.0), (0.6, 0.8)]))
+    off = ~np.eye(len(m), dtype=bool)
+    if kind == "lone":
+        i, j = rng.permutation(np.argwhere(off & (m == 0) & (m.T == 0)))[0]
+        m[i, j] = delta * phase
+    elif kind == "pair":
+        i, j = rng.permutation(np.argwhere(off))[0]
+        m[i, j] += delta * phase
+    else:
+        i = int(rng.integers(len(m)))
+        m[i, i] += 1j * delta
+    dense = _dense_defect(m)
+    try:
+        validate_and_normalize(QuantumState(m))
+    except ValidationError as exc:
+        assert dense > 1e-12
+        assert str(exc) == f"density matrix not Hermitian (defect {dense:.3e})"
+    else:
+        assert dense <= 1e-12
+
+
+def _scanned_support(data: np.ndarray) -> np.ndarray:
+    nz = data != 0
+    return np.flatnonzero(nz if nz.ndim == 1 else nz.any(axis=0) | nz.any(axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-1e-7, 1e-7))
+def test_normalised_density_is_rho_over_its_trace(seed, off):
+    """Random support, signed zeros, trace off 1 by up to 1e-7: the output
+    equals ``rho / tr`` entry for entry and carries the support of a fresh scan."""
+    rng = np.random.default_rng(seed)
+    m = with_signed_zeros(rng, _density_blocks(rng, 0.2) * (1.0 + off))
+    out = validate_and_normalize(QuantumState(m))
+    assert np.array_equal(out.data, m / float(np.trace(m).real))
+    assert np.array_equal(out.support, _scanned_support(out.data))
+    assert np.array_equal(out.support, _scanned_support(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_support_is_a_scan_of_the_nonzeros_read_once(seed, rank):
+    """Pure states (rank 0) and mixed ones on a random support."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 12))
+    keep = rng.random(dim) < 0.6
+    if rank == 0:
+        data = random_state_vector(rng, dim) * keep
+    else:
+        a = (rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))) * keep[:, None]
+        data = a @ a.conj().T
+    state = QuantumState(with_signed_zeros(rng, data))
+    assert np.array_equal(state.support, _scanned_support(state.data))
+    assert state.support is state.support
+
+
+def test_complex_over_real_scalar_is_times_its_reciprocal():
+    """Numpy divides a complex array by a real scalar t as ``x * (1/t)``,
+    which the one-pass normalisations rely on; value for value, although a
+    zero's sign may differ."""
+    rng = np.random.default_rng(23)
+    for t in [1.0 + 3e-8, 1.0 - 7e-8, *rng.uniform(1e-14, 10.0, 20), *10.0 ** rng.uniform(-14, 3, 20)]:
+        x = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
+        x[rng.random(x.shape) < 0.3] = 0
+        x = with_signed_zeros(rng, x * 10.0 ** rng.uniform(-300, 250, x.shape))
+        assert np.array_equal(x / t, x * (1.0 / t))

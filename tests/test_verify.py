@@ -1,6 +1,7 @@
 """Suite-level checks of the randomized verification battery: small runs
 pass, the broken-circuit controls fail, and the report dicts carry what the
-CLI needs."""
+CLI needs. The spectral-weight and ejection suites live in the tests
+(`tests.eigenbasis_suites`), checked against an independent eigensystem."""
 
 import re
 
@@ -9,13 +10,12 @@ import pytest
 from peigen import verify
 from peigen.verify import (
     appendix_a_suite,
-    eject_support_suite,
     fig2a_suite,
     fig2b_suite,
     run_all,
-    spectral_weight_suite,
     trotter_scaling_suite,
 )
+from tests.eigenbasis_suites import eject_overlap, spectral_weight_deviation
 
 
 def test_appendix_a_small_run_passes():
@@ -27,13 +27,11 @@ def test_appendix_a_small_run_passes():
 
 
 def test_spectral_weight_small_run_passes():
-    rep = spectral_weight_suite(n_instances=40, seed=5)
-    assert rep["passed"] and rep["max_deviation"] <= 1e-10
+    assert spectral_weight_deviation(n_instances=40, seed=5) <= 1e-10
 
 
 def test_eject_support_small_run_passes():
-    rep = eject_support_suite(n_instances=40, seed=9)
-    assert rep["passed"] and rep["max_overlap"] <= 1e-12
+    assert eject_overlap(n_instances=40, seed=9) <= 1e-12
 
 
 def test_trotter_scaling_suite_covers_all_models():
@@ -110,5 +108,3 @@ def test_every_report_carries_its_summary_line():
     assert inconclusive["summary"] == f"inconclusive: {inconclusive['inconclusive']}"
     rep = appendix_a_suite(n_instances=5, seed=3)
     assert rep["summary"].startswith("5 instances, 0 violations, eigenstate deviation ")
-    assert spectral_weight_suite(n_instances=3)["summary"].startswith("3 instances, max deviation ")
-    assert eject_support_suite(n_instances=3)["summary"].startswith("3 instances, max overlap ")
