@@ -372,9 +372,11 @@ def stochastic_trajectory(
     from scratch on a 1.
 
     Since every failure restarts from the same initial state, the per-stage
-    probabilities come once from `trajectory_probabilities`; see there."""
+    probabilities come once from `trajectory_probabilities`; see there.
+    At most ``max_shots`` shots are drawn, an integer >= 1."""
     if config.seed is None:
         raise ConfigError("stochastic_trajectory requires a seed in the run config")
+    _at_least("max_shots", max_shots, 1)
     p0s = trajectory_probabilities(initial, h, config, tuple(schedule))
     rng = np.random.default_rng(config.seed)
     restarts = shots = 0

@@ -6,6 +6,7 @@ bookkeeping that every other module builds on."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -293,8 +294,9 @@ class HermitianOperator:
 class QuantumState:
     """System state: pure (1-D amplitude vector) or mixed (2-D density matrix).
 
-    Construction checks shape and finiteness only; `validate_and_normalize`
-    enforces the invariants at protocol boundaries and hands on its `support`.
+    Construction checks shape and finiteness only, and keeps a read-only copy
+    of ``data``; `validate_and_normalize` enforces the invariants at protocol
+    boundaries, hands on its `support`, and keeps a pass on the state it checked.
     """
 
     data: np.ndarray
@@ -367,7 +369,20 @@ def validate_and_normalize(state: QuantumState, tol: float = 1e-6) -> QuantumSta
     """Check the state invariants within ``tol`` and return it exactly normalized.
 
     One scan of a density matrix's nonzeros (r, c, v) gives its Hermiticity defect
-    (the dense one to the bit), its PSD blocks (`_block_eigh`) and the `support` of rho * (1/tr)."""
+    (the dense one to the bit), its PSD blocks (`_block_eigh`) and the `support` of rho * (1/tr).
+    A pass is kept on ``state`` per ``tol``: a state's data is its own read-only
+    copy, so a second call returns the same object without a scan. A refusal is
+    not kept, and the output's own check is not seeded (normalizing twice is not
+    bitwise idempotent)."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
+    passed = state.__dict__.setdefault("_normalized", {})
+    if tol not in passed:
+        passed[tol] = _normalized(state, tol)
+    return passed[tol]
+
+
+def _normalized(state: QuantumState, tol: float) -> QuantumState:
     if state.is_pure:
         nrm = float(np.linalg.norm(state.data))
         if abs(nrm - 1.0) > tol:

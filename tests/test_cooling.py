@@ -34,6 +34,7 @@ from peigen import (
     trajectory_probabilities,
     validate_and_normalize,
 )
+from peigen import operators
 from peigen.config import (
     build_initial_state,
     bundled_config_dir,
@@ -412,6 +413,49 @@ def test_trajectory_shot_budget(harmonic, thermal_half):
     res = stochastic_trajectory(thermal_half, harmonic, cfg, (0.3, 0.5), max_shots=1)
     assert not res.success
     assert res.shots_used == 1
+
+
+@pytest.mark.parametrize("schedule", [(0.3, 0.5), ()], ids=["two-stages", "empty"])
+@pytest.mark.parametrize("max_shots", [0, -5, 2.5, 1.0, True])
+def test_trajectory_refuses_a_bad_shot_budget(harmonic, thermal_half, max_shots, schedule):
+    """No result is made up: a budget below one shot, or one that is not an
+    integer, is a ConfigError, whatever the schedule."""
+    cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3, seed=7)
+    with pytest.raises(ConfigError, match="^max_shots must be "):
+        stochastic_trajectory(thermal_half, harmonic, cfg, schedule, max_shots=max_shots)
+
+
+@pytest.mark.parametrize("operator_mode", [ExactW(), TrotterW(2)], ids=["exact", "trotter2"])
+@pytest.mark.parametrize("rank", [0, 3], ids=["pure", "mixed"])
+def test_restarts_on_one_shared_state_match_a_fresh_copy_per_seed(
+    harmonic, monkeypatch, rank, operator_mode
+):
+    """The seeds of a restart loop share the state `run` checked: they read
+    its kept check, no seed checks it again, and every seed's p0s, restarts
+    and shots equal, bit for bit, those sampled from a fresh copy of it."""
+    rng = np.random.default_rng(21 + rank)
+    state = random_state(rng, harmonic.dim, rank)
+    cfg = RunConfig(mode=Variational(), epsilon=1e-6, max_stages=4, operator_mode=operator_mode)
+    tr = run(state, harmonic, cfg)
+    normalized = operators._normalized
+    checks = []
+    monkeypatch.setattr(operators, "_normalized", lambda *a: checks.append(a) or normalized(*a))
+    shared = [
+        (trajectory_probabilities(state, harmonic, cfg, tr.schedule),
+         stochastic_trajectory(state, harmonic, replace(cfg, seed=s), tr.schedule))
+        for s in range(50)
+    ]
+    assert not checks
+    fresh = [
+        (trajectory_probabilities(QuantumState(state.data), harmonic, cfg, tr.schedule),
+         stochastic_trajectory(QuantumState(state.data), harmonic, replace(cfg, seed=s), tr.schedule))
+        for s in range(50)
+    ]
+    assert len(checks) == 100
+    for (p_shared, t_shared), (p_fresh, t_fresh) in zip(shared, fresh):
+        assert np.array_equal(p_shared, p_fresh)
+        assert (t_shared.restarts, t_shared.shots_used) == (t_fresh.restarts, t_fresh.shots_used)
+    assert any(t.restarts for _, t in shared)
 
 
 def test_trajectory_certain_failure_raises(harmonic):

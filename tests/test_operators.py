@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from peigen import (
     DimensionError,
+    HarmonicOscillator,
     HermitianOperator,
     Hubbard1D,
     QuantumState,
@@ -16,8 +17,10 @@ from peigen import (
     basis_vector,
     build_model,
     expectation,
+    thermal_state,
     validate_and_normalize,
 )
+from peigen import operators
 from peigen.operators import _block_eigh
 from tests.conftest import random_hermitian, random_state_vector, with_signed_zeros
 
@@ -130,6 +133,84 @@ def test_validate_and_normalize_mixed():
 def test_validate_and_normalize_rejects_a_bad_density_matrix(rho, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         validate_and_normalize(QuantumState(np.array(rho)))
+
+
+def _counting_block_eigh(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _block_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_block_eigh", counting)
+    return calls
+
+
+def test_a_pass_is_kept_on_the_state(monkeypatch):
+    """A second validation of one state object scans nothing and returns the
+    first output; a fresh copy of the data is scanned again, to the same bits."""
+    calls = _counting_block_eigh(monkeypatch)
+    state = thermal_state(HarmonicOscillator(omega=1.0, cutoff=30), 0.5)
+    first = validate_and_normalize(state)
+    assert validate_and_normalize(state) is first and len(calls) == 1
+    fresh = validate_and_normalize(QuantumState(state.data))
+    assert fresh is not first and len(calls) == 2
+    assert np.array_equal(fresh.data, first.data) and np.array_equal(fresh.support, first.support)
+    pure = QuantumState(np.array([1.0, 1.0]) / math.sqrt(2))
+    assert validate_and_normalize(pure) is validate_and_normalize(pure)
+
+
+def test_an_output_is_normalised_again():
+    """Normalising twice is not bitwise idempotent (here, for this seed, in
+    both kinds), so an output's check is not seeded with the output itself."""
+    v = random_state_vector(np.random.default_rng(4), 6) * (1 + 3e-7)
+    for state in (QuantumState(v), QuantumState(np.outer(v, v.conj()))):
+        out = validate_and_normalize(state)
+        again = validate_and_normalize(out)
+        scale = np.linalg.norm(out.data) if out.is_pure else np.trace(out.data).real
+        want = out.data / scale if out.is_pure else out.data * (1.0 / scale)
+        assert not np.array_equal(want, out.data) and np.array_equal(again.data, want)
+
+
+def test_each_tol_keeps_its_own_result(monkeypatch):
+    calls = _counting_block_eigh(monkeypatch)
+    state = QuantumState(np.diag([0.5, 0.5 + 5e-7]))  # trace off 1 by 5e-7
+    loose = validate_and_normalize(state, 1e-6)
+    with pytest.raises(ValidationError, match="^density trace 1 deviates from 1 by more than 1e-07$"):
+        validate_and_normalize(state, 1e-7)
+    tight = validate_and_normalize(state, 1e-3)
+    assert tight is not loose and np.array_equal(tight.data, loose.data)
+    assert validate_and_normalize(state, 1e-6) is loose and validate_and_normalize(state, 1e-3) is tight
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.diag([1.5, -0.5]), r"density matrix not positive semidefinite \(min eigenvalue -5\.000e-01\)"),
+        (np.eye(2), "density trace 2 deviates from 1 by more than 1e-06"),
+        ([[0.5, 0.1], [0.2, 0.5]], r"density matrix not Hermitian \(defect 1\.000e-01\)"),
+    ],
+    ids=["not-psd", "trace-2", "not-hermitian"],
+)
+def test_a_refusal_is_raised_again_on_every_call(monkeypatch, rho, message):
+    """Each call checks again: a PSD refusal solves rho's blocks every time."""
+    calls = _counting_block_eigh(monkeypatch)
+    state = QuantumState(np.array(rho))
+    for _ in range(3):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            validate_and_normalize(state)
+    assert len(calls) == (3 if "semidefinite" in message else 0)
+
+
+def test_an_invalid_tol_is_refused():
+    """A NaN tol would pass every state (each ``> tol`` is False), a negative
+    one would refuse every state; both are refused, by name, before any check."""
+    thermal = thermal_state(HarmonicOscillator(omega=1.0, cutoff=30), 0.5)
+    for state in (thermal, QuantumState(np.diag([1.5, -0.5])), QuantumState(np.eye(2))):
+        for tol in (math.nan, -1.0, 0.0, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=f"^tol must be finite and > 0, got {tol}$"):
+                validate_and_normalize(state, tol)
 
 
 def test_basis_vector_bounds():
