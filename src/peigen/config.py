@@ -329,7 +329,7 @@ def build_initial_state(cfg: ExperimentConfig) -> QuantumState:
         if evals.size > 1 and (gap := evals[1] - evals[0]) <= 1e-9:  # else vecs[:, 0] is arbitrary
             raise ConfigError(f"ground_of: degenerate ground level (E1 - E0 = {gap:.3e})")
         return QuantumState(vecs[:, 0])
-    return validate_and_normalize(QuantumState(cfg.initial.amplitudes), tol=1e-6)
+    return validate_and_normalize(QuantumState(cfg.initial.amplitudes))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ records, and a stochastic restart-on-failure trajectory mode. The classical
 outer loop that drives them lives in `variational.run`.
 
 Traces follow the post-selected (ancilla |0>) branch deterministically and
-record the branch probabilities; only `stochastic_trajectory` actually
-samples outcomes, of ejection and cooling stages alike. Exact mode forms no
-d x d operator: a step scales eigen-coefficients, and every cooling p0
-follows from the cos² law on the eigen-populations, so trials and
-trajectories read it in O(d) per stage."""
+record its probability; a step forms that branch only, and the failure
+branch is the kept branch of a step at gamma - pi / (2 tau). Only
+`stochastic_trajectory` actually samples outcomes, of ejection and cooling
+stages alike. Exact mode forms no d x d operator: a step scales
+eigen-coefficients, and every cooling p0 follows from the cos² law on the
+eigen-populations, so trials and trajectories read it in O(d) per stage."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import CertainFailureError, ConfigError, UndefinedOperatorError
 from .models import GammaPolicy, Exact, SumHamiltonian, gamma_for
 from .operators import QuantumState, check_dim, validate_and_normalize
-from .trotter import apply_branches, branch_unitaries, kraus_blocks
+from .trotter import apply_branches, branch_unitaries
 
 BRANCH_PROB_FLOOR = 1e-14
 
@@ -37,10 +38,10 @@ def _require(ok: bool, rule: str, value: object) -> None:
 
 
 def _at_least(name: str, value: object, low: int) -> None:
-    """An integer field's checks; a bool is not an integer, as in JSON."""
-    _require(value >= low, f"{name} must be >= {low}", value)
+    """An integer field's checks, the type first; a bool is not an integer, as in JSON."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     _require(integer, f"{name} must be an integer", value)
+    _require(value >= low, f"{name} must be >= {low}", value)
 
 
 @dataclass(frozen=True)
@@ -141,19 +142,6 @@ def _start(
 # one conditional step
 
 
-@dataclass(frozen=True)
-class CoolingStepResult:
-    """Both conditional outputs of one cooling step with their probabilities.
-
-    A branch with probability below 1e-14 is recorded as None (never
-    normalized through a near-zero divisor)."""
-
-    state0: Optional[QuantumState]
-    p0: float
-    state1: Optional[QuantumState]
-    p1: float
-
-
 def _branch(out: np.ndarray, pure: bool) -> tuple[Optional[QuantumState], float]:
     """Normalised branch K psi or K rho K^H and its probability; None below the floor."""
     p = float(np.vdot(out, out).real if pure else np.trace(out).real)
@@ -162,16 +150,16 @@ def _branch(out: np.ndarray, pure: bool) -> tuple[Optional[QuantumState], float]
     return QuantumState(out * (1.0 / (math.sqrt(p) if pure else p))), p
 
 
-def _eigen_branches(state: QuantumState, h: SumHamiltonian, factors: tuple) -> list:
-    """`_branch` of each ``f`` in ``factors`` scaling the eigen-coefficients of
-    the total H: V (f ⊙ V^H psi), or V (f C f*) V^H with C = V^H rho V."""
+def _eigen_branch(state: QuantumState, h: SumHamiltonian, f: np.ndarray) -> tuple:
+    """`_branch` of the eigen-coefficients of the total H scaled by ``f``:
+    V (f ⊙ V^H psi), or V (f C f*) V^H with C = V^H rho V."""
     v = h.total.eigensystem()[1]
     vh = v.conj().T
     if state.is_pure:
         c = vh @ state.data
-        return [_branch(v @ (f * c), True) for f in factors]
+        return _branch(v @ (f * c), True)
     c = vh @ state.data @ v
-    return [_branch(v @ (f[:, None] * c * f.conj()) @ vh, False) for f in factors]
+    return _branch(v @ (f[:, None] * c * f.conj()) @ vh, False)
 
 
 def cooling_step(
@@ -179,30 +167,34 @@ def cooling_step(
     h: SumHamiltonian,
     tau: float,
     operator_mode: OperatorMode = ExactW(),
-) -> CoolingStepResult:
-    """Apply W_gamma(tau) with the ancilla in |0> and record both outcomes.
+) -> tuple[Optional[QuantumState], float]:
+    """Apply W_gamma(tau) with the ancilla in |0> and keep outcome 0:
+    (state0, p0), state0 None below BRANCH_PROB_FLOOR.
 
-    The |0>/|1> blocks are K0 = (U+ + U-)/2 and K1 = (U+ - U-)/2 of the
-    (exact or Trotterized) branch unitaries, so p0 + p1 = 1 to rounding
-    regardless of the Trotter step count. In exact mode they are diagonal in
-    the eigenbasis, cos((E + gamma) tau) and -i sin((E + gamma) tau), and no
-    U+- is formed. In Trotter mode a pure state gets K0 psi and K1 psi from
-    the branches applied to psi, factor by factor; a mixed state gets dense
-    K0 and K1."""
+    The kept block is K0 = (U+ + U-)/2 of the (exact or Trotterized) branch
+    unitaries U+- = exp(∓i (H + gamma) tau). In exact mode it is
+    cos((E + gamma) tau) in the eigenbasis, and no U+- is formed. In Trotter
+    mode a pure state gets K0 psi from the branches applied to psi, factor
+    by factor; a mixed state gets a dense K0.
+
+    Outcome 1 is the kept branch of `cooling_step(state, h.with_gamma(h.gamma
+    - pi / (2 * tau)), tau, operator_mode)`: both modes apply gamma as an
+    exact phase, so the shift turns U+- into ±i U+- and K0 into i K1, K1 =
+    (U+ - U-)/2. Its p1 and density matrix are equal; a pure vector differs
+    by the global phase i. A state with ||psi||² or tr rho = p0 + p1 below
+    the floor is refused."""
     check_dim(state, h.dim)
-    if not isinstance(operator_mode, TrotterW):
-        x = (h.total.eigensystem()[0] + h.gamma) * tau
-        branches = _eigen_branches(state, h, (np.cos(x), -1j * np.sin(x)))
-    elif state.is_pure:
-        ys = kraus_blocks(*apply_branches(h, tau, operator_mode.r, state.data))
-        branches = [_branch(y, True) for y in ys]
-    else:
-        ks = kraus_blocks(*branch_unitaries(h, tau, operator_mode.r))
-        branches = [_branch(k @ state.data @ k.conj().T, False) for k in ks]
-    (state0, p0), (state1, p1) = branches
-    if state0 is None and state1 is None:
+    x = state.data
+    if (np.vdot(x, x).real if state.is_pure else np.trace(x).real) < BRANCH_PROB_FLOOR:
         raise CertainFailureError("both branch probabilities vanish; state is corrupt")
-    return CoolingStepResult(state0=state0, p0=p0, state1=state1, p1=p1)
+    if not isinstance(operator_mode, TrotterW):
+        return _eigen_branch(state, h, np.cos((h.total.eigensystem()[0] + h.gamma) * tau))
+    if state.is_pure:
+        u_plus, u_minus = apply_branches(h, tau, operator_mode.r, x)
+        return _branch((u_plus + u_minus) / 2, True)
+    u_plus, u_minus = branch_unitaries(h, tau, operator_mode.r)
+    k = (u_plus + u_minus) / 2
+    return _branch(k @ x @ k.conj().T, False)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +331,10 @@ def trajectory_probabilities(
     state, hg = _start(initial, h, config)
     p0s = []
     for level, e_s in enumerate(ejected_energies(hg, config)):
-        step = cooling_step(state, *ejection_step(hg, e_s, config.eject_shifted))
-        if step.state0 is None:
-            raise _ejection_failed(level, e_s, step.p0)
-        state = step.state0
-        p0s.append(step.p0)
+        state, p0 = cooling_step(state, *ejection_step(hg, e_s, config.eject_shifted))
+        if state is None:
+            raise _ejection_failed(level, e_s, p0)
+        p0s.append(p0)
     if exact := isinstance(config.operator_mode, ExactW):
         evals, pops = eigen_populations(state, hg)
     for tau in schedule:
@@ -352,8 +343,7 @@ def trajectory_probabilities(
             p0 = float(w @ pops)
             pops = w * pops / max(p0, BRANCH_PROB_FLOOR)  # below the floor we raise next
         else:
-            step = cooling_step(state, hg, tau, config.operator_mode)
-            p0, state = step.p0, step.state0
+            state, p0 = cooling_step(state, hg, tau, config.operator_mode)
         if p0 < BRANCH_PROB_FLOOR:
             raise CertainFailureError(f"schedule stage tau={tau:.6g} certainly fails")
         p0s.append(p0)

@@ -6,7 +6,6 @@ bookkeeping that every other module builds on."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -16,6 +15,8 @@ import numpy as np
 from .errors import DimensionError, EigenDecompositionError, ValidationError
 
 HERMITICITY_ATOL = 1e-12
+# how far a state's norm or trace may miss 1, and rho's least eigenvalue fall below 0
+NORMALIZATION_TOL = 1e-6
 
 
 def as_square_matrix(m: object) -> np.ndarray:
@@ -365,24 +366,22 @@ def expectation(state: QuantumState, h: HermitianOperator) -> float:
     return float(val.real)
 
 
-def validate_and_normalize(state: QuantumState, tol: float = 1e-6) -> QuantumState:
-    """Check the state invariants within ``tol`` and return it exactly normalized.
+def validate_and_normalize(state: QuantumState) -> QuantumState:
+    """Check the state invariants within NORMALIZATION_TOL and return it exactly normalized.
 
     One scan of a density matrix's nonzeros (r, c, v) gives its Hermiticity defect
     (the dense one to the bit), its PSD blocks (`_block_eigh`) and the `support` of rho * (1/tr).
-    A pass is kept on ``state`` per ``tol``: a state's data is its own read-only
-    copy, so a second call returns the same object without a scan. A refusal is
-    not kept, and the output's own check is not seeded (normalizing twice is not
+    A pass is kept on ``state``: a state's data is its own read-only copy, so
+    a second call returns the same object without a scan. A refusal is not
+    kept, and the output's own check is not seeded (normalizing twice is not
     bitwise idempotent)."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValidationError(f"tol must be finite and > 0, got {tol}")
-    passed = state.__dict__.setdefault("_normalized", {})
-    if tol not in passed:
-        passed[tol] = _normalized(state, tol)
-    return passed[tol]
+    if "_normalized" not in state.__dict__:
+        state.__dict__["_normalized"] = _normalized(state)
+    return state.__dict__["_normalized"]
 
 
-def _normalized(state: QuantumState, tol: float) -> QuantumState:
+def _normalized(state: QuantumState) -> QuantumState:
+    tol = NORMALIZATION_TOL
     if state.is_pure:
         nrm = float(np.linalg.norm(state.data))
         if abs(nrm - 1.0) > tol:

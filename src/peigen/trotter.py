@@ -183,14 +183,6 @@ def branch_unitaries(h: SumHamiltonian, tau: float, r: int) -> tuple[np.ndarray,
     return apply_branches(h, tau, r, np.eye(h.dim, dtype=complex))
 
 
-def kraus_blocks(u_plus: np.ndarray, u_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ancilla |0> -> |0>/|1> blocks of the joint unitary: K0, K1.
-
-    Given the applied branches (U_plus x, U_minus x) instead, returns
-    (K0 x, K1 x)."""
-    return (u_plus + u_minus) / 2, (u_plus - u_minus) / 2
-
-
 def _assemble(u_plus: np.ndarray, u_minus: np.ndarray) -> np.ndarray:
     return np.kron(u_plus, _PX_PLUS) + np.kron(u_minus, _PX_MINUS)
 

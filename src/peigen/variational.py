@@ -81,10 +81,10 @@ def stage_objective(
     (+inf, 0.0) so a minimizer simply avoids it."""
     if isinstance(operator_mode, ExactW):
         return _exact_objective(state, h)(tau)
-    step = cooling_step(state, h, tau, operator_mode)
-    if step.state0 is None:
+    kept, p0 = cooling_step(state, h, tau, operator_mode)
+    if kept is None:
         return math.inf, 0.0
-    return expectation(step.state0, h.total), step.p0
+    return expectation(kept, h.total), p0
 
 
 def minimize_stage(
@@ -179,14 +179,13 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
             record = dict(
                 kind="cool", tau=float(tau), trials=trials, opt_budget_exhausted=exhausted
             )
-        step = cooling_step(state, h_s, tau, operator_mode)
-        if step.state0 is None:
+        state, p0 = cooling_step(state, h_s, tau, operator_mode)
+        if state is None:
             if record["kind"] == "eject":
-                raise _ejection_failed(level, ejected[level], step.p0)
+                raise _ejection_failed(level, ejected[level], p0)
             raise CertainFailureError(
                 f"cooling stage at tau={tau:.6g} has zero success probability"
             )
-        state, p0 = step.state0, step.p0
         p_cum *= p0
         energy = expectation(state, total)
         stages.append(StageRecord(k=len(stages) + 1, energy=energy, p0=p0, p_suc=p_cum, **record))

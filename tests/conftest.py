@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from peigen import HarmonicOscillator, QuantumState, build_model, thermal_state
+from peigen import ExactW, HarmonicOscillator, QuantumState, build_model, cooling_step, thermal_state
 
 HARMONIC = HarmonicOscillator(omega=1.0, cutoff=30)
 
@@ -15,6 +17,12 @@ def harmonic():
 def thermal_half():
     """Thermal state at nbar = 0.5: weights (2/3) * (1/3)^n."""
     return thermal_state(HARMONIC, 0.5)
+
+
+def failure_step(state, h, tau, operator_mode=ExactW()):
+    """Outcome 1 of `cooling_step` as (state1, p1): the kept branch of the step
+    at gamma - pi / (2 tau), whose K0 is i K1 (a pure state1 carries the phase i)."""
+    return cooling_step(state, h.with_gamma(h.gamma - math.pi / (2 * tau)), tau, operator_mode)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

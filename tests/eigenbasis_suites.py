@@ -30,12 +30,12 @@ def spectral_weight_deviation(n_instances: int = 100, seed: int = 11) -> float:
         evals, v = _eigh(h)
         state = QuantumState(random_state_vector(rng, dim))
         tau = float(rng.uniform(0.05, 1.0))
-        step = cooling_step(state, h, tau)
-        if step.state0 is None:
+        state0, p0 = cooling_step(state, h, tau)
+        if state0 is None:
             continue
         w_in = np.abs(v.conj().T @ state.data) ** 2
-        w_out = np.abs(v.conj().T @ step.state0.data) ** 2
-        expected = np.cos((evals + h.gamma) * tau) ** 2 * w_in / step.p0
+        w_out = np.abs(v.conj().T @ state0.data) ** 2
+        expected = np.cos((evals + h.gamma) * tau) ** 2 * w_in / p0
         max_dev = max(max_dev, float(np.abs(w_out - expected).max()))
     return max_dev
 
@@ -61,7 +61,7 @@ def eject_overlap(n_instances: int = 100, seed: int = 13) -> float:
             continue
         s = int(rng.choice(candidates))
         state = QuantumState(random_state_vector(rng, dim))
-        out = cooling_step(state, *ejection_step(h, float(evals[s]))).state0
+        out = cooling_step(state, *ejection_step(h, float(evals[s])))[0]
         max_overlap = max(max_overlap, abs(complex(np.vdot(v[:, s], out.data))))
         done += 1
     return max_overlap

@@ -44,7 +44,13 @@ from peigen.config import (
 from peigen.cooling import BRANCH_PROB_FLOOR, _branch, eigen_populations
 from peigen.models import build_custom, build_model
 from tests import reference
-from tests.conftest import random_hermitian, random_state, random_state_vector, with_signed_zeros
+from tests.conftest import (
+    failure_step,
+    random_hermitian,
+    random_state,
+    random_state_vector,
+    with_signed_zeros,
+)
 
 
 def _plus01(dim=30):
@@ -59,9 +65,9 @@ def _plus01(dim=30):
 
 def test_step_frozen_oracle_values(harmonic):
     # (|0>+|1>)/sqrt2, gamma=0, tau=0.3: p0 = (1 + cos^2 0.3)/2
-    step = cooling_step(_plus01(), harmonic, 0.3)
-    assert abs(step.p0 - (1 + math.cos(0.3) ** 2) / 2) < 1e-12
-    e0 = expectation(step.state0, harmonic.total)
+    state0, p0 = cooling_step(_plus01(), harmonic, 0.3)
+    assert abs(p0 - (1 + math.cos(0.3) ** 2) / 2) < 1e-12
+    e0 = expectation(state0, harmonic.total)
     # 0-branch energy = cos^2(0.3) / (1 + cos^2(0.3))
     assert abs(e0 - math.cos(0.3) ** 2 / (1 + math.cos(0.3) ** 2)) < 1e-9
     assert abs(e0 - 0.4771700573918862) < 1e-9
@@ -69,21 +75,21 @@ def test_step_frozen_oracle_values(harmonic):
 
 def test_step_quarter_period_kills_eigenstate(harmonic):
     # |1>, tau=pi/2: cos^2(1*pi/2) = 0, the state lands entirely in branch 1
-    step = cooling_step(basis_vector(30, 1), harmonic, math.pi / 2)
-    assert step.state0 is None
-    assert step.p0 < 1e-14
-    assert abs(step.p1 - 1.0) < 1e-12
+    state0, p0 = cooling_step(basis_vector(30, 1), harmonic, math.pi / 2)
+    assert state0 is None
+    assert p0 < 1e-14
+    assert abs(failure_step(basis_vector(30, 1), harmonic, math.pi / 2)[1] - 1.0) < 1e-12
 
 
 def test_step_mixed_state(harmonic, thermal_half):
-    step = cooling_step(thermal_half, harmonic, 0.3)
-    assert not step.state0.is_pure
-    assert abs(np.trace(step.state0.data).real - 1.0) < 1e-12
+    state0, p0 = cooling_step(thermal_half, harmonic, 0.3)
+    assert not state0.is_pure
+    assert abs(np.trace(state0.data).real - 1.0) < 1e-12
     # expected p0 = sum_n p_n cos^2(0.3 n)
     ns = np.arange(30)
     pn = (2 / 3) * (1 / 3) ** ns
     pn /= pn.sum()
-    assert abs(step.p0 - float((pn * np.cos(0.3 * ns) ** 2).sum())) < 1e-12
+    assert abs(p0 - float((pn * np.cos(0.3 * ns) ** 2).sum())) < 1e-12
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -105,8 +111,7 @@ def test_step_branch_probabilities_sum_to_one(seed, tau, gamma):
     dim = int(rng.integers(2, 9))
     h = build_custom(Custom(terms=(("m", random_hermitian(rng, dim)),))).with_gamma(gamma)
     psi = QuantumState(random_state_vector(rng, dim))
-    step = cooling_step(psi, h, tau)
-    assert abs(step.p0 + step.p1 - 1.0) < 1e-10
+    assert abs(cooling_step(psi, h, tau)[1] + failure_step(psi, h, tau)[1] - 1.0) < 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -120,11 +125,11 @@ def test_step_energy_inequality_with_exact_shift(seed, tau_scale):
     hg = h.with_gamma(float(-evals[0]))
     psi = QuantumState(random_state_vector(rng, dim))
     tau = tau_scale / max(float(evals[-1] - evals[0]), 1e-6)
-    step = cooling_step(psi, hg, tau)
     e_in = expectation(psi, hg.total)
-    assert expectation(step.state0, hg.total) <= e_in + 1e-12
-    if step.state1 is not None:
-        assert expectation(step.state1, hg.total) > e_in
+    assert expectation(cooling_step(psi, hg, tau)[0], hg.total) <= e_in + 1e-12
+    state1 = failure_step(psi, hg, tau)[0]
+    if state1 is not None:
+        assert expectation(state1, hg.total) > e_in
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +137,31 @@ def test_step_energy_inequality_with_exact_shift(seed, tau_scale):
 
 
 def test_eject_removes_level_and_keeps_orthogonal(harmonic):
-    step = cooling_step(_plus01(), *ejection_step(harmonic, 1.0))
-    assert abs(step.p0 - 0.5) < 1e-12
-    assert abs(abs(step.state0.data[0]) - 1.0) < 1e-12  # what survives is |0>
-    assert abs(step.state0.data[1]) < 1e-12
+    state0, p0 = cooling_step(_plus01(), *ejection_step(harmonic, 1.0))
+    assert abs(p0 - 0.5) < 1e-12
+    assert abs(abs(state0.data[0]) - 1.0) < 1e-12  # what survives is |0>
+    assert abs(state0.data[1]) < 1e-12
 
 
 def test_eject_certain_failure_on_target_eigenstate(harmonic):
-    step = cooling_step(basis_vector(30, 1), *ejection_step(harmonic, 1.0))
-    assert step.state0 is None and step.p0 < BRANCH_PROB_FLOOR  # a run refuses it
-    assert abs(step.p1 - 1.0) < 1e-12
+    state0, p0 = cooling_step(basis_vector(30, 1), *ejection_step(harmonic, 1.0))
+    assert state0 is None and p0 < BRANCH_PROB_FLOOR  # a run refuses it
+    assert abs(failure_step(basis_vector(30, 1), *ejection_step(harmonic, 1.0))[1] - 1.0) < 1e-12
 
 
 def test_eject_zero_energy_needs_shift(harmonic):
     with pytest.raises(UndefinedOperatorError):
         ejection_step(harmonic, 0.0)  # E_s = 0, raw form undefined
     hg = harmonic.with_gamma(1.0)
-    step = cooling_step(basis_vector(30, 3), *ejection_step(hg, 0.0, shifted=True))
-    assert abs(step.p0 - 1.0) < 1e-12  # odd levels survive the shifted ejector intact
+    p0 = cooling_step(basis_vector(30, 3), *ejection_step(hg, 0.0, shifted=True))[1]
+    assert abs(p0 - 1.0) < 1e-12  # odd levels survive the shifted ejector intact
 
 
 def test_eject_shifted_annihilates_even_levels(harmonic, thermal_half):
     hg = harmonic.with_gamma(1.0)
-    step = cooling_step(thermal_half, *ejection_step(hg, 0.0, shifted=True))
-    d = np.diag(step.state0.data).real
-    assert abs(step.p0 - 0.25) < 1e-12  # sum of odd thermal weights
+    state0, p0 = cooling_step(thermal_half, *ejection_step(hg, 0.0, shifted=True))
+    d = np.diag(state0.data).real
+    assert abs(p0 - 0.25) < 1e-12  # sum of odd thermal weights
     assert np.all(d[0::2] < 1e-14)
     assert abs(d[1] - 8 / 9) < 1e-12
 
@@ -215,7 +220,7 @@ def test_schedule_replay_reproduces_probabilities_and_energies(harmonic, thermal
     state = thermal_half
     hg = harmonic.with_gamma(0.0)
     for s in tr.stages:
-        state = cooling_step(state, hg, s.tau).state0
+        state = cooling_step(state, hg, s.tau)[0]
         assert abs(expectation(state, hg.total) - s.energy) < 1e-10
 
 
@@ -868,16 +873,60 @@ def test_exact_step_and_ejection_match_dense_reference(seed, kind, degenerate, t
     state = random_state(rng, dim, rank[kind])
     tol = 1e-12 * max(1.0, h.total.norm2())
 
-    step = cooling_step(state, h, tau)
-    got = ((step.state0, step.p0), (step.state1, step.p1))
-    for (s, p), (out, p_ref) in zip(got, reference.step(state.data, h, tau)):
-        _assert_branch_matches(s, p, out, p_ref, tol)
+    (out0, p0_ref), (out1, p1_ref) = reference.step(state.data, h, tau)
+    _assert_branch_matches(*cooling_step(state, h, tau), out0, p0_ref, tol)
+    phase = 1j if state.is_pure else 1.0  # the shifted step's K0 is i K1
+    _assert_branch_matches(*failure_step(state, h, tau), phase * out1, p1_ref, tol)
 
     e_s = float(evals[rng.integers(dim)])
     assume(abs(e_s + (gamma if shifted else 0.0)) > 1e-3)
     out, p_ref = reference.apply(reference.ejection(h, e_s, shifted=shifted), state.data)
-    step = cooling_step(state, *ejection_step(h, e_s, shifted))
-    _assert_branch_matches(step.state0, step.p0, out, p_ref, tol)
+    _assert_branch_matches(*cooling_step(state, *ejection_step(h, e_s, shifted)), out, p_ref, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([ExactW(), TrotterW(2)]),
+    st.booleans(),
+    st.booleans(),
+    st.floats(0.005, 2.0),
+)
+def test_failure_branch_is_the_kept_branch_of_the_shifted_step(seed, mode, mixed, degenerate, tau):
+    """K0 at gamma - pi / (2 tau) is i K1 of the dense reference, in either
+    mode: two terms that do not commute, summing to a possibly degenerate H."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 9))
+    evals = rng.normal(size=dim) * 2
+    if degenerate:  # a few levels, each repeated
+        evals = evals[: max(1, dim // 3)][rng.integers(0, max(1, dim // 3), dim)]
+    mat = _custom_with_spectrum(rng, evals)[0].total.mat
+    diag = np.diag(rng.normal(size=dim)).astype(complex)
+    h = build_custom(Custom(terms=(("d", diag), ("m", mat - diag)))).with_gamma(rng.uniform(-1.0, 2.0))
+    state = random_state(rng, dim, int(rng.integers(1, dim + 1)) if mixed else 0)
+    if isinstance(mode, TrotterW):
+        k1 = reference.blocks(*reference.trotter_branches(h, tau, mode.r))[1]
+    else:
+        k1 = reference.kraus(h, tau)[1]
+    out, p1 = reference.apply(k1, state.data)
+    tol = 1e-12 * max(1.0, h.total.norm2())
+    _assert_branch_matches(*failure_step(state, h, tau, mode), (1.0 if mixed else 1j) * out, p1, tol)
+
+
+@pytest.mark.parametrize("mode", [ExactW(), TrotterW(2)], ids=["exact", "trotter"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_a_step_forms_only_the_branch_it_keeps(monkeypatch, mode, mixed, harmonic, thermal_half):
+    calls = []
+
+    def counting(out, pure):
+        calls.append(pure)
+        return _branch(out, pure)
+
+    monkeypatch.setattr("peigen.cooling._branch", counting)
+    state = thermal_half if mixed else _plus01()
+    for n, tau in enumerate((0.3, 0.7, math.pi / 2), start=1):
+        cooling_step(state, harmonic, tau, mode)
+        assert calls == [not mixed] * n
 
 
 def test_exact_mode_builds_no_dense_operator(monkeypatch, harmonic, thermal_half):
@@ -956,13 +1005,41 @@ def test_run_config_refuses_what_the_json_reader_refuses(kwargs, message):
         (dict(x_tol=math.inf), "x_tol must be finite, got inf"),  # else no refinement
         (dict(max_evals=12.5), "max_evals must be an integer, got 12.5"),
         (dict(coarse_grid=7.0), "coarse_grid must be an integer, got 7.0"),
-        (dict(coarse_grid=True, max_evals=3), "coarse_grid must be >= 2, got True"),
+        (dict(coarse_grid=True, max_evals=3), "coarse_grid must be an integer, got True"),
     ],
     ids=["inf-tau-hi", "inf-x-tol", "float-evals", "float-grid", "bool-grid"],
 )
 def test_optimizer_config_refuses_what_the_json_reader_refuses(kwargs, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         OptimizerConfig(**kwargs)
+
+
+_INTEGER_FIELDS = {
+    "max_stages": lambda v: RunConfig(mode=FixedStep(tau=0.3), max_stages=v),
+    "target_level": lambda v: RunConfig(mode=FixedStep(tau=0.3), target_level=v),
+    "seed": lambda v: RunConfig(mode=FixedStep(tau=0.3), seed=v),
+    "operator.r (Trotter steps)": lambda v: RunConfig(mode=FixedStep(tau=0.3), operator_mode=TrotterW(v)),
+    "max_evals": lambda v: OptimizerConfig(max_evals=v),
+    "coarse_grid": lambda v: OptimizerConfig(coarse_grid=v),
+    "max_shots": lambda v: stochastic_trajectory(
+        basis_vector(30, 0), None, RunConfig(mode=FixedStep(tau=0.3), seed=0), (), max_shots=v
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        (name, value)
+        for name in _INTEGER_FIELDS
+        for value in ("3", None, 2.5, True)
+        if not (value is None and name in ("target_level", "seed"))  # None is their default
+    ],
+)
+def test_an_integer_field_checks_its_type_before_its_bound(name, value):
+    """A string or None would fail the bound's comparison with a bare TypeError."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an integer, got {value}$"):
+        _INTEGER_FIELDS[name](value)
 
 
 def test_run_config_takes_numpy_integers(harmonic, thermal_half):

@@ -21,7 +21,7 @@ from peigen import (
     validate_and_normalize,
 )
 from peigen import operators
-from peigen.operators import _block_eigh
+from peigen.operators import NORMALIZATION_TOL, _block_eigh
 from tests.conftest import random_hermitian, random_state_vector, with_signed_zeros
 
 
@@ -172,18 +172,6 @@ def test_an_output_is_normalised_again():
         assert not np.array_equal(want, out.data) and np.array_equal(again.data, want)
 
 
-def test_each_tol_keeps_its_own_result(monkeypatch):
-    calls = _counting_block_eigh(monkeypatch)
-    state = QuantumState(np.diag([0.5, 0.5 + 5e-7]))  # trace off 1 by 5e-7
-    loose = validate_and_normalize(state, 1e-6)
-    with pytest.raises(ValidationError, match="^density trace 1 deviates from 1 by more than 1e-07$"):
-        validate_and_normalize(state, 1e-7)
-    tight = validate_and_normalize(state, 1e-3)
-    assert tight is not loose and np.array_equal(tight.data, loose.data)
-    assert validate_and_normalize(state, 1e-6) is loose and validate_and_normalize(state, 1e-3) is tight
-    assert len(calls) == 2
-
-
 @pytest.mark.parametrize(
     "rho, message",
     [
@@ -201,16 +189,6 @@ def test_a_refusal_is_raised_again_on_every_call(monkeypatch, rho, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             validate_and_normalize(state)
     assert len(calls) == (3 if "semidefinite" in message else 0)
-
-
-def test_an_invalid_tol_is_refused():
-    """A NaN tol would pass every state (each ``> tol`` is False), a negative
-    one would refuse every state; both are refused, by name, before any check."""
-    thermal = thermal_state(HarmonicOscillator(omega=1.0, cutoff=30), 0.5)
-    for state in (thermal, QuantumState(np.diag([1.5, -0.5])), QuantumState(np.eye(2))):
-        for tol in (math.nan, -1.0, 0.0, math.inf, -math.inf):
-            with pytest.raises(ValidationError, match=f"^tol must be finite and > 0, got {tol}$"):
-                validate_and_normalize(state, tol)
 
 
 def test_basis_vector_bounds():
@@ -545,12 +523,12 @@ def test_block_psd_check_matches_dense_eigvalsh(seed, least):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([-1.0, 1.0]))
 def test_validate_refuses_what_the_dense_check_refuses(seed, side):
     """Least eigenvalue just past -tol (side -1) or just inside it (side +1)."""
-    tol = 1e-6
+    tol = NORMALIZATION_TOL
     m = _density_blocks(np.random.default_rng(seed), -tol + side * 1e-9)
     dense_refuses = bool(np.linalg.eigvalsh(m).min() < -tol)
     assert dense_refuses == (side < 0)
     try:
-        validate_and_normalize(QuantumState(m), tol)
+        validate_and_normalize(QuantumState(m))
     except ValidationError as exc:
         assert str(exc).startswith("density matrix not positive semidefinite")
         refused = True

@@ -36,7 +36,7 @@ from peigen import trotter
 from peigen.models import PAULI_X, PAULI_Y, PAULI_Z
 from peigen.trotter import DimensionError, JointUnitary, _coupled, _mode_x, ancilla_x_rotation
 from tests import reference
-from tests.conftest import random_hermitian, random_state_vector
+from tests.conftest import failure_step, random_hermitian, random_state_vector
 
 RABI = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
 
@@ -202,13 +202,11 @@ def _custom_terms(seed):
 
 
 def _check_step(state, h, tau, r, tol=1e-10, branches=None):
+    """Both outcomes of a Trotter step against the dense reference; outcome 1
+    is the kept branch of the step at gamma - pi / (2 tau)."""
     u_plus, u_minus = branches or reference.trotter_branches(h, tau, r)
-    step = cooling_step(state, h, tau, TrotterW(r))
-    for (p_ref, rho_ref), p, out in zip(
-        reference.branch_densities(state, u_plus, u_minus),
-        (step.p0, step.p1),
-        (step.state0, step.state1),
-    ):
+    steps = (cooling_step(state, h, tau, TrotterW(r)), failure_step(state, h, tau, TrotterW(r)))
+    for (p_ref, rho_ref), (out, p) in zip(reference.branch_densities(state, u_plus, u_minus), steps):
         assert abs(p - p_ref) <= tol
         assert out.is_pure == state.is_pure
         assert np.abs(out.density() - rho_ref).max() <= tol

@@ -183,7 +183,7 @@ def test_variational_replay_reproduces_energies(harmonic, thermal_half):
     tr = run(thermal_half, harmonic, cfg)
     state = thermal_half
     for s in tr.stages:
-        state = cooling_step(state, harmonic, s.tau).state0
+        state = cooling_step(state, harmonic, s.tau)[0]
         assert abs(expectation(state, harmonic.total) - s.energy) < 1e-10
 
 
@@ -350,7 +350,7 @@ def test_exact_run_trials_match_the_dense_step(make, counts):
             assert abs(t.p0 - p0_ref) <= 1e-12
             assert abs(t.energy - e_ref) <= tol
         assert s.tau == min(s.trials, key=lambda t: (t.energy, t.tau)).tau
-        state = cooling_step(state, hg, s.tau, ExactW()).state0
+        state = cooling_step(state, hg, s.tau, ExactW())[0]
         (out, p0), _ = reference.step(dense.data, hg, s.tau)
         assert abs(s.p0 - p0) <= 1e-12
         assert abs(s.energy - reference.energy(out, hg) / p0) <= tol
