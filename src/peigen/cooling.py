@@ -19,8 +19,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import CertainFailureError, ConfigError, UndefinedOperatorError
-from .models import GammaPolicy, Exact, SumHamiltonian, gamma_for
+from .errors import CertainFailureError, ConfigError, UndefinedOperatorError, ValidationError
+from .models import GammaPolicy, Exact, SumHamiltonian, _check_integer, gamma_for
 from .operators import QuantumState, check_dim, validate_and_normalize
 from .trotter import apply_branches, branch_unitaries
 
@@ -38,10 +38,8 @@ def _require(ok: bool, rule: str, value: object) -> None:
 
 
 def _at_least(name: str, value: object, low: int) -> None:
-    """An integer field's checks, the type first; a bool is not an integer, as in JSON."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    _require(integer, f"{name} must be an integer", value)
-    _require(value >= low, f"{name} must be >= {low}", value)
+    """An integer field's checks (`models._check_integer`), as a `ConfigError`."""
+    _check_integer(name, value, low, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -142,6 +140,21 @@ def _start(
 # one conditional step
 
 
+def _check_tau(tau: float) -> None:
+    """Refuse a non-finite tau: its p0 would be nan, and a draw never fails nan."""
+    if not math.isfinite(tau):
+        raise ValidationError(f"tau must be finite, got {tau}")
+
+
+def _check_state(state: QuantumState, h: SumHamiltonian) -> None:
+    """Refuse a state of the wrong dimension, or one whose ||psi||² or tr rho,
+    p0 + p1 of any step, is below the floor."""
+    check_dim(state, h.dim)
+    x = state.data
+    if (np.vdot(x, x).real if state.is_pure else np.trace(x).real) < BRANCH_PROB_FLOOR:
+        raise CertainFailureError("both branch probabilities vanish; state is corrupt")
+
+
 def _branch(out: np.ndarray, pure: bool) -> tuple[Optional[QuantumState], float]:
     """Normalised branch K psi or K rho K^H and its probability; None below the floor."""
     p = float(np.vdot(out, out).real if pure else np.trace(out).real)
@@ -182,11 +195,10 @@ def cooling_step(
     exact phase, so the shift turns U+- into ±i U+- and K0 into i K1, K1 =
     (U+ - U-)/2. Its p1 and density matrix are equal; a pure vector differs
     by the global phase i. A state with ||psi||² or tr rho = p0 + p1 below
-    the floor is refused."""
-    check_dim(state, h.dim)
+    the floor is refused, as is a non-finite tau."""
+    _check_state(state, h)
+    _check_tau(tau)
     x = state.data
-    if (np.vdot(x, x).real if state.is_pure else np.trace(x).real) < BRANCH_PROB_FLOOR:
-        raise CertainFailureError("both branch probabilities vanish; state is corrupt")
     if not isinstance(operator_mode, TrotterW):
         return _eigen_branch(state, h, np.cos((h.total.eigensystem()[0] + h.gamma) * tau))
     if state.is_pure:
@@ -327,7 +339,9 @@ def trajectory_probabilities(
     then one per ``schedule`` tau. Exact-mode cooling reads the
     eigen-populations P once, then per stage p0 = w·P and P <- w⊙P / p0 with
     w = cos²((E + gamma) tau); Trotter mode replays each stage with
-    `cooling_step`."""
+    `cooling_step`. A schedule holding a non-finite tau is refused whole."""
+    for tau in schedule:
+        _check_tau(tau)
     state, hg = _start(initial, h, config)
     p0s = []
     for level, e_s in enumerate(ejected_energies(hg, config)):

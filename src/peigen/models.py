@@ -36,7 +36,7 @@ class HarmonicOscillator:
     cutoff: int
 
     def __post_init__(self) -> None:
-        _check_cutoff(self.cutoff)
+        _check_integer("cutoff", self.cutoff, 2)
         _check_finite("omega", self.omega)
 
 
@@ -50,7 +50,7 @@ class Rabi:
     cutoff: int
 
     def __post_init__(self) -> None:
-        _check_cutoff(self.cutoff)
+        _check_integer("cutoff", self.cutoff, 2)
         for name in ("omega0", "omega", "g"):
             _check_finite(name, getattr(self, name))
 
@@ -64,8 +64,7 @@ class Hubbard1D:
     u: float
 
     def __post_init__(self) -> None:
-        if self.sites < 1:
-            raise ValidationError(f"sites must be >= 1, got {self.sites}")
+        _check_integer("sites", self.sites, 1)
         if 2 * self.sites > 12:
             raise DimensionError(
                 f"sites must be <= 6 (the eigensystem keeps a dense 4^L x 4^L eigenvector "
@@ -93,9 +92,12 @@ class Custom:
 ModelSpec = Union[HarmonicOscillator, Rabi, Hubbard1D, Custom]
 
 
-def _check_cutoff(cutoff: int) -> None:
-    if cutoff < 2:
-        raise ValidationError(f"cutoff must be >= 2, got {cutoff}")
+def _check_integer(name: str, value: object, low: int, error: type = ValidationError) -> None:
+    """An integer field's checks, the type first; a bool is not an integer, as in JSON."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -409,6 +411,9 @@ class TargetLevel:
     """gamma = -E_j, centering the shift on a chosen target level."""
 
     level: int
+
+    def __post_init__(self) -> None:
+        _check_integer("level", self.level, 0, ConfigError)
 
 
 GammaPolicy = Union[Exact, NormBound, Fixed, TargetLevel]

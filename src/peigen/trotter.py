@@ -8,9 +8,9 @@ as dense matrices. A model's terms compile once into a sweep plan, shared
 by its `with_gamma` copies: adjacent monomial terms (diagonals, Pauli
 strings) with one pattern that commute exactly fuse into one group, and the
 half steps at the seam of two sweeps merge. `apply_branches` runs the plan
-on a vector or a block, monomial groups in closed form at O(d) per column,
-dense terms through their cached eigensystem; `branch_unitaries` and
-`trotter_W` run it on the identity.
+on a vector or a block, at one tau or at one tau per column, monomial
+groups in closed form at O(d) per column, dense terms through their cached
+eigensystem; `branch_unitaries` and `trotter_W` run it on the identity.
 
 Wire convention everywhere: system factors first, ancilla qubit last."""
 
@@ -100,11 +100,13 @@ class _SweepPlan:
         self._programs: dict = {}
 
     def program(self, r: int):
-        """``(steps, kmag, nunit)`` of r sweeps: half steps over the groups,
-        a full step on the last, the half steps in reverse, with the seam of
-        two sweeps merged into one full step. Row i of ``kmag = k * mag``
-        and ``nunit = -1j * unit`` is slot i, a (group, multiple k of tau /
-        2r) pair; ``steps`` lists ``(perm, eig, slot)`` in order."""
+        """``(steps, kmag, nunit, n_sum)`` of r sweeps: half steps over the
+        groups, a full step on the last, the half steps in reverse, with the
+        seam of two sweeps merged into one full step. Row i of ``kmag = k *
+        mag`` and ``nunit = -1j * unit`` is slot i, a (group, multiple k of
+        tau / 2r) pair; ``steps`` lists ``(perm, eig, slot)`` in order. The
+        first ``n_sum`` slots are those of diagonal and dense groups, the
+        steps that read cos + sin."""
         if r not in self._programs:
             n = len(self.groups)
             sweep = [(g, 1) for g in range(n - 1)] + [(n - 1, 2)]
@@ -114,11 +116,13 @@ class _SweepPlan:
                     seq[-1] = (g, seq[-1][1] + k)
                 else:
                     seq.append((g, k))
-            slots = {gk: i for i, gk in enumerate(dict.fromkeys(seq))}
+            order = sorted(dict.fromkeys(seq), key=lambda gk: self.groups[gk[0]][0] is not None)
+            slots = {gk: i for i, gk in enumerate(order)}
             steps = [self.groups[g][:2] + (slots[g, k],) for g, k in seq]
             kmag = np.array([k * self.groups[g][2] for g, k in slots])
             nunit = np.array([-1j * self.groups[g][3] for g, _ in slots])
-            self._programs[r] = (steps, kmag, nunit)
+            n_sum = sum(self.groups[g][0] is None for g, _ in slots)
+            self._programs[r] = (steps, kmag, nunit, n_sum)
         return self._programs[r]
 
 
@@ -131,29 +135,39 @@ def _plan(h: SumHamiltonian) -> _SweepPlan:
 
 
 def apply_branches(
-    h: SumHamiltonian, tau: float, r: int, x: np.ndarray
+    h: SumHamiltonian, tau: float | np.ndarray, r: int, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(U_plus x, U_minus x) for the r-step second-order Trotter branches.
 
     ``x`` is a state vector or a matrix whose columns are transformed, by
-    one code path: the model's sweep plan, then the exact gamma phase. A
+    one code path: the model's sweep plan, then the exact gamma phase.
+    ``tau`` is one float, or a 1-D array of one tau per column of ``x``; the
+    tables then gain a column axis and the gamma phase becomes a row, each
+    column bitwise its own one-tau call where every group is a monomial. A
     monomial group acts as cos(theta |m|) y - i sin(theta |m|) (m / |m|)
     y[perm], one multiply if diagonal, a dense group as V (e^{-i theta
-    lambda} V^H y). The cos/sin tables of all slots are computed once per
-    call and shared by both branches (U_minus flips the sin part's sign);
-    factors update y in place through one scratch array."""
+    lambda} V^H y). One cos and one sin table of all slots are computed per
+    call and shared by both branches (U_minus negates the sin table in
+    place); their sum is formed per branch for the diagonal and dense
+    slots only, and factors update y in place through one scratch array."""
     if r < 1:
         raise ValidationError(f"Trotter steps r must be >= 1, got {r}")
     if x.shape[0] != h.dim:
         raise DimensionError(f"state dim {x.shape[0]} != operator dim {h.dim}")
-    steps, kmag, nunit = _plan(h).program(r)
-    theta = (0.5 * tau / r) * kmag
+    rows = isinstance(tau, np.ndarray)  # one tau per column of a block
+    if rows and (tau.ndim != 1 or x.ndim != 2 or len(tau) != x.shape[1]):
+        raise DimensionError(f"tau shape {tau.shape} != one tau per column of x {x.shape}")
+    steps, kmag, nunit, n_sum = _plan(h).program(r)
     cols = (1,) * (x.ndim - 1)  # tables broadcast over the columns of a block
-    c = np.cos(theta).astype(complex).reshape(kmag.shape + cols)  # complex: faster y *= c
-    off = (np.sin(theta) * nunit).reshape(c.shape)
+    theta = (0.5 * tau / r) * kmag.reshape(kmag.shape + cols)
+    s = np.sin(theta) * nunit.reshape(nunit.shape + cols)
+    c = np.cos(theta, out=theta).astype(complex)  # complex: faster y *= c
+    del theta  # a block's tables are (slots, d, m): keep no third one
     out = []
-    for sign, s in ((+1.0, off), (-1.0, -off)):
-        e = c + s
+    for sign in (+1.0, -1.0):
+        if sign < 0:
+            np.negative(s, out=s)
+        e = c[:n_sum] + s[:n_sum]
         y = np.array(x, dtype=complex)
         scratch = np.empty_like(y)
         for perm, eig, i in steps:
@@ -168,7 +182,10 @@ def apply_branches(
                 scratch *= s[i]
                 y *= c[i]
                 y += scratch
-        y *= cmath.exp(-1j * sign * h.gamma * tau)
+        if rows:
+            y *= np.array([cmath.exp(-1j * sign * h.gamma * t) for t in tau.tolist()])
+        else:
+            y *= cmath.exp(-1j * sign * h.gamma * tau)
         out.append(y)
     return out[0], out[1]
 

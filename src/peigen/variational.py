@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .cooling import (
     RunConfig,
     StageRecord,
     Variational,
+    _branch,
+    _check_state,
+    _check_tau,
     _ejection_failed,
     _start,
     cooling_step,
@@ -31,6 +35,7 @@ from .cooling import (
 from .errors import CertainFailureError
 from .models import SumHamiltonian
 from .operators import QuantumState, expectation
+from .trotter import apply_branches
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,11 +50,17 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """A stage's search: the best trial by (energy, tau), every trial in
+    order, and whether the budget ran out first. ``state_star`` is the best
+    trial's kept (0-branch) state, which `run` accepts as the stage; exact
+    mode forms no trial branch, and a certain failure has none (None)."""
+
     tau_star: float
     energy_star: float
     p0_star: float
     trials: tuple[TrialRecord, ...]
     budget_exhausted: bool
+    state_star: Optional[QuantumState] = None
 
 
 def _exact_objective(state: QuantumState, h: SumHamiltonian):
@@ -68,23 +79,51 @@ def _exact_objective(state: QuantumState, h: SumHamiltonian):
     return objective
 
 
+def _trials(state: QuantumState, h: SumHamiltonian, operator_mode: OperatorMode):
+    """One stage's trial evaluator: a list of tau -> each one's (energy, p0,
+    kept 0-branch), with (+inf, 0.0, None) for a numerically certain failure
+    (p0 < 1e-14) so a minimizer simply avoids it.
+
+    Exact mode reads the cos² law on eigen-populations and forms no branch.
+    In Trotter mode a lone tau, or any tau of a mixed state, is a
+    `cooling_step`; several taus on a pure state are one `apply_branches`
+    block with psi in every column, each column's K0 psi read as a
+    contiguous row, so it is bitwise that step's where every group is a
+    monomial."""
+    if isinstance(operator_mode, ExactW):
+        cos2 = _exact_objective(state, h)
+        return lambda taus: [(*cos2(tau), None) for tau in taus]
+
+    def trotter(taus: list[float]) -> list:
+        if state.is_pure and len(taus) > 1:
+            _check_state(state, h)  # as each cooling step would
+            block = np.repeat(state.data[:, None], len(taus), axis=1)
+            u_plus, u_minus = apply_branches(h, np.array(taus), operator_mode.r, block)
+            steps = [_branch(k, True) for k in ((u_plus + u_minus) / 2).T.copy()]
+        else:
+            steps = [cooling_step(state, h, tau, operator_mode) for tau in taus]
+        return [
+            (math.inf, 0.0, None) if kept is None else (expectation(kept, h.total), p0, kept)
+            for kept, p0 in steps
+        ]
+
+    return trotter
+
+
 def stage_objective(
     state: QuantumState,
     h: SumHamiltonian,
     tau: float,
     operator_mode: OperatorMode = ExactW(),
 ) -> tuple[float, float]:
-    """Post-selected average energy of the 0-branch at this tau, and its p0.
-
-    Exact mode reads the cos² law on eigen-populations, Trotter mode the
-    cooling step. A numerically certain failure (p0 < 1e-14) is reported as
-    (+inf, 0.0) so a minimizer simply avoids it."""
-    if isinstance(operator_mode, ExactW):
-        return _exact_objective(state, h)(tau)
-    kept, p0 = cooling_step(state, h, tau, operator_mode)
-    if kept is None:
-        return math.inf, 0.0
-    return expectation(kept, h.total), p0
+    """Post-selected average energy of the 0-branch at this tau, and its p0:
+    one trial of `minimize_stage`. Exact mode reads the cos² law on
+    eigen-populations, Trotter mode the cooling step. A numerically certain
+    failure (p0 < 1e-14) is reported as (+inf, 0.0) so a minimizer simply
+    avoids it; a non-finite tau is refused."""
+    _check_tau(tau)
+    energy, p0, _ = _trials(state, h, operator_mode)([tau])[0]
+    return energy, p0
 
 
 def minimize_stage(
@@ -100,26 +139,32 @@ def minimize_stage(
     tau_star is the best evaluated point; exact ties go to the smaller tau.
     If max_evals runs out before the interval shrinks to x_tol, the
     best-so-far is returned with budget_exhausted set. Exact-mode trials
-    share one stage's eigen-populations and cost O(d) each."""
+    share one stage's eigen-populations and cost O(d) each. In Trotter mode
+    the coarse grid of a pure state is one `apply_branches` block and each
+    golden-section point one cooling step; only the best trial's branch is
+    kept, as ``state_star``."""
     trials: list[TrialRecord] = []
-    cos2 = _exact_objective(state, h) if isinstance(operator_mode, ExactW) else None
+    evaluate = _trials(state, h, operator_mode)
+    best = kept_best = None  # the best trial so far by (energy, tau), and its kept branch
 
-    def ev(tau: float) -> float:
-        energy, p0 = cos2(tau) if cos2 else stage_objective(state, h, tau, operator_mode)
-        trials.append(TrialRecord(len(trials), float(tau), energy, p0))
-        return energy
+    def ev(taus: list[float]) -> float:
+        nonlocal best, kept_best
+        for tau, (energy, p0, kept) in zip(taus, evaluate(taus)):
+            trials.append(TrialRecord(len(trials), tau, energy, p0))
+            if best is None or (energy, tau) < (best.energy, best.tau):
+                best, kept_best = trials[-1], kept
+        return trials[-1].energy
 
-    xs = np.linspace(opt.tau_lo, opt.tau_hi, opt.coarse_grid)
-    for x in xs:
-        ev(float(x))
-    i_best = min(range(len(xs)), key=lambda i: (trials[i].energy, trials[i].tau))
-    a = float(xs[max(i_best - 1, 0)])
-    b = float(xs[min(i_best + 1, len(xs) - 1)])
+    xs = [float(x) for x in np.linspace(opt.tau_lo, opt.tau_hi, opt.coarse_grid)]
+    ev(xs)
+    i_best = best.trial_index  # the grid's best
+    a = xs[max(i_best - 1, 0)]
+    b = xs[min(i_best + 1, len(xs) - 1)]
 
     x1 = b - INVPHI * (b - a)
     x2 = a + INVPHI * (b - a)
-    f1 = ev(x1) if len(trials) < opt.max_evals else None
-    f2 = ev(x2) if len(trials) < opt.max_evals else None
+    f1 = ev([x1]) if len(trials) < opt.max_evals else None
+    f2 = ev([x2]) if len(trials) < opt.max_evals else None
     while (
         f1 is not None
         and f2 is not None
@@ -129,19 +174,19 @@ def minimize_stage(
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - INVPHI * (b - a)
-            f1 = ev(x1)
+            f1 = ev([x1])
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + INVPHI * (b - a)
-            f2 = ev(x2)
+            f2 = ev([x2])
 
-    best = min(trials, key=lambda t: (t.energy, t.tau))
     return MinimizeResult(
         tau_star=best.tau,
         energy_star=best.energy,
         p0_star=best.p0,
         trials=tuple(trials),
         budget_exhausted=(b - a) > opt.x_tol,
+        state_star=kept_best,
     )
 
 
@@ -154,7 +199,10 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
     eigenspace and whether the run converged onto it (within f_tol). Every
     further stage is a cooling step at the fixed tau or at the minimizer of
     that stage's post-selected energy, whose trial log the stage carries,
-    until a cooling stage moves the energy by at most epsilon.
+    until a cooling stage moves the energy by at most epsilon. A Trotter
+    stage at the minimizer takes its state, p0 and energy from the best
+    trial (`MinimizeResult.state_star`), the very step that trial made;
+    every other stage makes its `cooling_step`.
     Non-convergence at max_stages yields converged=False, not an exception."""
     state, hg = _start(initial, h, config)
     ejected = ejected_energies(hg, config)
@@ -164,6 +212,7 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
     p_cum = 1.0
     converged = False
     while len(stages) < config.max_stages:
+        accepted = None  # a Trotter trial's kept branch: (state, p0, energy)
         if (level := len(stages)) < len(ejected):
             h_s, tau, operator_mode = *ejection_step(hg, ejected[level], config.eject_shifted), ExactW()
             record = dict(kind="eject", tau=None, e_s=ejected[level], shifted=config.eject_shifted)
@@ -175,19 +224,24 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
                     state, hg, config.mode.optimizer, operator_mode=config.operator_mode
                 )
                 tau, trials, exhausted = res.tau_star, res.trials, res.budget_exhausted
+                if res.state_star is not None:
+                    accepted = res.state_star, res.p0_star, res.energy_star
             h_s, operator_mode = hg, config.operator_mode
             record = dict(
                 kind="cool", tau=float(tau), trials=trials, opt_budget_exhausted=exhausted
             )
-        state, p0 = cooling_step(state, h_s, tau, operator_mode)
-        if state is None:
-            if record["kind"] == "eject":
-                raise _ejection_failed(level, ejected[level], p0)
-            raise CertainFailureError(
-                f"cooling stage at tau={tau:.6g} has zero success probability"
-            )
+        if accepted is None:
+            state, p0 = cooling_step(state, h_s, tau, operator_mode)
+            if state is None:
+                if record["kind"] == "eject":
+                    raise _ejection_failed(level, ejected[level], p0)
+                raise CertainFailureError(
+                    f"cooling stage at tau={tau:.6g} has zero success probability"
+                )
+            energy = expectation(state, total)
+        else:
+            state, p0, energy = accepted
         p_cum *= p0
-        energy = expectation(state, total)
         stages.append(StageRecord(k=len(stages) + 1, energy=energy, p0=p0, p_suc=p_cum, **record))
         if record["kind"] == "cool" and abs(e_prev - energy) <= config.epsilon:
             converged = True

@@ -22,6 +22,7 @@ from peigen import (
     RunConfig,
     TrotterW,
     UndefinedOperatorError,
+    ValidationError,
     Variational,
     basis_vector,
     cooling_step,
@@ -524,6 +525,34 @@ def test_bundled_trajectory_counts_are_frozen(name):
         assert res.success
         got.append((res.restarts, res.shots_used))
     assert got == FROZEN_TRAJECTORIES[name]
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mode", [ExactW(), TrotterW(2)], ids=["exact", "trotter"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_a_non_finite_tau_is_refused(tau, mode, mixed, harmonic, thermal_half):
+    # its p0 would be nan: `p0 < floor` and `draw >= p0` are both False, a certain success
+    state = thermal_half if mixed else _plus01()
+    config = RunConfig(mode=FixedStep(tau=0.3), operator_mode=mode, seed=0)
+    calls = [
+        lambda: cooling_step(state, harmonic, tau, mode),
+        lambda: stage_objective(state, harmonic, tau, mode),
+        lambda: trajectory_probabilities(state, harmonic, config, (0.3, tau)),
+        lambda: stochastic_trajectory(state, harmonic, config, (tau,)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"^tau must be finite, got {tau}$"):
+            call()
+
+
+def test_a_schedule_with_a_non_finite_tau_is_refused_before_any_step(monkeypatch, harmonic):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage was replayed")
+
+    monkeypatch.setattr("peigen.cooling.cooling_step", refuse)
+    config = RunConfig(mode=FixedStep(tau=0.3), operator_mode=TrotterW(2), seed=0)
+    with pytest.raises(ValidationError, match="^tau must be finite, got nan$"):
+        trajectory_probabilities(_plus01(), harmonic, config, (0.3, 0.5, math.nan))
 
 
 # ---------------------------------------------------------------------------

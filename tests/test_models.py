@@ -48,6 +48,7 @@ from peigen.models import (
     PAULI_Z,
     build_custom,
     hubbard_basis_index,
+    model_dim,
     rabi_basis_index,
 )
 from tests.conftest import random_state_vector
@@ -405,6 +406,35 @@ def test_model_inputs_are_refused(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", None], ids=["float", "bool", "str", "none"])
+@pytest.mark.parametrize(
+    "make, field, error",
+    [
+        (lambda v: HarmonicOscillator(1.0, cutoff=v), "cutoff", ValidationError),
+        (lambda v: Rabi(1.2, 0.8, 1.0, cutoff=v), "cutoff", ValidationError),
+        (lambda v: Hubbard1D(v, 1.0, 2.0), "sites", ValidationError),
+        (lambda v: TargetLevel(v), "level", ConfigError),
+    ],
+    ids=["harmonic-cutoff", "rabi-cutoff", "hubbard-sites", "target-level"],
+)
+def test_integer_fields_refuse_what_the_json_reader_refuses(make, field, error, value):
+    # the type is checked before the bound, so no field reaches a bit shift or an index
+    with pytest.raises(error) as info:
+        make(value)
+    assert type(info.value) is error
+    assert str(info.value) == f"{field} must be an integer, got {value}"
+
+
+def test_integer_fields_take_numpy_integers_and_keep_their_bounds():
+    assert model_dim(HarmonicOscillator(1.0, cutoff=np.int64(3))) == 3
+    assert model_dim(Hubbard1D(np.int32(2), 1.0, 2.0)) == 16
+    assert TargetLevel(np.int64(0)).level == 0
+    with pytest.raises(ValidationError, match="^cutoff must be >= 2, got 1$"):
+        Rabi(1.2, 0.8, 1.0, cutoff=1)
+    with pytest.raises(ConfigError, match="^level must be >= 0, got -1$"):
+        TargetLevel(-1)
 
 
 # ---------------------------------------------------------------------------

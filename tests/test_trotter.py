@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from peigen import (
     Custom,
     FixedStep,
+    HarmonicOscillator,
     Hubbard1D,
     QuantumState,
     Rabi,
@@ -75,6 +76,45 @@ def test_apply_branches_refuses_a_wrong_dimension(model, size, block):
     x = np.ones((size, 3) if block else size, dtype=complex)
     with pytest.raises(DimensionError, match=f"^state dim {size} != operator dim {h.dim}$"):
         apply_branches(h, 0.3, 3, x)
+
+# a column's branches are bitwise its own call where every group is a monomial;
+# the Rabi coupling's dense group runs as one matrix product on the block
+_BLOCK_MODELS = {
+    "hubbard2": (Hubbard1D(2, t=1.0, u=2.0), 0.0),
+    "hubbard3": (Hubbard1D(3, t=0.7, u=1.3), 0.0),
+    "hubbard4": (Hubbard1D(4, t=0.9, u=1.7), 0.0),
+    "harmonic": (HarmonicOscillator(omega=1.0, cutoff=30), 0.0),
+    "rabi20": (RABI, 1e-15),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("name", sorted(_BLOCK_MODELS))
+def test_apply_branches_one_tau_per_column_equals_per_tau_calls(name, m):
+    spec, tol = _BLOCK_MODELS[name]
+    h = build_model(spec).with_gamma(0.37)
+    rng = np.random.default_rng(m)
+    x = np.stack([random_state_vector(rng, h.dim) for _ in range(m)], axis=1)
+    taus = rng.uniform(0.01, 1.0, m)
+    block = apply_branches(h, taus, 3, x)
+    for j, tau in enumerate(taus):
+        for got, want in zip(block, apply_branches(h, float(tau), 3, x[:, j].copy())):
+            if tol == 0.0:
+                assert np.array_equal(got[:, j], want)
+            else:
+                assert np.abs(got[:, j] - want).max() <= tol
+
+
+@pytest.mark.parametrize(
+    "tau, shape",
+    [(np.array([0.1, 0.2]), (16, 3)), (np.array([0.1, 0.2]), (16,)), (np.full((2, 3), 0.1), (16, 3))],
+    ids=["too-few-taus", "taus-for-a-vector", "2-d-taus"],
+)
+def test_apply_branches_refuses_taus_that_are_not_one_per_column(tau, shape):
+    h = build_model(Hubbard1D(2, t=1.0, u=2.0))
+    with pytest.raises(DimensionError, match=r"^tau shape .* != one tau per column of x"):
+        apply_branches(h, tau, 3, np.ones(shape, dtype=complex))
+
 
 def test_exact_w_is_unitary_and_block_diagonal_in_x(harmonic):
     w = exact_W(harmonic, 0.3)
@@ -292,11 +332,11 @@ def test_sweep_plan_fuses_only_commuting_neighbours():
 @pytest.mark.parametrize("r", [1, 3])
 def test_sweep_plan_merges_seams(r):
     h = build_model(Hubbard1D(4, t=1.0, u=2.0))
-    steps, kmag, _ = trotter._plan(h).program(r)
+    steps, kmag, _, _ = trotter._plan(h).program(r)
     # 7 groups: 12 factors per sweep plus one, against 31 per sweep unfused
     assert len(steps) == 12 * r + 1
     assert len(kmag) == 7 + (r > 1)  # the seams add a full step on group 0
-    single, _, _ = trotter._plan(build_model(DIFFERENTIAL_MODELS["single_term"])).program(r)
+    single, _, _, _ = trotter._plan(build_model(DIFFERENTIAL_MODELS["single_term"])).program(r)
     assert len(single) == 1  # r full steps of one term merge into one
 
 

@@ -1,4 +1,6 @@
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from peigen import (
     Fixed,
     FixedStep,
     HarmonicOscillator,
+    Hubbard1D,
     OptimizerConfig,
     QuantumState,
     Rabi,
@@ -26,6 +29,7 @@ from peigen import (
     cooling_step,
     exact_spectrum,
     expectation,
+    gamma_for,
     run,
 )
 from peigen.config import bundled_config_dir, build_initial_state, load_experiment
@@ -355,3 +359,119 @@ def test_exact_run_trials_match_the_dense_step(make, counts):
         assert abs(s.p0 - p0) <= 1e-12
         assert abs(s.energy - reference.energy(out, hg) / p0) <= tol
         dense = QuantumState(out / p0 if out.ndim == 2 else out / math.sqrt(p0))
+
+
+# ---------------------------------------------------------------------------
+# Trotter-mode trials: the coarse grid as one block, the best trial accepted
+
+
+def _bundled(name):
+    ex = load_experiment(bundled_config_dir() / f"{name}.json")
+    return build_model(ex.model), build_initial_state(ex), ex.run
+
+
+def _harmonic_trotter():
+    spec = HarmonicOscillator(omega=1.0, cutoff=30)
+    psi = np.sqrt((1 / 1.5) * (0.5 / 1.5) ** np.arange(30))  # thermal weights, nbar 0.5
+    config = RunConfig(mode=Variational(), epsilon=1e-3, max_stages=4, operator_mode=TrotterW(2))
+    return build_model(spec), QuantumState(psi), config
+
+
+def _rabi_rank4_trotter():
+    h, rho, config = _rabi_rank4()
+    return h, rho, replace(config, max_stages=1, operator_mode=TrotterW(3))
+
+
+# tolerance on trial energy and p0: 0 (bitwise) where every Trotter group is a
+# monomial; the Rabi coupling's dense group runs as a matrix product on the block
+_PURE_TROTTER = {
+    "hubbard2": (lambda: _bundled("hubbard2_variational"), 0.0),
+    "hubbard3": (lambda: _bundled("hubbard3_variational"), 0.0),
+    "harmonic": (_harmonic_trotter, 0.0),
+    "rabi20": (lambda: _bundled("rabi_variational"), 1e-15),
+}
+
+
+def _first_stage(make):
+    h, initial, config = make()
+    hg = h.with_gamma(gamma_for(h, config.gamma_policy))
+    state = validate_and_normalize(initial)
+    return state, hg, config, minimize_stage(
+        state, hg, config.mode.optimizer, operator_mode=config.operator_mode
+    )
+
+
+def _count_calls(monkeypatch, target):
+    module, name = target.rsplit(".", 1)
+    fn, calls = getattr(importlib.import_module(module), name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(target, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_PURE_TROTTER))
+def test_trotter_trials_equal_per_tau_stage_objective_calls(name):
+    make, tol = _PURE_TROTTER[name]
+    state, hg, config, res = _first_stage(make)
+    opt = config.mode.optimizer
+    assert len(res.trials) == opt.max_evals == 12
+    grid = [t.tau for t in res.trials[: opt.coarse_grid]]
+    assert grid == [float(x) for x in np.linspace(opt.tau_lo, opt.tau_hi, opt.coarse_grid)]
+    for t in res.trials:
+        energy, p0 = stage_objective(state, hg, t.tau, config.operator_mode)
+        if tol == 0.0:
+            assert (t.energy, t.p0) == (energy, p0)
+        else:
+            assert abs(t.energy - energy) <= tol and abs(t.p0 - p0) <= tol
+
+
+def test_a_trotter_stage_makes_six_sweep_plan_calls_and_none_to_accept(monkeypatch):
+    h, initial, config = _bundled("hubbard3_variational")
+    plans = _count_calls(monkeypatch, "peigen.trotter._plan")  # one per apply_branches call
+    steps = _count_calls(monkeypatch, "peigen.variational.cooling_step")
+    energies = _count_calls(monkeypatch, "peigen.variational.expectation")
+    tr = run(initial, h, replace(config, max_stages=1))
+    assert len(tr.stages[0].trials) == 12
+    assert len(plans) == 6  # the 7-point grid as one block, then 5 golden-section steps
+    assert len(steps) == 5
+    assert len(energies) == 13  # the initial energy and one per trial
+
+
+def test_a_mixed_trotter_stage_builds_one_dense_pair_per_trial(monkeypatch):
+    h, rho, config = _rabi_rank4_trotter()
+    pairs = _count_calls(monkeypatch, "peigen.cooling.branch_unitaries")
+    tr = run(rho, h, config)
+    assert len(pairs) == len(tr.stages[0].trials) == 12
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: _bundled("hubbard3_variational"), _rabi_rank4_trotter], ids=["pure", "mixed"]
+)
+def test_the_accepted_stage_is_the_best_trials_branch(make):
+    state, hg, config, res = _first_stage(make)
+    h, initial, _ = make()
+    stage = run(initial, h, replace(config, max_stages=1))
+    s = stage.stages[0]
+    assert (s.tau, s.energy, s.p0) == (res.tau_star, res.energy_star, res.p0_star)
+    assert np.array_equal(stage.final_state.data, res.state_star.data)
+    # the very step the best trial made (monomial groups only, so bitwise here)
+    kept, p0 = cooling_step(state, hg, res.tau_star, config.operator_mode)
+    assert p0 == res.p0_star and np.array_equal(kept.data, res.state_star.data)
+    assert expectation(kept, hg.total) == res.energy_star
+
+
+def test_exact_trials_form_no_branch(harmonic, thermal_half):
+    res = minimize_stage(thermal_half, harmonic, OptimizerConfig())
+    assert res.state_star is None
+
+
+@pytest.mark.parametrize("max_evals", [7, 12], ids=["grid-only", "with-golden"])
+def test_a_trotter_grid_refuses_a_zero_state_as_each_step_would(max_evals):
+    h = build_model(Hubbard1D(2, t=1.0, u=2.0))
+    opt = OptimizerConfig(max_evals=max_evals, coarse_grid=7)
+    with pytest.raises(CertainFailureError, match="^both branch probabilities vanish; state is corrupt$"):
+        minimize_stage(QuantumState(np.zeros(16)), h, opt, operator_mode=TrotterW(3))
