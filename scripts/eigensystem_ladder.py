@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Scale ladder for the exact eigensystem of the Hubbard chain.
 
-For each chain length L, builds a fresh model and times `gamma_for(h,
-Exact())`, which solves the block eigensystem from the terms' structure
-without forming the dense total H, at t = 1 and u = 2. Up to L = 5 it then
-forms the dense total H (timed) and times one dense complex
-`np.linalg.eigh` of it (ratio = dense eigh / gamma_for), and checks that
-both spectra and gamma = -E0 agree within 1e-12 * max(1, |H|). BLAS runs on
-one thread unless OPENBLAS_NUM_THREADS is set. Exits 1 on a disagreement.
+For each chain length L, builds a fresh model at t = 1 and u = 2 and times
+two block solves from the terms' structure, neither forming the dense total
+H: `gamma_for(h, Exact())`, which reads the eigenvalues alone, and the full
+`h.total.eigensystem()`, which also forms the d x d eigenvector matrix. Up
+to L = 5 it then forms the dense total H (timed) and times one dense complex
+`np.linalg.eigh` of it (ratio = dense eigh / eigensystem), and checks that
+both block spectra and gamma = -E0 agree with it within 1e-12 * max(1, |H|).
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set. Exits 1 on a
+disagreement.
 """
 
 import os
@@ -33,23 +35,26 @@ def main(argv=None):
 
     gamma_for(build_model(Hubbard1D(2, T, U)), Exact())  # untimed warm-up
     ok = True
-    print("L      d   gamma_for (s)   dense total H (s)   dense eigh (s)   ratio   max |dE|")
+    print("L      d   gamma_for (s)   eigensystem (s)   dense total H (s)   dense eigh (s)   ratio   max |dE|")
     for L in args.sites:
         h = build_model(Hubbard1D(L, T, U))
         t0 = time.perf_counter()
         gamma = gamma_for(h, Exact())
-        t_block = time.perf_counter() - t0
-        line = f"{L:<2} {h.dim:6d}   {t_block:13.4f}"
+        t1 = time.perf_counter()
+        values_only = h.total.eigenvalues()
+        evals, _ = h.total.eigensystem()
+        t_eig = time.perf_counter() - t1
+        line = f"{L:<2} {h.dim:6d}   {t1 - t0:13.4f}   {t_eig:15.4f}"
         if L <= DENSE_MAX:
             t0 = time.perf_counter()
             m = h.total.mat
             t1 = time.perf_counter()
             dense = np.linalg.eigh(m)[0]
             t_dense = time.perf_counter() - t1
-            err = float(np.abs(h.total.eigensystem()[0] - dense).max())
+            err = max(float(np.abs(got - dense).max()) for got in (values_only, evals))
             err = max(err, abs(gamma + dense[0]))
             ok &= err <= 1e-12 * max(1.0, float(np.abs(dense).max()))
-            line += f"   {t1 - t0:17.4f}   {t_dense:14.4f}   {t_dense / t_block:5.1f}   {err:.1e}"
+            line += f"   {t1 - t0:17.4f}   {t_dense:14.4f}   {t_dense / t_eig:5.1f}   {err:.1e}"
         print(line)
     return 0 if ok else 1
 

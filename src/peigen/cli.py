@@ -30,7 +30,6 @@ from .models import (
     NormBound,
     Rabi,
     build_model,
-    exact_spectrum,
     gamma_for,
     hubbard_sector_label,
 )
@@ -155,7 +154,7 @@ def cmd_spectrum(args) -> int:
     raw = read_json(path)
     cfg = parse_experiment(raw, source=path.name)
     h = build_model(cfg.model)
-    evals, _ = exact_spectrum(h)
+    evals = h.total.eigenvalues()
     gammas = {
         "exact": gamma_for(h, Exact()),
         "norm_bound": gamma_for(h, NormBound()),

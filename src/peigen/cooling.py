@@ -131,9 +131,14 @@ def _start(
     initial: QuantumState, h: SumHamiltonian, config: RunConfig
 ) -> tuple[QuantumState, SumHamiltonian]:
     """The checked, normalized initial state and the model shifted by the
-    run's gamma. The state's dimension is checked before gamma is resolved."""
+    run's gamma. The state's dimension is checked before gamma is resolved.
+    A run that reads the total's eigenvectors (exact mode, a target level)
+    solves them first, so its gamma is bitwise that eigensystem's."""
     check_dim(initial, h.dim)
-    return validate_and_normalize(initial), h.with_gamma(gamma_for(h, config.gamma_policy))
+    state = validate_and_normalize(initial)
+    if not isinstance(config.operator_mode, TrotterW) or config.target_level is not None:
+        h.total.eigensystem()
+    return state, h.with_gamma(gamma_for(h, config.gamma_policy))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +247,7 @@ def ejected_energies(h: SumHamiltonian, config: RunConfig) -> tuple[float, ...]:
     target = config.target_level
     if not target:
         return ()
-    evals = h.total.eigensystem()[0]
+    evals = h.total.eigenvalues()
     if target >= len(evals):
         raise ConfigError(f"target level {target} out of range for dim {len(evals)}")
     kept = 1.0  # the target level's weight left after each ejection

@@ -270,6 +270,7 @@ def build_model(spec: ModelSpec) -> SumHamiltonian:
 
 def thermal_state(spec: HarmonicOscillator, nbar: float) -> QuantumState:
     """Truncated geometric (thermal) mixture with mean occupation ``nbar``."""
+    _check_finite("nbar", nbar)
     if nbar < 0:
         raise ValidationError(f"nbar must be >= 0, got {nbar}")
     if nbar == 0:
@@ -346,7 +347,8 @@ def basis_state(spec: ModelSpec, label: str) -> QuantumState:
 
 
 def exact_spectrum(h: SumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of the bare total H (ascending) and its eigenvectors."""
+    """Full spectrum of the bare total H (ascending) and its dense d x d
+    eigenvectors; ``h.total.eigenvalues()`` gives the spectrum alone."""
     return h.total.eigensystem()
 
 
@@ -420,7 +422,9 @@ GammaPolicy = Union[Exact, NormBound, Fixed, TargetLevel]
 
 
 def gamma_for(h: SumHamiltonian, policy: GammaPolicy) -> float:
-    """Resolve a shift policy to a concrete gamma for this Hamiltonian."""
+    """Resolve a shift policy to a concrete gamma for this Hamiltonian.
+    `Exact`, `TargetLevel` and the `Fixed` warning read only the total's
+    `eigenvalues` (those of its eigensystem, if solved)."""
     if isinstance(policy, NormBound):
         return float(sum(term.norm2() for _, term in h.terms))
     if isinstance(policy, Fixed):
@@ -428,7 +432,7 @@ def gamma_for(h: SumHamiltonian, policy: GammaPolicy) -> float:
         # E0 >= -sum ||H_m||, so a value at or above the bound cannot warn
         if policy.value >= gamma_for(h, NormBound()):
             return float(policy.value)
-        evals, _ = h.total.eigensystem()
+        evals = h.total.eigenvalues()
         if evals[0] + policy.value < 0:
             warnings.warn(
                 f"E0 + gamma = {evals[0] + policy.value:.6g} < 0; "
@@ -437,7 +441,7 @@ def gamma_for(h: SumHamiltonian, policy: GammaPolicy) -> float:
                 stacklevel=2,
             )
         return float(policy.value)
-    evals, _ = h.total.eigensystem()
+    evals = h.total.eigenvalues()
     if isinstance(policy, Exact):
         return float(-evals[0])
     if isinstance(policy, TargetLevel):

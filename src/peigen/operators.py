@@ -131,13 +131,13 @@ class HermitianOperator:
     passes the exact checks of `from_monomial` (diagonal terms, signed Pauli
     strings), else the remainder. `sum` fuses the structure of several
     operators. The dense ``mat`` is formed only when first read: the
-    eigensystem (solved per block of the nonzero pattern by `_block_eigh`),
-    `block` and `expectation` read the structure. Each cache (``mat``,
-    eigensystem) is written once, read-only and never mutated; concurrent
-    readers observe either no cache or the completed value.
+    eigensystem or eigenvalues (solved per block of the nonzero pattern by
+    `_block_eigh`), `block` and `expectation` read the structure. Each cache
+    (``mat``, eigensystem, eigenvalues) is written once, read-only and never
+    mutated; concurrent readers observe either no cache or the completed value.
     """
 
-    __slots__ = ("_mat", "dim", "_eig", "_parts", "_rest")
+    __slots__ = ("_mat", "dim", "_eig", "_evals", "_parts", "_rest")
 
     def __init__(self, mat: object) -> None:
         a = _checked_hermitian(as_square_matrix(mat))
@@ -149,14 +149,14 @@ class HermitianOperator:
         vals.setflags(write=False)
         mono = bool((nz.sum(axis=1) <= 1).all()) and _monomial_defect(perm, vals) is None
         self._parts, self._rest = (((perm, vals),), None) if mono else ((), a)
-        self._mat, self.dim, self._eig = a, len(a), None
+        self._mat, self.dim, self._eig, self._evals = a, len(a), None, None
 
     @classmethod
     def _structured(cls, parts, rest: np.ndarray | None, dim: int) -> "HermitianOperator":
         """The operator ``sum_g P_g + R`` from exactly Hermitian read-only
         parts and a checked read-only remainder (or None)."""
         op = cls.__new__(cls)
-        op._parts, op._rest, op.dim, op._eig = tuple(parts), rest, dim, None
+        op._parts, op._rest, op.dim, op._eig, op._evals = tuple(parts), rest, dim, None, None
         op._mat = rest if not parts else None
         return op
 
@@ -257,16 +257,32 @@ class HermitianOperator:
         return out.reshape(n, n)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and matching orthonormal complex columns."""
+        """Ascending eigenvalues and matching orthonormal complex columns, a
+        dense d x d matrix (`eigenvalues` forms none)."""
         if self._eig is None:
-            try:
-                evals, evecs = _block_eigh(*self._entries(), self.dim)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-                raise EigenDecompositionError(self.dim, str(exc)) from exc
-            evals.setflags(write=False)
-            evecs.setflags(write=False)
-            self._eig = (evals, evecs)
+            self._eig = self._solve(vectors=True)
         return self._eig
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending read-only eigenvalues: `eigensystem`'s own once it is
+        solved, else one cached values-only `_block_eigh` solve, which may
+        differ from those by a few ulps of the largest |eigenvalue|."""
+        if self._eig is not None:
+            return self._eig[0]
+        if self._evals is None:
+            self._evals = self._solve(vectors=False)[0]
+        return self._evals
+
+    def _solve(self, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """`_block_eigh` of the structure, its arrays made read-only."""
+        try:
+            solved = _block_eigh(*self._entries(), self.dim, vectors)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise EigenDecompositionError(self.dim, str(exc)) from exc
+        for a in solved:
+            if a is not None:
+                a.setflags(write=False)
+        return solved
 
     def monomial(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(perm, vals)`` with ``A x == vals * x[perm]`` if the operator is
@@ -280,12 +296,12 @@ class HermitianOperator:
     def norm2(self) -> float:
         """Spectral norm, i.e. the largest eigenvalue magnitude.
 
-        Monomial operators read it as ``max |vals|`` without an ``eigh``."""
+        Monomial operators read it as ``max |vals|`` without a solve, others
+        from `eigenvalues`."""
         mono = self.monomial()
         if mono is not None:
             return float(np.abs(mono[1]).max())
-        evals, _ = self.eigensystem()
-        return float(np.abs(evals).max())
+        return float(np.abs(self.eigenvalues()).max())
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"

@@ -19,6 +19,7 @@ from peigen import (
     run,
     stochastic_trajectory,
 )
+from peigen import cli
 from peigen.cli import main
 from peigen.config import build_initial_state, bundled_config_dir, parse_experiment
 
@@ -584,6 +585,23 @@ def test_spectrum_json_output(tmp_path):
     assert abs(doc["eigenvalues"][0] - (1 - math.sqrt(5))) < 1e-9
     assert doc["gamma"]["norm_bound"] == 6.0
     assert abs(doc["gamma"]["exact"] - (math.sqrt(5) - 1)) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["hubbard3_variational", "rabi_variational"])
+def test_spectrum_forms_no_eigenvector_matrix(name, monkeypatch, capsys):
+    built = []
+
+    def recording(spec):
+        built.append(build_model(spec))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_model", recording)
+    assert main(["spectrum", "--config", str(BUNDLED / f"{name}.json"), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (h,) = built
+    assert h.total._eig is None
+    assert doc["eigenvalues"] == h.total.eigenvalues().tolist()
+    assert doc["gamma"]["exact"] == -doc["eigenvalues"][0]
 
 
 # ---------------------------------------------------------------------------

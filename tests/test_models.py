@@ -92,6 +92,12 @@ def test_thermal_state_cutoff_tail_guard():
         thermal_state(HarmonicOscillator(omega=1.0, cutoff=5), 5.0)
 
 
+@pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
+def test_thermal_state_refuses_a_non_finite_nbar(nbar):
+    with pytest.raises(ValidationError, match=rf"^nbar must be finite, got {nbar!r}$"):
+        thermal_state(HarmonicOscillator(omega=1.0, cutoff=30), nbar)
+
+
 # ---------------------------------------------------------------------------
 # quantum Rabi model
 
@@ -467,9 +473,11 @@ def test_norm_bound_reads_monomial_norms_without_eigh(spec):
     h = build_model(spec)
     want = sum(np.abs(np.linalg.eigvalsh(term.mat)).max() for _, term in h.terms)
     assert abs(gamma_for(h, NormBound()) - want) < 1e-12
-    # hops, on-site and the Rabi free term are monomial: no eigh for them
+    # hops, on-site and the Rabi free term are monomial: no solve for them;
+    # the Rabi coupling's norm reads its eigenvalues, with no eigenvectors
     for label, term in h.terms:
-        assert (term._eig is None) == (label != "coupling")
+        assert term._eig is None
+        assert (term._evals is None) == (label != "coupling")
 
 
 def test_gamma_fixed_warns_when_spectrum_stays_negative():

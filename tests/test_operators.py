@@ -446,6 +446,53 @@ def test_one_complex_block_is_plain_eigh():
     assert np.array_equal(evals, w0) and np.array_equal(v, v0)
 
 
+def _check_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """`eigenvalues` of a matrix against ``np.linalg.eigvalsh`` of the dense
+    matrix, within `_check_eigensystem`'s tolerance: solved without an
+    eigenvector matrix, ascending, read-only and cached."""
+    op = HermitianOperator(a)
+    evals = op.eigenvalues()
+    m = op.mat
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    assert np.all(np.diff(evals) >= 0)
+    assert np.abs(evals - np.linalg.eigvalsh(m)).max(initial=0.0) <= 1e-12 * scale
+    assert not evals.flags.writeable
+    assert op.eigenvalues() is evals and op._eig is None
+    return evals
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_eigenvalues_match_dense_eigvalsh(seed):
+    _check_eigenvalues(_random_blocks(np.random.default_rng(seed)))
+
+
+def test_eigenvalues_of_real_complex_degenerate_and_diagonal_matrices():
+    b = random_hermitian(np.random.default_rng(29), 6)
+    _check_eigenvalues(b.real)
+    _check_eigenvalues(b)
+    evals = _check_eigenvalues(np.kron(np.eye(2), b))  # each level twice
+    assert np.abs(evals[::2] - evals[1::2]).max() <= 1e-12 * max(1.0, float(np.abs(evals).max()))
+    assert np.array_equal(_check_eigenvalues(np.diag([2.0, -1.0, 2.0, 0.5])), [-1.0, 0.5, 2.0, 2.0])
+    assert np.array_equal(_check_eigenvalues(np.zeros((3, 3))), np.zeros(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_eigenvalues_are_the_eigensystems_once_it_is_solved(seed):
+    m = _random_blocks(np.random.default_rng(seed))
+    op = HermitianOperator(m)
+    evals, _ = op.eigensystem()
+    assert op.eigenvalues() is evals and op._evals is None
+    # a values-only solve first: the eigensystem's values replace it, within ulps
+    op = HermitianOperator(m)
+    values_only = op.eigenvalues()
+    evals, _ = op.eigensystem()
+    assert op.eigenvalues() is evals
+    scale = max(1.0, float(np.abs(evals).max()))
+    assert np.abs(values_only - evals).max() <= 1e-12 * scale
+
+
 @pytest.mark.parametrize(
     "spec, components",
     [

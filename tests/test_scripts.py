@@ -63,3 +63,12 @@ def test_restart_statistics_fails_off_the_geometric_law(monkeypatch, capsys):
     assert "geometric-law expectation 1/P - 1:" in out
     assert err.startswith("error: harmonic_fixed: mean restarts ")
     assert "more than 5 standard errors" in err
+
+
+def test_eigensystem_ladder_checks_both_solves_against_a_dense_eigh(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the script's default, restored afterwards
+    assert _script("eigensystem_ladder").main(["--sites", "2", "3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert "gamma_for (s)" in header and "eigensystem (s)" in header
+    assert [row.split()[:2] for row in rows] == [["2", "16"], ["3", "64"]]
+    assert all(float(row.split()[-1]) <= 1e-12 for row in rows)

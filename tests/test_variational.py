@@ -24,6 +24,7 @@ from peigen import (
     RunConfig,
     TrotterW,
     Variational,
+    basis_state,
     basis_vector,
     build_model,
     cooling_step,
@@ -31,6 +32,7 @@ from peigen import (
     expectation,
     gamma_for,
     run,
+    thermal_state,
 )
 from peigen.config import bundled_config_dir, build_initial_state, load_experiment
 from peigen.cooling import BRANCH_PROB_FLOOR
@@ -475,3 +477,92 @@ def test_a_trotter_grid_refuses_a_zero_state_as_each_step_would(max_evals):
     opt = OptimizerConfig(max_evals=max_evals, coarse_grid=7)
     with pytest.raises(CertainFailureError, match="^both branch probabilities vanish; state is corrupt$"):
         minimize_stage(QuantumState(np.zeros(16)), h, opt, operator_mode=TrotterW(3))
+
+
+# ---------------------------------------------------------------------------
+# gamma from eigenvalues alone: a run solves eigenvectors only if it reads them
+
+
+def _hubbard4_trotter():
+    spec = Hubbard1D(4, t=1.0, u=2.0)
+    config = RunConfig(mode=Variational(), max_stages=1, operator_mode=TrotterW(3))
+    return build_model(spec), basis_state(spec, "uudduddu"), config
+
+
+# Trotter runs with Exact gamma, on Hubbard L=2-4 and Rabi cutoff 20
+_TROTTER_EXACT_GAMMA = {
+    "hubbard2": lambda: _bundled("hubbard2_variational"),
+    "hubbard3": lambda: _bundled("hubbard3_variational"),
+    "hubbard4": _hubbard4_trotter,
+    "rabi20": lambda: _bundled("rabi_variational"),
+}
+
+
+def _trace_numbers(trace) -> np.ndarray:
+    """Every number a trace records, flat, in order."""
+    out = [trace.gamma, trace.initial_energy, trace.final_energy, trace.p_success]
+    for s in trace.stages:  # an ejection records its E_s in place of tau
+        out += [s.e_s if s.tau is None else s.tau, s.energy, s.p0, s.p_suc]
+        out += [x for t in s.trials for x in (t.tau, t.energy, t.p0)]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", sorted(_TROTTER_EXACT_GAMMA))
+def test_a_trotter_run_with_exact_gamma_forms_no_eigenvectors(name):
+    h, initial, config = _TROTTER_EXACT_GAMMA[name]()
+    assert isinstance(config.gamma_policy, Exact) and isinstance(config.operator_mode, TrotterW)
+    trace = run(initial, h, config)
+    assert h.total._eig is None
+    assert trace.gamma == -h.total.eigenvalues()[0]
+
+
+@pytest.mark.parametrize("name", sorted(_TROTTER_EXACT_GAMMA))
+def test_a_trotter_run_agrees_whether_or_not_the_eigensystem_was_solved_first(name):
+    h, initial, config = _TROTTER_EXACT_GAMMA[name]()
+    values_only = _trace_numbers(run(initial, h, config))
+    h, initial, config = _TROTTER_EXACT_GAMMA[name]()
+    evals, _ = exact_spectrum(h)
+    solved = _trace_numbers(run(initial, h, config))
+    assert solved[0] == -evals[0]  # gamma
+    assert solved.shape == values_only.shape
+    assert np.abs(solved - values_only).max() <= 1e-12
+
+
+def _targeted_exact():
+    spec = HarmonicOscillator(omega=1.0, cutoff=30)
+    config = RunConfig(
+        mode=FixedStep(0.3), gamma_policy=Fixed(0.3), eject_shifted=True, target_level=2
+    )
+    return build_model(spec), thermal_state(spec, 0.5), config
+
+
+def _targeted_trotter():
+    h, initial, config = _bundled("hubbard2_variational")
+    return h, initial, replace(config, target_level=1)
+
+
+# runs that read the total's eigenvectors: exact mode, or a target level
+_EIGENVECTOR_RUNS = {
+    "harmonic_variational": _harmonic_variational,
+    "rabi20_rank4": _rabi_rank4,
+    "targeted_exact": _targeted_exact,
+    "targeted_trotter": _targeted_trotter,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EIGENVECTOR_RUNS))
+@pytest.mark.parametrize("first", [gamma_for, exact_spectrum], ids=["gamma_for", "exact_spectrum"])
+def test_a_run_reading_eigenvectors_gives_one_trace_whatever_was_solved_first(name, first):
+    h, initial, config = _EIGENVECTOR_RUNS[name]()
+    fresh = run(initial, h, config)
+    h, initial, config = _EIGENVECTOR_RUNS[name]()
+    if first is gamma_for:
+        gamma_for(h, Exact())  # caches the values-only solve
+        assert h.total._evals is not None and h.total._eig is None
+    else:
+        exact_spectrum(h)
+    again = run(initial, h, config)
+    assert again.stages == fresh.stages
+    assert np.array_equal(_trace_numbers(again), _trace_numbers(fresh))
+    assert np.array_equal(again.final_state.data, fresh.final_state.data)
+    assert again.target_fidelity == fresh.target_fidelity
