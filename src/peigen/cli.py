@@ -39,14 +39,11 @@ from .verify import run_all
 
 
 def _energy_unit(spec) -> dict:
-    """Natural energy unit of the model; traces store raw units."""
-    if isinstance(spec, Rabi):
-        return {"divisor": spec.g or 1.0, "label": "g"}
-    if isinstance(spec, HarmonicOscillator):
-        return {"divisor": spec.omega or 1.0, "label": "omega"}
-    if isinstance(spec, Hubbard1D):
-        return {"divisor": spec.t or 1.0, "label": "t"}
-    return {"divisor": 1.0, "label": "raw"}
+    """Natural energy unit of the model; traces store raw units, and a model
+    without one, or whose unit is 0, is labelled raw."""
+    label = {Rabi: "g", HarmonicOscillator: "omega", Hubbard1D: "t"}.get(type(spec))
+    unit = getattr(spec, label) if label else 0
+    return {"divisor": unit, "label": label} if unit else {"divisor": 1.0, "label": "raw"}
 
 
 def _state_dict(state: QuantumState) -> dict:

@@ -19,10 +19,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import CertainFailureError, ConfigError, UndefinedOperatorError, ValidationError
+from .errors import CertainFailureError, ConfigError, UndefinedOperatorError
 from .models import GammaPolicy, Exact, SumHamiltonian, _check_integer, gamma_for
 from .operators import QuantumState, check_dim, validate_and_normalize
-from .trotter import apply_branches, branch_unitaries
+from .trotter import _check_tau, apply_branches, branch_unitaries
 
 BRANCH_PROB_FLOOR = 1e-14
 
@@ -143,12 +143,6 @@ def _start(
 
 # ---------------------------------------------------------------------------
 # one conditional step
-
-
-def _check_tau(tau: float) -> None:
-    """Refuse a non-finite tau: its p0 would be nan, and a draw never fails nan."""
-    if not math.isfinite(tau):
-        raise ValidationError(f"tau must be finite, got {tau}")
 
 
 def _check_state(state: QuantumState, h: SumHamiltonian) -> None:
@@ -389,8 +383,6 @@ def stochastic_trajectory(
     p0s = trajectory_probabilities(initial, h, config, tuple(schedule))
     rng = np.random.default_rng(config.seed)
     restarts = shots = 0
-    if len(p0s) == 0:
-        return TrajectoryResult(success=True, restarts=0, shots_used=0)
     while shots < max_shots:
         for p0 in p0s:
             if shots >= max_shots:

@@ -172,12 +172,12 @@ def _diagonal(vals: np.ndarray) -> HermitianOperator:
     return HermitianOperator.from_monomial(np.arange(len(vals)), vals)
 
 
-def build_harmonic(spec: HarmonicOscillator) -> SumHamiltonian:
+def _build_harmonic(spec: HarmonicOscillator) -> SumHamiltonian:
     n = np.arange(spec.cutoff, dtype=float)
     return SumHamiltonian((("omega*n", _diagonal(spec.omega * n)),))
 
 
-def build_rabi(spec: Rabi) -> SumHamiltonian:
+def _build_rabi(spec: Rabi) -> SumHamiltonian:
     """Qubit-major terms "free" and "coupling", with no dense matrix. The
     coupling g sx (x) (a + a^dag) is one term of two monomial parts, the even
     and the odd bonds (n, n+1) of the Fock ladder: each maps |q,n> to
@@ -211,7 +211,7 @@ def _hubbard_occupations(L: int) -> np.ndarray:
     return 1 - ((np.arange(2**n) >> shifts) & 1)
 
 
-def build_hubbard_jw(spec: Hubbard1D) -> SumHamiltonian:
+def _build_hubbard_jw(spec: Hubbard1D) -> SumHamiltonian:
     """Jordan-Wigner spin form of the open Hubbard chain.
 
     Mode order is site-major: (site1 up, site1 dn, site2 up, site2 dn, ...),
@@ -246,7 +246,7 @@ def build_hubbard_jw(spec: Hubbard1D) -> SumHamiltonian:
     return SumHamiltonian(terms)
 
 
-def build_custom(spec: Custom) -> SumHamiltonian:
+def _build_custom(spec: Custom) -> SumHamiltonian:
     return SumHamiltonian(
         tuple((label, HermitianOperator(mat)) for label, mat in spec.terms)
     )
@@ -254,13 +254,13 @@ def build_custom(spec: Custom) -> SumHamiltonian:
 
 def build_model(spec: ModelSpec) -> SumHamiltonian:
     if isinstance(spec, HarmonicOscillator):
-        return build_harmonic(spec)
+        return _build_harmonic(spec)
     if isinstance(spec, Rabi):
-        return build_rabi(spec)
+        return _build_rabi(spec)
     if isinstance(spec, Hubbard1D):
-        return build_hubbard_jw(spec)
+        return _build_hubbard_jw(spec)
     if isinstance(spec, Custom):
-        return build_custom(spec)
+        return _build_custom(spec)
     raise ConfigError(f"unknown model spec {type(spec).__name__}")
 
 

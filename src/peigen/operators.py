@@ -19,7 +19,7 @@ HERMITICITY_ATOL = 1e-12
 NORMALIZATION_TOL = 1e-6
 
 
-def as_square_matrix(m: object) -> np.ndarray:
+def _as_square_matrix(m: object) -> np.ndarray:
     """Coerce ``m`` to a finite non-empty square complex ndarray (read-only copy)."""
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
@@ -140,7 +140,7 @@ class HermitianOperator:
     __slots__ = ("_mat", "dim", "_eig", "_evals", "_parts", "_rest")
 
     def __init__(self, mat: object) -> None:
-        a = _checked_hermitian(as_square_matrix(mat))
+        a = _checked_hermitian(_as_square_matrix(mat))
         nz = a != 0
         rows = np.arange(len(a))
         perm = np.where(nz.any(axis=1), nz.argmax(axis=1), rows)

@@ -1,5 +1,5 @@
-"""Second-order Trotter construction of the joint cooling unitary, its
-gamma decomposition, and the two gate decompositions of the paper's Fig. 2
+"""Second-order Trotter construction of the joint cooling unitary and the
+two gate decompositions of the paper's Fig. 2
 (a CNOT ladder for exp(-i phi/2 XXX), a CNOT-conjugated analog block for
 exp(-i phi/2 (a+a^dag) X X)), checked as dense products of lifted gates.
 
@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionError, TruncationLeakageError, ValidationError
-from .models import I2, PAULI_X, PAULI_Y, PAULI_Z, SumHamiltonian
+from .models import I2, PAULI_X, PAULI_Y, PAULI_Z, SumHamiltonian, _check_integer
 from .operators import HermitianOperator
 
 _PX_PLUS = (I2 + PAULI_X) / 2  # ancilla sigma-x eigenprojectors
@@ -45,6 +45,8 @@ class JointUnitary:
             raise DimensionError(f"expected a square matrix, got {a.shape}")
         if a.shape[0] % 2 != 0:
             raise DimensionError("joint dimension must be even (system x ancilla)")
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix has non-finite entries")
         defect = float(np.abs(a @ a.conj().T - np.eye(a.shape[0])).max())
         if defect > UNITARITY_ATOL:
             raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
@@ -58,6 +60,12 @@ class JointUnitary:
     @property
     def system_dim(self) -> int:
         return self.dim // 2
+
+
+def _check_tau(tau: float) -> None:
+    """Refuse a non-finite tau: its p0 would be nan, and a draw never fails nan."""
+    if not math.isfinite(tau):
+        raise ValidationError(f"tau must be finite, got {tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +158,7 @@ def apply_branches(
     call and shared by both branches (U_minus negates the sin table in
     place); their sum is formed per branch for the diagonal and dense
     slots only, and factors update y in place through one scratch array."""
-    if r < 1:
-        raise ValidationError(f"Trotter steps r must be >= 1, got {r}")
+    _check_integer("Trotter steps r", r, 1)
     if x.shape[0] != h.dim:
         raise DimensionError(f"state dim {x.shape[0]} != operator dim {h.dim}")
     rows = isinstance(tau, np.ndarray)  # one tau per column of a block
@@ -214,11 +221,13 @@ def _exact_joint(op: HermitianOperator, shift: float, t: float) -> np.ndarray:
 
 def exact_W(h: SumHamiltonian, tau: float) -> JointUnitary:
     """Exact W_gamma(tau) on system (x) ancilla."""
+    _check_tau(tau)
     return JointUnitary(_exact_joint(h.total, h.gamma, tau))
 
 
 def trotter_W(h: SumHamiltonian, tau: float, r: int) -> JointUnitary:
     """Second-order Trotterized W_gamma(tau); unitary by construction."""
+    _check_tau(tau)
     return JointUnitary(_assemble(*branch_unitaries(h, tau, r)))
 
 
@@ -227,21 +236,6 @@ def trotter_error(h: SumHamiltonian, tau: float, r: int) -> float:
     return float(
         np.linalg.norm(exact_W(h, tau).matrix - trotter_W(h, tau, r).matrix, 2)
     )
-
-
-def ancilla_x_rotation(system_dim: int, angle: float) -> np.ndarray:
-    """R_x(angle) on the ancilla, identity on the system: exp(-i angle X/2)."""
-    return np.kron(np.eye(system_dim), _rotation(PAULI_X, angle))
-
-
-def wgamma_decompose(h: SumHamiltonian, tau: float) -> tuple[JointUnitary, float]:
-    """Split W_gamma(tau) into the gamma-free W(tau) and an ancilla x-rotation.
-
-    Returns (W, angle) with W_gamma(tau) = W(tau) @ R_x^A(angle), angle =
-    2 * gamma * tau. The parts commute (both diagonal in ancilla sigma-x).
-    """
-    w0 = exact_W(h.with_gamma(0.0), tau)
-    return w0, 2.0 * h.gamma * tau
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .cooling import (
     Variational,
     _branch,
     _check_state,
-    _check_tau,
     _ejection_failed,
     _start,
     cooling_step,
@@ -55,28 +54,10 @@ class MinimizeResult:
     trial's kept (0-branch) state, which `run` accepts as the stage; exact
     mode forms no trial branch, and a certain failure has none (None)."""
 
-    tau_star: float
-    energy_star: float
-    p0_star: float
+    best: TrialRecord
     trials: tuple[TrialRecord, ...]
     budget_exhausted: bool
     state_star: Optional[QuantumState] = None
-
-
-def _exact_objective(state: QuantumState, h: SumHamiltonian):
-    """Exact-mode objective of tau: p0 = w·P and energy w·(E⊙P) / p0, with
-    w_j = cos²((E_j + gamma) tau) and P_j = <j|rho|j> read once here."""
-    evals, pops = eigen_populations(state, h)
-    shifted, e_pops = evals + h.gamma, evals * pops
-
-    def objective(tau: float) -> tuple[float, float]:
-        w = np.cos(shifted * tau) ** 2
-        p0 = float(w @ pops)
-        if p0 < BRANCH_PROB_FLOOR:
-            return math.inf, 0.0
-        return float(w @ e_pops) / p0, p0
-
-    return objective
 
 
 def _trials(state: QuantumState, h: SumHamiltonian, operator_mode: OperatorMode):
@@ -91,8 +72,17 @@ def _trials(state: QuantumState, h: SumHamiltonian, operator_mode: OperatorMode)
     contiguous row, so it is bitwise that step's where every group is a
     monomial."""
     if isinstance(operator_mode, ExactW):
-        cos2 = _exact_objective(state, h)
-        return lambda taus: [(*cos2(tau), None) for tau in taus]
+        evals, pops = eigen_populations(state, h)  # P_j = <j|rho|j>, read once
+        shifted, e_pops = evals + h.gamma, evals * pops
+
+        def cos2(tau: float) -> tuple[float, float, None]:
+            w = np.cos(shifted * tau) ** 2  # p0 = w·P, energy w·(E⊙P) / p0
+            p0 = float(w @ pops)
+            if p0 < BRANCH_PROB_FLOOR:
+                return math.inf, 0.0, None
+            return float(w @ e_pops) / p0, p0, None
+
+        return lambda taus: [cos2(tau) for tau in taus]
 
     def trotter(taus: list[float]) -> list:
         if state.is_pure and len(taus) > 1:
@@ -110,22 +100,6 @@ def _trials(state: QuantumState, h: SumHamiltonian, operator_mode: OperatorMode)
     return trotter
 
 
-def stage_objective(
-    state: QuantumState,
-    h: SumHamiltonian,
-    tau: float,
-    operator_mode: OperatorMode = ExactW(),
-) -> tuple[float, float]:
-    """Post-selected average energy of the 0-branch at this tau, and its p0:
-    one trial of `minimize_stage`. Exact mode reads the cos² law on
-    eigen-populations, Trotter mode the cooling step. A numerically certain
-    failure (p0 < 1e-14) is reported as (+inf, 0.0) so a minimizer simply
-    avoids it; a non-finite tau is refused."""
-    _check_tau(tau)
-    energy, p0, _ = _trials(state, h, operator_mode)([tau])[0]
-    return energy, p0
-
-
 def minimize_stage(
     state: QuantumState,
     h: SumHamiltonian,
@@ -136,7 +110,7 @@ def minimize_stage(
     """Coarse grid, then golden-section refinement of the bracketing interval.
 
     Every objective evaluation is logged as a trial, in order. The returned
-    tau_star is the best evaluated point; exact ties go to the smaller tau.
+    ``best`` is the best evaluated trial; exact ties go to the smaller tau.
     If max_evals runs out before the interval shrinks to x_tol, the
     best-so-far is returned with budget_exhausted set. Exact-mode trials
     share one stage's eigen-populations and cost O(d) each. In Trotter mode
@@ -181,9 +155,7 @@ def minimize_stage(
             f2 = ev([x2])
 
     return MinimizeResult(
-        tau_star=best.tau,
-        energy_star=best.energy,
-        p0_star=best.p0,
+        best=best,
         trials=tuple(trials),
         budget_exhausted=(b - a) > opt.x_tol,
         state_star=kept_best,
@@ -223,9 +195,9 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
                 res = minimize_stage(
                     state, hg, config.mode.optimizer, operator_mode=config.operator_mode
                 )
-                tau, trials, exhausted = res.tau_star, res.trials, res.budget_exhausted
+                tau, trials, exhausted = res.best.tau, res.trials, res.budget_exhausted
                 if res.state_star is not None:
-                    accepted = res.state_star, res.p0_star, res.energy_star
+                    accepted = res.state_star, res.best.p0, res.best.energy
             h_s, operator_mode = hg, config.operator_mode
             record = dict(
                 kind="cool", tau=float(tau), trials=trials, opt_budget_exhausted=exhausted

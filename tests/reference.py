@@ -3,7 +3,8 @@
 Everything here is a plain d x d matrix: the branch unitaries
 U± = exp(∓i (H + gamma) tau) by `expm`, or their symmetric Trotter product
 from `expm` term exponentials, the ancilla blocks K0 and K1, the ejection
-operator by `cosm`, and the branch map K psi or K rho K^H. It shares no
+operator by `cosm`, the branch map K psi or K rho K^H, and the split of the
+joint W_gamma(tau) into W(tau) and an ancilla x-rotation. It shares no
 code path with the eigenbasis-resident exact mode or the sweep-plan
 Trotter mode under test."""
 
@@ -11,6 +12,8 @@ import math
 
 import numpy as np
 from scipy.linalg import cosm, expm
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def hamiltonian(h):
@@ -81,3 +84,17 @@ def energy(data, h):
     if data.ndim == 1:
         return float(np.vdot(data, m @ data).real)
     return float(np.trace(m @ data).real)
+
+
+def ancilla_x_rotation(system_dim, angle):
+    """R_x(angle) on the ancilla, identity on the system: exp(-i angle X/2)."""
+    r = math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * PAULI_X
+    return np.kron(np.eye(system_dim), r)
+
+
+def wgamma_decompose(h, tau):
+    """Split W_gamma(tau) into the gamma-free W(tau) = exp(-i H sigma_x^A tau),
+    by `expm` on system (x) ancilla, and the angle 2 gamma tau of an ancilla
+    x-rotation: W_gamma(tau) = W(tau) @ R_x^A(angle), and the parts commute
+    (both diagonal in ancilla sigma-x)."""
+    return expm(-1j * tau * np.kron(hamiltonian(h), PAULI_X)), 2.0 * h.gamma * tau

@@ -391,6 +391,23 @@ def test_custom_model_reports_raw_energy_unit(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "model, label",
+    [
+        ({"kind": "rabi", "omega0": 1.2, "omega": 0.8, "g": 0.0, "cutoff": 4}, "up,0"),
+        ({"kind": "harmonic", "omega": 0.0, "cutoff": 5}, "1"),
+        ({"kind": "hubbard", "sites": 2, "t": 0.0, "u": 2.0}, "uddu"),
+    ],
+    ids=["rabi-g", "harmonic-omega", "hubbard-t"],
+)
+def test_a_zero_natural_unit_reports_raw_energies(model, label, tmp_path):
+    # the energies are not divided by a zero unit, so the label must not name it
+    cfg = _basis_cfg(model, {"kind": "basis", "label": label})
+    assert _run_cli(_write_cfg(tmp_path, "zero.json", cfg), tmp_path) == 0
+    doc, _ = _read_trace(tmp_path, "t")
+    assert doc["energy_unit"] == {"divisor": 1.0, "label": "raw"}
+
+
+@pytest.mark.parametrize(
     "doc, named",
     [
         (_basis_cfg(HARMONIC_5, {"kind": "amplitudes", "re": [1, "0", 0, 0, 0]}), "initial_state.re"),

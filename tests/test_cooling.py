@@ -30,7 +30,6 @@ from peigen import (
     expectation,
     minimize_stage,
     run,
-    stage_objective,
     stochastic_trajectory,
     trajectory_probabilities,
     validate_and_normalize,
@@ -43,7 +42,7 @@ from peigen.config import (
     parse_experiment,
 )
 from peigen.cooling import BRANCH_PROB_FLOOR, _branch, eigen_populations
-from peigen.models import build_custom, build_model
+from peigen.models import build_model
 from tests import reference
 from tests.conftest import (
     failure_step,
@@ -110,7 +109,7 @@ def test_step_dimension_mismatch(harmonic):
 def test_step_branch_probabilities_sum_to_one(seed, tau, gamma):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 9))
-    h = build_custom(Custom(terms=(("m", random_hermitian(rng, dim)),))).with_gamma(gamma)
+    h = build_model(Custom(terms=(("m", random_hermitian(rng, dim)),))).with_gamma(gamma)
     psi = QuantumState(random_state_vector(rng, dim))
     assert abs(cooling_step(psi, h, tau)[1] + failure_step(psi, h, tau)[1] - 1.0) < 1e-10
 
@@ -121,7 +120,7 @@ def test_step_energy_inequality_with_exact_shift(seed, tau_scale):
     """<H>_0 <= <H> < <H>_1 whenever gamma = -E0 and tau is small."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 8))
-    h = build_custom(Custom(terms=(("m", random_hermitian(rng, dim)),)))
+    h = build_model(Custom(terms=(("m", random_hermitian(rng, dim)),)))
     evals, _ = h.total.eigensystem()
     hg = h.with_gamma(float(-evals[0]))
     psi = QuantumState(random_state_vector(rng, dim))
@@ -536,7 +535,6 @@ def test_a_non_finite_tau_is_refused(tau, mode, mixed, harmonic, thermal_half):
     config = RunConfig(mode=FixedStep(tau=0.3), operator_mode=mode, seed=0)
     calls = [
         lambda: cooling_step(state, harmonic, tau, mode),
-        lambda: stage_objective(state, harmonic, tau, mode),
         lambda: trajectory_probabilities(state, harmonic, config, (0.3, tau)),
         lambda: stochastic_trajectory(state, harmonic, config, (tau,)),
     ]
@@ -566,7 +564,7 @@ def _custom_with_spectrum(rng, evals):
     u = q * (np.diag(r) / np.abs(np.diag(r)))
     mat = (u * evals) @ u.conj().T
     mat = (mat + mat.conj().T) / 2
-    return build_custom(Custom(terms=(("m", mat),))), u
+    return build_model(Custom(terms=(("m", mat),))), u
 
 
 def _dense_p0s(h, gamma, state, schedule):
@@ -837,7 +835,7 @@ _TARGETED = RunConfig(
     [
         lambda s, h: cooling_step(s, *ejection_step(h.with_gamma(1.0), 0.0, shifted=True)),
         lambda s, h: cooling_step(s, h, 0.3, TrotterW(2)),
-        lambda s, h: stage_objective(s, h, 0.3, TrotterW(2)),
+        lambda s, h: minimize_stage(s, h, OptimizerConfig(), operator_mode=TrotterW(2)),
         lambda s, h: minimize_stage(s, h, OptimizerConfig()),
         lambda s, h: run(s, h, RunConfig(mode=Variational())),
         lambda s, h: run(s, h, _TARGETED),
@@ -931,7 +929,7 @@ def test_failure_branch_is_the_kept_branch_of_the_shifted_step(seed, mode, mixed
         evals = evals[: max(1, dim // 3)][rng.integers(0, max(1, dim // 3), dim)]
     mat = _custom_with_spectrum(rng, evals)[0].total.mat
     diag = np.diag(rng.normal(size=dim)).astype(complex)
-    h = build_custom(Custom(terms=(("d", diag), ("m", mat - diag)))).with_gamma(rng.uniform(-1.0, 2.0))
+    h = build_model(Custom(terms=(("d", diag), ("m", mat - diag)))).with_gamma(rng.uniform(-1.0, 2.0))
     state = random_state(rng, dim, int(rng.integers(1, dim + 1)) if mixed else 0)
     if isinstance(mode, TrotterW):
         k1 = reference.blocks(*reference.trotter_branches(h, tau, mode.r))[1]

@@ -46,7 +46,6 @@ from peigen.models import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    build_custom,
     hubbard_basis_index,
     model_dim,
     rabi_basis_index,
@@ -454,12 +453,12 @@ def test_exact_spectrum_trace_identity():
 
 
 def test_gamma_exact_is_minus_ground():
-    h = build_custom(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
+    h = build_model(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
     assert gamma_for(h, Exact()) == 3.0
 
 
 def test_gamma_norm_bound_dominates_ground():
-    h = build_custom(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
+    h = build_model(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
     assert gamma_for(h, NormBound()) >= 3.0
     h2 = build_model(Hubbard1D(sites=2, t=1.0, u=2.0))
     assert abs(gamma_for(h2, NormBound()) - 6.0) < 1e-12
@@ -481,7 +480,7 @@ def test_norm_bound_reads_monomial_norms_without_eigh(spec):
 
 
 def test_gamma_fixed_warns_when_spectrum_stays_negative():
-    h = build_custom(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
+    h = build_model(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
         assert gamma_for(h, Fixed(value=1.0)) == 1.0
@@ -517,7 +516,7 @@ def test_resolved_copies_leave_the_dense_total_unformed():
 
 
 def test_gamma_target_level():
-    h = build_custom(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
+    h = build_model(Custom(terms=(("d", np.diag([-3.0, -1.0, 2.0])),)))
     assert gamma_for(h, TargetLevel(level=0)) == 3.0
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
@@ -534,5 +533,5 @@ def test_norm_bound_always_clears_exact(seed, dim):
     terms = tuple(
         (f"t{i}", random_hermitian(rng, dim)) for i in range(int(rng.integers(1, 4)))
     )
-    h = build_custom(Custom(terms=terms))
+    h = build_model(Custom(terms=terms))
     assert gamma_for(h, NormBound()) >= gamma_for(h, Exact()) - 1e-12

@@ -31,11 +31,10 @@ from peigen import (
     trotter_error,
     verify_fig2a,
     verify_fig2b,
-    wgamma_decompose,
 )
 from peigen import trotter
 from peigen.models import PAULI_X, PAULI_Y, PAULI_Z
-from peigen.trotter import DimensionError, JointUnitary, _coupled, _mode_x, ancilla_x_rotation
+from peigen.trotter import DimensionError, JointUnitary, _coupled, _mode_x
 from tests import reference
 from tests.conftest import failure_step, random_hermitian, random_state_vector
 
@@ -59,9 +58,39 @@ def test_joint_unitary_rejects_non_unitary():
         JointUnitary(np.zeros((2, 3)))
 
 
+def test_joint_unitary_rejects_non_finite_entries():
+    # a nan defect is never above the unitarity bound
+    with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+        JointUnitary(np.full((2, 2), math.nan))
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_joint_unitaries_refuse_a_non_finite_tau(tau, harmonic):
+    calls = [
+        lambda: exact_W(harmonic, tau),
+        lambda: trotter_W(harmonic, tau, 1),
+        lambda: trotter_error(harmonic, tau, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"^tau must be finite, got {tau}$"):
+            call()
+
+
 def test_apply_branches_needs_a_trotter_step(harmonic):
     with pytest.raises(ValidationError, match="^Trotter steps r must be >= 1, got 0$"):
         apply_branches(harmonic, 0.3, 0, np.eye(30)[0])
+
+
+@pytest.mark.parametrize("r", [1.5, True], ids=["float", "bool"])
+def test_trotter_steps_must_be_an_integer(r, harmonic, thermal_half):
+    calls = [
+        lambda: apply_branches(harmonic, 0.3, r, np.eye(30)[0]),
+        lambda: cooling_step(QuantumState(np.eye(30)[1]), harmonic, 0.3, TrotterW(r)),
+        lambda: cooling_step(thermal_half, harmonic, 0.3, TrotterW(r)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"^Trotter steps r must be an integer, got {r}$"):
+            call()
 
 
 
@@ -160,13 +189,13 @@ def test_trotter_w_always_unitary(tau, r):
 
 def test_wgamma_decomposition_identity(harmonic):
     tau = 0.45
-    w0, angle = wgamma_decompose(harmonic, tau)
+    w0, angle = reference.wgamma_decompose(harmonic, tau)
     assert angle == pytest.approx(2 * harmonic.gamma * tau)
     lhs = exact_W(harmonic, tau).matrix
-    rhs = w0.matrix @ ancilla_x_rotation(30, angle)
+    rhs = w0 @ reference.ancilla_x_rotation(30, angle)
     assert _norm(lhs - rhs) < 1e-12
     # the two factors commute
-    assert _norm(rhs - ancilla_x_rotation(30, angle) @ w0.matrix) < 1e-12
+    assert _norm(rhs - reference.ancilla_x_rotation(30, angle) @ w0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

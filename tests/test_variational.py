@@ -36,15 +36,19 @@ from peigen import (
 )
 from peigen.config import bundled_config_dir, build_initial_state, load_experiment
 from peigen.cooling import BRANCH_PROB_FLOOR
-from peigen.models import build_custom
 from peigen.operators import validate_and_normalize
-from peigen.variational import minimize_stage, stage_objective
+from peigen.variational import _trials, minimize_stage
 from tests import reference
 from tests.conftest import random_hermitian, random_state
 
 
+def _objective(state, h, tau, mode):
+    """One trial of the stage objective: (energy, p0) at tau."""
+    return _trials(state, h, mode)([tau])[0][:2]
+
+
 def _two_level(e1=1.0):
-    return build_custom(Custom(terms=(("d", np.diag([0.0, e1])),)))
+    return build_model(Custom(terms=(("d", np.diag([0.0, e1])),)))
 
 
 def _plus(dim=2):
@@ -59,14 +63,14 @@ def _plus(dim=2):
 
 def test_objective_small_tau_is_identity_limit(harmonic, thermal_half):
     e_in = expectation(thermal_half, harmonic.total)
-    e, p0 = stage_objective(thermal_half, harmonic, 1e-8, ExactW())
+    e, p0 = _objective(thermal_half, harmonic, 1e-8, ExactW())
     assert abs(e - e_in) < 1e-6
     assert abs(p0 - 1.0) < 1e-6
 
 
 def test_objective_frozen_value(harmonic):
     psi = QuantumState(np.concatenate([[2**-0.5, 2**-0.5], np.zeros(28)]))
-    e, p0 = stage_objective(psi, harmonic, 0.3, ExactW())
+    e, p0 = _objective(psi, harmonic, 0.3, ExactW())
     assert abs(e - 0.4771700573918862) < 1e-9
     assert abs(p0 - (1 + math.cos(0.3) ** 2) / 2) < 1e-12
 
@@ -74,7 +78,7 @@ def test_objective_frozen_value(harmonic):
 def test_trotter_objective_and_fixed_run_see_certain_failure(harmonic):
     # |1>, tau=pi/2, gamma 0: cos^2((1 + 0) pi/2) = 0 empties the 0-branch
     psi = basis_vector(30, 1)
-    assert stage_objective(psi, harmonic, math.pi / 2, TrotterW(1)) == (math.inf, 0.0)
+    assert _objective(psi, harmonic, math.pi / 2, TrotterW(1)) == (math.inf, 0.0)
     cfg = RunConfig(mode=FixedStep(math.pi / 2), gamma_policy=Fixed(0.0))
     with pytest.raises(CertainFailureError) as info:
         run(psi, harmonic, cfg)
@@ -83,13 +87,13 @@ def test_trotter_objective_and_fixed_run_see_certain_failure(harmonic):
 
 def test_objective_constant_on_eigenstates(harmonic):
     psi = basis_vector(30, 2)
-    es = [stage_objective(psi, harmonic, t, ExactW())[0] for t in (0.1, 0.4, 0.7)]
+    es = [_objective(psi, harmonic, t, ExactW())[0] for t in (0.1, 0.4, 0.7)]
     assert max(es) - min(es) < 1e-10
 
 
 def test_objective_certain_failure_sentinel(harmonic):
     # |1>, tau=pi/2: the 0-branch is empty; the optimizer must see +inf
-    e, p0 = stage_objective(basis_vector(30, 1), harmonic, math.pi / 2, ExactW())
+    e, p0 = _objective(basis_vector(30, 1), harmonic, math.pi / 2, ExactW())
     assert math.isinf(e) and p0 == 0.0
 
 
@@ -101,7 +105,7 @@ def test_minimize_monotone_objective_hits_upper_bound():
     # (|0>+|1>)/sqrt2 on diag(0,1): energy decreases on [0, pi/2] ⊃ [lo, hi]
     opt = OptimizerConfig()
     res = minimize_stage(_plus(), _two_level(), opt)
-    assert abs(res.tau_star - opt.tau_hi) <= opt.x_tol
+    assert abs(res.best.tau - opt.tau_hi) <= opt.x_tol
     assert res.trials[-1].trial_index == len(res.trials) - 1
 
 
@@ -110,9 +114,9 @@ def test_minimize_convex_matches_dense_scan(harmonic, thermal_half):
     res = minimize_stage(thermal_half, harmonic, opt)
     assert not res.budget_exhausted
     taus = np.linspace(opt.tau_lo, opt.tau_hi, 10_000)
-    energies = [stage_objective(thermal_half, harmonic, float(t), ExactW())[0] for t in taus]
+    energies = [_objective(thermal_half, harmonic, float(t), ExactW())[0] for t in taus]
     tau_oracle = float(taus[int(np.argmin(energies))])
-    assert abs(res.tau_star - tau_oracle) <= opt.x_tol + (opt.tau_hi - opt.tau_lo) / 9_999
+    assert abs(res.best.tau - tau_oracle) <= opt.x_tol + (opt.tau_hi - opt.tau_lo) / 9_999
 
 
 def test_minimize_budget_flag_and_best_so_far(harmonic, thermal_half):
@@ -120,7 +124,7 @@ def test_minimize_budget_flag_and_best_so_far(harmonic, thermal_half):
     res = minimize_stage(thermal_half, harmonic, opt)
     assert res.budget_exhausted
     assert len(res.trials) == 12
-    assert res.energy_star == min(t.energy for t in res.trials)
+    assert res.best.energy == min(t.energy for t in res.trials)
 
 
 @settings(max_examples=30, deadline=None)
@@ -137,7 +141,7 @@ def test_minimize_never_exceeds_budget(coarse_grid, extra):
 def test_minimize_tie_break_prefers_smaller_tau(harmonic):
     # eigenstate input: objective constant, so the smallest tau must win
     res = minimize_stage(basis_vector(30, 2), harmonic, OptimizerConfig())
-    assert res.tau_star == pytest.approx(0.01, abs=1e-12)
+    assert res.best.tau == pytest.approx(0.01, abs=1e-12)
 
 
 def test_optimizer_config_validation():
@@ -220,7 +224,7 @@ def _dense_objective(state, h, tau):
 
 
 def _assert_matches_dense(state, h, tau):
-    e, p0 = stage_objective(state, h, tau, ExactW())
+    e, p0 = _objective(state, h, tau, ExactW())
     e_ref, p0_ref = _dense_objective(state, h, tau)
     assert abs(p0 - p0_ref) <= 1e-12
     if math.isinf(e_ref):
@@ -255,7 +259,7 @@ def test_exact_objective_matches_dense_step(seed, dim, form, degenerate, tau, ga
         m = (m + m.conj().T) / 2
     else:
         m = random_hermitian(rng, dim)
-    h = build_custom(Custom(terms=(("m", m),))).with_gamma(gamma)
+    h = build_model(Custom(terms=(("m", m),))).with_gamma(gamma)
     _assert_matches_dense(random_state(rng, dim, _rank(form, dim)), h, tau)
 
 
@@ -295,7 +299,7 @@ def test_exact_objective_near_the_floor_on_an_eigenstate(seed, dim, degenerate, 
         e[1] = e[0]
         m = (q * e) @ q.conj().T
         m = (m + m.conj().T) / 2
-    h = build_custom(Custom(terms=(("m", m),))).with_gamma(3.0 + float(np.abs(m).sum()))
+    h = build_model(Custom(terms=(("m", m),))).with_gamma(3.0 + float(np.abs(m).sum()))
     evals, v = exact_spectrum(h)
     shifted = float(evals[0]) + h.gamma
     tau = math.acos(math.sqrt(factor * BRANCH_PROB_FLOOR)) / shifted
@@ -315,9 +319,9 @@ def test_exact_objective_certain_failure_below_the_floor(target, mixed):
     assert math.isinf(e) and p0 == 0.0
 
 
-def test_stage_objective_dimension_mismatch(harmonic):
+def test_minimize_stage_dimension_mismatch(harmonic):
     with pytest.raises(DimensionError, match="^state dim 4 != operator dim 30$"):
-        stage_objective(basis_vector(4, 0), harmonic, 0.3, ExactW())
+        minimize_stage(basis_vector(4, 0), harmonic, OptimizerConfig(), operator_mode=ExactW())
 
 
 def _rabi_rank4():
@@ -350,8 +354,8 @@ def test_exact_run_trials_match_the_dense_step(make, counts):
     dense = state  # the same stages replayed by the reference alone
     for s in tr.stages:
         for t in s.trials:
-            # the minimizer's log is the public objective, bit for bit
-            assert (t.energy, t.p0) == stage_objective(state, hg, t.tau, ExactW())
+            # the minimizer's log is the one-tau objective, bit for bit
+            assert (t.energy, t.p0) == _objective(state, hg, t.tau, ExactW())
             e_ref, p0_ref = _dense_objective(dense, hg, t.tau)
             assert abs(t.p0 - p0_ref) <= 1e-12
             assert abs(t.energy - e_ref) <= tol
@@ -424,7 +428,7 @@ def test_trotter_trials_equal_per_tau_stage_objective_calls(name):
     grid = [t.tau for t in res.trials[: opt.coarse_grid]]
     assert grid == [float(x) for x in np.linspace(opt.tau_lo, opt.tau_hi, opt.coarse_grid)]
     for t in res.trials:
-        energy, p0 = stage_objective(state, hg, t.tau, config.operator_mode)
+        energy, p0 = _objective(state, hg, t.tau, config.operator_mode)
         if tol == 0.0:
             assert (t.energy, t.p0) == (energy, p0)
         else:
@@ -458,12 +462,12 @@ def test_the_accepted_stage_is_the_best_trials_branch(make):
     h, initial, _ = make()
     stage = run(initial, h, replace(config, max_stages=1))
     s = stage.stages[0]
-    assert (s.tau, s.energy, s.p0) == (res.tau_star, res.energy_star, res.p0_star)
+    assert (s.tau, s.energy, s.p0) == (res.best.tau, res.best.energy, res.best.p0)
     assert np.array_equal(stage.final_state.data, res.state_star.data)
     # the very step the best trial made (monomial groups only, so bitwise here)
-    kept, p0 = cooling_step(state, hg, res.tau_star, config.operator_mode)
-    assert p0 == res.p0_star and np.array_equal(kept.data, res.state_star.data)
-    assert expectation(kept, hg.total) == res.energy_star
+    kept, p0 = cooling_step(state, hg, res.best.tau, config.operator_mode)
+    assert p0 == res.best.p0 and np.array_equal(kept.data, res.state_star.data)
+    assert expectation(kept, hg.total) == res.best.energy
 
 
 def test_exact_trials_form_no_branch(harmonic, thermal_half):
