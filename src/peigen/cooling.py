@@ -7,9 +7,10 @@ Traces follow the post-selected (ancilla |0>) branch deterministically and
 record its probability; a step forms that branch only, and the failure
 branch is the kept branch of a step at gamma - pi / (2 tau). Only
 `stochastic_trajectory` actually samples outcomes, of ejection and cooling
-stages alike. Exact mode forms no d x d operator: a step scales
-eigen-coefficients, and every cooling p0 follows from the cos² law on the
-eigen-populations, so trials and trajectories read it in O(d) per stage."""
+stages alike. Exact mode forms no d x d operator: a step reads the state's
+eigen-coefficients once and scales them, and every cooling p0 follows from
+the cos² law on the eigen-populations. So a variational stage's trials share
+its step's read, and trajectories walk the populations in O(d) per stage."""
 
 from __future__ import annotations
 
@@ -162,15 +163,18 @@ def _branch(out: np.ndarray, pure: bool) -> tuple[Optional[QuantumState], float]
     return QuantumState(out * (1.0 / (math.sqrt(p) if pure else p))), p
 
 
-def _eigen_branch(state: QuantumState, h: SumHamiltonian, f: np.ndarray) -> tuple:
-    """`_branch` of the eigen-coefficients of the total H scaled by ``f``:
-    V (f ⊙ V^H psi), or V (f C f*) V^H with C = V^H rho V."""
+def _eigen_coefficients(state: QuantumState, h: SumHamiltonian) -> np.ndarray:
+    """The state in the eigenbasis V of the total H: c = V^H psi, or C = V^H rho V."""
     v = h.total.eigensystem()[1]
-    vh = v.conj().T
-    if state.is_pure:
-        c = vh @ state.data
+    return v.conj().T @ state.data if state.is_pure else v.conj().T @ state.data @ v
+
+
+def _eigen_branch(c: np.ndarray, h: SumHamiltonian, f: np.ndarray) -> tuple:
+    """`_branch` of eigen-coefficients ``c`` scaled by ``f``: V (f ⊙ c), or V (f C f*) V^H."""
+    v = h.total.eigensystem()[1]
+    if c.ndim == 1:
         return _branch(v @ (f * c), True)
-    c = vh @ state.data @ v
+    vh = v.conj().T  # before the products: this allocation order leaves less heap to trim
     return _branch(v @ (f[:, None] * c * f.conj()) @ vh, False)
 
 
@@ -199,7 +203,8 @@ def cooling_step(
     _check_tau(tau)
     x = state.data
     if not isinstance(operator_mode, TrotterW):
-        return _eigen_branch(state, h, np.cos((h.total.eigensystem()[0] + h.gamma) * tau))
+        f = np.cos((h.total.eigensystem()[0] + h.gamma) * tau)
+        return _eigen_branch(_eigen_coefficients(state, h), h, f)
     if state.is_pure:
         u_plus, u_minus = apply_branches(h, tau, operator_mode.r, x)
         return _branch((u_plus + u_minus) / 2, True)

@@ -43,8 +43,8 @@ class JointUnitary:
         a = np.array(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got {a.shape}")
-        if a.shape[0] % 2 != 0:
-            raise DimensionError("joint dimension must be even (system x ancilla)")
+        if a.shape[0] % 2 != 0 or a.shape[0] == 0:  # an empty defect has no max
+            raise DimensionError("joint dimension must be even and >= 2 (system x ancilla)")
         if not np.isfinite(a).all():
             raise ValidationError("matrix has non-finite entries")
         defect = float(np.abs(a @ a.conj().T - np.eye(a.shape[0])).max())

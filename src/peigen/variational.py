@@ -3,7 +3,7 @@ post-selected average energy over tau (coarse grid + golden-section
 refinement), and `run`, the one protocol driver. A run is one loop of
 ancilla-conditioned stages: ejections of the levels below an optional
 target, then cooling steps at a fixed or optimized tau until the stage
-energy settles."""
+energy settles. An optimized stage forms one branch, its best trial's."""
 
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ from .cooling import (
     Variational,
     _branch,
     _check_state,
+    _eigen_branch,
+    _eigen_coefficients,
     _ejection_failed,
     _start,
     cooling_step,
@@ -50,39 +52,49 @@ class TrialRecord:
 @dataclass(frozen=True)
 class MinimizeResult:
     """A stage's search: the best trial by (energy, tau), every trial in
-    order, and whether the budget ran out first. ``state_star`` is the best
-    trial's kept (0-branch) state, which `run` accepts as the stage; exact
-    mode forms no trial branch, and a certain failure has none (None)."""
+    order, and whether the budget ran out first. ``branch`` is the best
+    trial's kept 0-branch as its stage records it, (state0, p0, energy):
+    bitwise `cooling_step` at its tau, then `expectation`; None below the floor."""
 
     best: TrialRecord
     trials: tuple[TrialRecord, ...]
     budget_exhausted: bool
-    state_star: Optional[QuantumState] = None
+    branch: Optional[tuple[QuantumState, float, float]] = None
 
 
 def _trials(state: QuantumState, h: SumHamiltonian, operator_mode: OperatorMode):
-    """One stage's trial evaluator: a list of tau -> each one's (energy, p0,
-    kept 0-branch), with (+inf, 0.0, None) for a numerically certain failure
-    (p0 < 1e-14) so a minimizer simply avoids it.
+    """One stage's trials, (evaluate, accept): ``evaluate`` maps taus to their
+    (energy, p0, kept), energy +inf and p0 0.0 below the 1e-14 floor so a
+    minimizer avoids them; ``accept(best, kept)`` gives `MinimizeResult.branch`.
 
-    Exact mode reads the cos² law on eigen-populations and forms no branch.
-    In Trotter mode a lone tau, or any tau of a mixed state, is a
-    `cooling_step`; several taus on a pure state are one `apply_branches`
-    block with psi in every column, each column's K0 psi read as a
-    contiguous row, so it is bitwise that step's where every group is a
-    monomial."""
+    Exact mode reads c = V^H psi, or C = V^H rho V, once, as `cooling_step`
+    does; a trial reads the cos² law on P = |c|² or diag(C) and keeps its
+    factor f = cos((E + gamma) tau), and ``accept`` scales c by the best f.
+    A Trotter trial keeps its 0-branch: a lone tau, or any tau of a mixed
+    state, is a `cooling_step`; several taus on a pure state are one
+    `apply_branches` block with psi in every column, each column's K0 psi
+    read as a contiguous row, so it is bitwise that step's where every
+    group is a monomial."""
     if isinstance(operator_mode, ExactW):
-        evals, pops = eigen_populations(state, h)  # P_j = <j|rho|j>, read once
+        _check_state(state, h)  # as each cooling step would
+        c = _eigen_coefficients(state, h)  # read once
+        pops = np.abs(c) ** 2 if state.is_pure else c.diagonal().real  # P_j = <j|rho|j>
+        evals = h.total.eigensystem()[0]
         shifted, e_pops = evals + h.gamma, evals * pops
 
-        def cos2(tau: float) -> tuple[float, float, None]:
-            w = np.cos(shifted * tau) ** 2  # p0 = w·P, energy w·(E⊙P) / p0
+        def cos2(tau: float) -> tuple[float, float, np.ndarray]:
+            f = np.cos(shifted * tau)
+            w = f**2  # p0 = w·P, energy w·(E⊙P) / p0
             p0 = float(w @ pops)
             if p0 < BRANCH_PROB_FLOOR:
-                return math.inf, 0.0, None
-            return float(w @ e_pops) / p0, p0, None
+                return math.inf, 0.0, f
+            return float(w @ e_pops) / p0, p0, f
 
-        return lambda taus: [cos2(tau) for tau in taus]
+        def accept(best: TrialRecord, f: np.ndarray):
+            kept, p0 = _eigen_branch(c, h, f)
+            return None if kept is None else (kept, p0, expectation(kept, h.total))
+
+        return (lambda taus: [cos2(tau) for tau in taus]), accept
 
     def trotter(taus: list[float]) -> list:
         if state.is_pure and len(taus) > 1:
@@ -97,7 +109,7 @@ def _trials(state: QuantumState, h: SumHamiltonian, operator_mode: OperatorMode)
             for kept, p0 in steps
         ]
 
-    return trotter
+    return trotter, lambda best, kept: None if kept is None else (kept, best.p0, best.energy)
 
 
 def minimize_stage(
@@ -113,13 +125,12 @@ def minimize_stage(
     ``best`` is the best evaluated trial; exact ties go to the smaller tau.
     If max_evals runs out before the interval shrinks to x_tol, the
     best-so-far is returned with budget_exhausted set. Exact-mode trials
-    share one stage's eigen-populations and cost O(d) each. In Trotter mode
-    the coarse grid of a pure state is one `apply_branches` block and each
-    golden-section point one cooling step; only the best trial's branch is
-    kept, as ``state_star``."""
+    share one eigen-coefficient read, O(d) each; a Trotter pure state's
+    coarse grid is one `apply_branches` block and each golden-section point
+    one cooling step. Only the best trial's branch is kept, as ``branch``."""
     trials: list[TrialRecord] = []
-    evaluate = _trials(state, h, operator_mode)
-    best = kept_best = None  # the best trial so far by (energy, tau), and its kept branch
+    evaluate, accept = _trials(state, h, operator_mode)
+    best = kept_best = None  # the best trial so far by (energy, tau), and what it kept
 
     def ev(taus: list[float]) -> float:
         nonlocal best, kept_best
@@ -158,7 +169,7 @@ def minimize_stage(
         best=best,
         trials=tuple(trials),
         budget_exhausted=(b - a) > opt.x_tol,
-        state_star=kept_best,
+        branch=accept(best, kept_best),
     )
 
 
@@ -171,10 +182,10 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
     eigenspace and whether the run converged onto it (within f_tol). Every
     further stage is a cooling step at the fixed tau or at the minimizer of
     that stage's post-selected energy, whose trial log the stage carries,
-    until a cooling stage moves the energy by at most epsilon. A Trotter
-    stage at the minimizer takes its state, p0 and energy from the best
-    trial (`MinimizeResult.state_star`), the very step that trial made;
-    every other stage makes its `cooling_step`.
+    until a cooling stage moves the energy by at most epsilon. A stage at
+    the minimizer takes its state, p0 and energy from the best trial's
+    branch (`MinimizeResult.branch`), bitwise the `cooling_step` it stands
+    for; every other stage makes its `cooling_step`.
     Non-convergence at max_stages yields converged=False, not an exception."""
     state, hg = _start(initial, h, config)
     ejected = ejected_energies(hg, config)
@@ -184,7 +195,7 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
     p_cum = 1.0
     converged = False
     while len(stages) < config.max_stages:
-        accepted = None  # a Trotter trial's kept branch: (state, p0, energy)
+        accepted = None  # the best trial's kept branch: (state, p0, energy)
         if (level := len(stages)) < len(ejected):
             h_s, tau, operator_mode = *ejection_step(hg, ejected[level], config.eject_shifted), ExactW()
             record = dict(kind="eject", tau=None, e_s=ejected[level], shifted=config.eject_shifted)
@@ -196,8 +207,7 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
                     state, hg, config.mode.optimizer, operator_mode=config.operator_mode
                 )
                 tau, trials, exhausted = res.best.tau, res.trials, res.budget_exhausted
-                if res.state_star is not None:
-                    accepted = res.state_star, res.best.p0, res.best.energy
+                accepted = res.branch
             h_s, operator_mode = hg, config.operator_mode
             record = dict(
                 kind="cool", tau=float(tau), trials=trials, opt_budget_exhausted=exhausted

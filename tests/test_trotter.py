@@ -56,6 +56,9 @@ def test_joint_unitary_rejects_non_unitary():
         JointUnitary(np.eye(3))  # odd dimension: no ancilla factor
     with pytest.raises(DimensionError, match=r"^expected a square matrix, got \(2, 3\)$"):
         JointUnitary(np.zeros((2, 3)))
+    # empty: its unitarity defect would be the max of nothing
+    with pytest.raises(DimensionError, match=r"^joint dimension must be even and >= 2 \(system x ancilla\)$"):
+        JointUnitary(np.zeros((0, 0)))
 
 
 def test_joint_unitary_rejects_non_finite_entries():
@@ -189,13 +192,14 @@ def test_trotter_w_always_unitary(tau, r):
 
 def test_wgamma_decomposition_identity(harmonic):
     tau = 0.45
-    w0, angle = reference.wgamma_decompose(harmonic, tau)
-    assert angle == pytest.approx(2 * harmonic.gamma * tau)
-    lhs = exact_W(harmonic, tau).matrix
-    rhs = w0 @ reference.ancilla_x_rotation(30, angle)
-    assert _norm(lhs - rhs) < 1e-12
-    # the two factors commute
-    assert _norm(rhs - reference.ancilla_x_rotation(30, angle) @ w0) < 1e-12
+    for h in (harmonic, harmonic.with_gamma(0.7)):  # at gamma 0 the rotation is the identity
+        w0, angle = reference.wgamma_decompose(h, tau)
+        assert angle == pytest.approx(2 * h.gamma * tau)
+        lhs = exact_W(h, tau).matrix
+        rhs = w0 @ reference.ancilla_x_rotation(30, angle)
+        assert _norm(lhs - rhs) < 1e-12
+        # the two factors commute
+        assert _norm(rhs - reference.ancilla_x_rotation(30, angle) @ w0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from peigen import (
     thermal_state,
 )
 from peigen.config import bundled_config_dir, build_initial_state, load_experiment
-from peigen.cooling import BRANCH_PROB_FLOOR
+from peigen.cooling import BRANCH_PROB_FLOOR, _start
 from peigen.operators import validate_and_normalize
 from peigen.variational import _trials, minimize_stage
 from tests import reference
@@ -44,7 +44,7 @@ from tests.conftest import random_hermitian, random_state
 
 def _objective(state, h, tau, mode):
     """One trial of the stage objective: (energy, p0) at tau."""
-    return _trials(state, h, mode)([tau])[0][:2]
+    return _trials(state, h, mode)[0]([tau])[0][:2]
 
 
 def _two_level(e1=1.0):
@@ -400,8 +400,7 @@ _PURE_TROTTER = {
 
 def _first_stage(make):
     h, initial, config = make()
-    hg = h.with_gamma(gamma_for(h, config.gamma_policy))
-    state = validate_and_normalize(initial)
+    state, hg = _start(initial, h, config)
     return state, hg, config, minimize_stage(
         state, hg, config.mode.optimizer, operator_mode=config.operator_mode
     )
@@ -454,25 +453,91 @@ def test_a_mixed_trotter_stage_builds_one_dense_pair_per_trial(monkeypatch):
     assert len(pairs) == len(tr.stages[0].trials) == 12
 
 
-@pytest.mark.parametrize(
-    "make", [lambda: _bundled("hubbard3_variational"), _rabi_rank4_trotter], ids=["pure", "mixed"]
-)
-def test_the_accepted_stage_is_the_best_trials_branch(make):
-    state, hg, config, res = _first_stage(make)
-    h, initial, _ = make()
+def _rabi_exact_pure():
+    h, initial, config = _bundled("rabi_variational")
+    return h, initial, replace(config, operator_mode=ExactW())
+
+
+def _rabi_rank4_exact():
+    h, rho, config = _rabi_rank4()
+    return h, rho, replace(config, max_stages=1)
+
+
+_ACCEPTED = {  # Trotter stages, then exact ones
+    "pure": lambda: _bundled("hubbard3_variational"),
+    "mixed": _rabi_rank4_trotter,
+    "exact-pure": _rabi_exact_pure,
+    "exact-mixed": _rabi_rank4_exact,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACCEPTED))
+def test_the_accepted_stage_is_the_best_trials_branch(name):
+    state, hg, config, res = _first_stage(_ACCEPTED[name])
+    h, initial, _ = _ACCEPTED[name]()
     stage = run(initial, h, replace(config, max_stages=1))
     s = stage.stages[0]
-    assert (s.tau, s.energy, s.p0) == (res.best.tau, res.best.energy, res.best.p0)
-    assert np.array_equal(stage.final_state.data, res.state_star.data)
-    # the very step the best trial made (monomial groups only, so bitwise here)
+    assert s.tau == res.best.tau
+    # the very step the best trial stands for (monomial Trotter groups only, so bitwise here)
     kept, p0 = cooling_step(state, hg, res.best.tau, config.operator_mode)
-    assert p0 == res.best.p0 and np.array_equal(kept.data, res.state_star.data)
-    assert expectation(kept, hg.total) == res.best.energy
+    energy = expectation(kept, hg.total)
+    assert (s.p0, s.energy) == (p0, energy)
+    assert np.array_equal(stage.final_state.data, kept.data)
+    assert res.branch[1:] == (p0, energy) and np.array_equal(res.branch[0].data, kept.data)
+    assert abs(res.best.p0 - s.p0) <= 1e-15
+    if isinstance(config.operator_mode, TrotterW):  # a Trotter trial is that step itself
+        assert (res.best.p0, res.best.energy) == (p0, energy)
 
 
-def test_exact_trials_form_no_branch(harmonic, thermal_half):
-    res = minimize_stage(thermal_half, harmonic, OptimizerConfig())
-    assert res.state_star is None
+@pytest.mark.parametrize("make", [_rabi_exact_pure, _rabi_rank4_exact], ids=["pure", "mixed"])
+def test_an_exact_stage_reads_the_coefficients_once_and_forms_one_branch(monkeypatch, make):
+    h, initial, config = make()
+    reads = _count_calls(monkeypatch, "peigen.variational._eigen_coefficients")
+    branches = _count_calls(monkeypatch, "peigen.variational._eigen_branch")
+    steps = _count_calls(monkeypatch, "peigen.variational.cooling_step")
+    cooling_reads = _count_calls(monkeypatch, "peigen.cooling._eigen_coefficients")
+    tr = run(initial, h, replace(config, max_stages=1))
+    assert len(tr.stages[0].trials) == 12
+    assert (len(reads), len(branches), len(steps), len(cooling_reads)) == (1, 1, 0, 0)
+
+
+def test_an_exact_stage_refuses_a_zero_state_as_its_step_would():
+    h = build_model(Hubbard1D(2, t=1.0, u=2.0))
+    with pytest.raises(CertainFailureError, match="^both branch probabilities vanish; state is corrupt$"):
+        minimize_stage(QuantumState(np.zeros(16)), h, OptimizerConfig(), operator_mode=ExactW())
+
+
+# (seed, dim, complex, degenerate): seeded Custom models for the shared read
+_SHARED_READ = [(0, 6, False, False), (1, 9, True, False), (2, 8, True, True), (3, 12, False, True)]
+
+
+@pytest.mark.parametrize("seed, dim, complex_, degenerate", _SHARED_READ)
+@pytest.mark.parametrize("rank", [0, 3], ids=["pure", "mixed"])
+def test_exact_runs_follow_the_cos2_law_of_a_dense_eigh(seed, dim, complex_, degenerate, rank):
+    rng = np.random.default_rng(seed)
+    m = random_hermitian(rng, dim)
+    m = m if complex_ else m.real
+    if degenerate:  # the levels in pairs, in the model's own eigenbasis
+        e, q = np.linalg.eigh(m)
+        m = (q * np.repeat(e[::2], 2)[:dim]) @ q.conj().T
+        m = (m + m.conj().T) / 2
+    state = random_state(rng, dim, rank)
+    config = RunConfig(mode=Variational(), epsilon=1e-12, max_stages=4)
+    tr = run(state, build_model(Custom(terms=(("m", m),))), config)
+    evals, v = np.linalg.eigh(m)
+    if degenerate:
+        assert np.sum(np.abs(np.diff(evals)) < 1e-9) >= dim // 2
+    rho = state.density()
+    pops = np.einsum("ij,ij->j", v.conj(), rho @ v).real  # P_j = <j|rho|j>
+    shifted = evals + tr.gamma
+    for s in tr.stages:
+        for t in s.trials:
+            assert abs(t.p0 - np.cos(shifted * t.tau) ** 2 @ pops) <= 1e-12
+        w = np.cos(shifted * s.tau) ** 2
+        p0 = w @ pops
+        pops = w * pops / p0
+        assert abs(s.p0 - p0) <= 1e-12
+        assert abs(s.energy - evals @ pops) <= 1e-12
 
 
 @pytest.mark.parametrize("max_evals", [7, 12], ids=["grid-only", "with-golden"])
