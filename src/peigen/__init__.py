@@ -49,7 +49,6 @@ from .models import (
     exact_spectrum,
     gamma_for,
     hubbard_sector_label,
-    hubbard_sector_minimum,
     thermal_state,
 )
 from .operators import (
@@ -60,11 +59,8 @@ from .operators import (
     validate_and_normalize,
 )
 from .trotter import (
-    JointUnitary,
     apply_branches,
     branch_unitaries,
-    exact_W,
-    trotter_W,
     trotter_error,
     verify_fig2a,
     verify_fig2b,
@@ -93,7 +89,6 @@ __all__ = [
     "HarmonicOscillator",
     "HermitianOperator",
     "Hubbard1D",
-    "JointUnitary",
     "MinimizeResult",
     "NegativeShiftWarning",
     "NormBound",
@@ -119,18 +114,15 @@ __all__ = [
     "build_model",
     "cooling_step",
     "ejection_step",
-    "exact_W",
     "exact_spectrum",
     "expectation",
     "gamma_for",
     "hubbard_sector_label",
-    "hubbard_sector_minimum",
     "minimize_stage",
     "run",
     "stochastic_trajectory",
     "thermal_state",
     "trajectory_probabilities",
-    "trotter_W",
     "trotter_error",
     "validate_and_normalize",
     "verify_fig2a",

@@ -4,8 +4,6 @@ errors), model/initial-state builders, and access to the bundled configs."""
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -25,6 +23,7 @@ from .models import (
     NormBound,
     Rabi,
     TargetLevel,
+    _is_finite,
     basis_state,
     build_model,
     model_dim,
@@ -123,12 +122,7 @@ def _is_int(raw: Any) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
-def _is_finite(raw: Any) -> bool:  # Python's json reader accepts Infinity, NaN and huge integers
-    if _is_int(raw):
-        return abs(raw) <= sys.float_info.max
-    return isinstance(raw, float) and math.isfinite(raw)
-
-
+# Python's json reader accepts Infinity, NaN and huge integers
 _number = _reader(_is_finite, "a finite number", float)
 _integer = _reader(_is_int, "an integer", int)
 _boolean = _reader(lambda raw: isinstance(raw, bool), "a boolean")

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 import numpy as np
 
 from .errors import CertainFailureError, ConfigError, UndefinedOperatorError
-from .models import GammaPolicy, Exact, SumHamiltonian, _check_integer, gamma_for
+from .models import Exact, GammaPolicy, SumHamiltonian, _check_finite, _check_integer, _is_real
+from .models import gamma_for
 from .operators import QuantumState, check_dim, validate_and_normalize
-from .trotter import _check_tau, apply_branches, branch_unitaries
+from .trotter import apply_branches, branch_unitaries
 
 BRANCH_PROB_FLOOR = 1e-14
 
@@ -41,6 +42,19 @@ def _require(ok: bool, rule: str, value: object) -> None:
 def _at_least(name: str, value: object, low: int) -> None:
     """An integer field's checks (`models._check_integer`), as a `ConfigError`."""
     _check_integer(name, value, low, ConfigError)
+
+
+def _positive(name: str, value: object) -> None:
+    """A positive float field's checks (`models._check_finite`) as `ConfigError`s; nan fails > 0."""
+    if _is_real(value):
+        _require(value > 0, f"{name} must be > 0", value)
+    _check_finite(name, value, ConfigError)
+
+
+def _check_kind(name: str, value: object, kinds: tuple[type, ...]) -> None:
+    """Refuse a field that holds none of its dataclasses, naming the field."""
+    if not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +78,11 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         lo, hi, evals, grid = self.tau_lo, self.tau_hi, self.max_evals, self.coarse_grid
-        _require(0 < lo < hi, f"tau_lo must satisfy 0 < tau_lo < tau_hi = {hi}", lo)
-        _require(math.isfinite(hi), "tau_hi must be finite", hi)
-        _require(self.x_tol > 0, "x_tol must be > 0", self.x_tol)
-        _require(math.isfinite(self.x_tol), "x_tol must be finite", self.x_tol)
+        if _is_real(lo) and _is_real(hi):
+            _require(0 < lo < hi, f"tau_lo must satisfy 0 < tau_lo < tau_hi = {hi}", lo)
+        _check_finite("tau_lo", lo, ConfigError)
+        _check_finite("tau_hi", hi, ConfigError)
+        _positive("x_tol", self.x_tol)
         _at_least("max_evals", evals, 3)
         _at_least("coarse_grid", grid, 2)
         # else the grid stops short of tau_hi
@@ -79,6 +94,9 @@ class Variational:
     """Per-stage 1-D optimization of tau within the optimizer's domain."""
 
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+
+    def __post_init__(self) -> None:
+        _check_kind("optimizer", self.optimizer, (OptimizerConfig,))
 
 
 @dataclass(frozen=True)
@@ -92,6 +110,7 @@ class TrotterW:
 
 
 OperatorMode = Union[ExactW, TrotterW]
+_OPERATOR_MODES = get_args(OperatorMode)
 
 
 @dataclass(frozen=True)
@@ -110,20 +129,20 @@ class RunConfig:
     f_tol: float = 1e-3
 
     def __post_init__(self) -> None:
-        _require(self.epsilon > 0, "epsilon must be > 0", self.epsilon)
-        _require(math.isfinite(self.epsilon), "epsilon must be finite", self.epsilon)
+        _check_kind("mode", self.mode, (FixedStep, Variational))
+        _check_kind("gamma_policy", self.gamma_policy, get_args(GammaPolicy))
+        _check_kind("operator_mode", self.operator_mode, _OPERATOR_MODES)
+        _positive("epsilon", self.epsilon)
         _at_least("max_stages", self.max_stages, 1)
         if isinstance(self.mode, FixedStep):
-            _require(self.mode.tau > 0, "tau must be > 0", self.mode.tau)
-            _require(math.isfinite(self.mode.tau), "tau must be finite", self.mode.tau)
+            _positive("tau", self.mode.tau)
         if isinstance(self.operator_mode, TrotterW):
             _at_least("operator.r (Trotter steps)", self.operator_mode.r, 1)
         if (target := self.target_level) is not None:
             _at_least("target_level", target, 0)
             most = self.max_stages  # each level below the target is one ejection stage
             _require(target <= most, f"target_level must be <= max_stages = {most}", target)
-        _require(self.f_tol > 0, "f_tol must be > 0", self.f_tol)
-        _require(math.isfinite(self.f_tol), "f_tol must be finite", self.f_tol)
+        _positive("f_tol", self.f_tol)
         if self.seed is not None:
             _at_least("seed", self.seed, 0)
 
@@ -198,9 +217,10 @@ def cooling_step(
     exact phase, so the shift turns U+- into ±i U+- and K0 into i K1, K1 =
     (U+ - U-)/2. Its p1 and density matrix are equal; a pure vector differs
     by the global phase i. A state with ||psi||² or tr rho = p0 + p1 below
-    the floor is refused, as is a non-finite tau."""
+    the floor is refused, as are a non-finite tau and a wrong operator mode."""
+    _check_kind("operator_mode", operator_mode, _OPERATOR_MODES)
     _check_state(state, h)
-    _check_tau(tau)
+    _check_finite("tau", tau)  # a nan p0 is a success that no draw fails
     x = state.data
     if not isinstance(operator_mode, TrotterW):
         f = np.cos((h.total.eigensystem()[0] + h.gamma) * tau)
@@ -345,7 +365,7 @@ def trajectory_probabilities(
     w = cos²((E + gamma) tau); Trotter mode replays each stage with
     `cooling_step`. A schedule holding a non-finite tau is refused whole."""
     for tau in schedule:
-        _check_tau(tau)
+        _check_finite("tau", tau)
     state, hg = _start(initial, h, config)
     p0s = []
     for level, e_s in enumerate(ejected_energies(hg, config)):

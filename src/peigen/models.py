@@ -4,6 +4,8 @@ oracle, and spectral-shift (gamma) policies."""
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -100,9 +102,23 @@ def _check_integer(name: str, value: object, low: int, error: type = ValidationE
         raise error(f"{name} must be >= {low}, got {value}")
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not np.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+def _is_real(value: object) -> bool:
+    """A real number; a bool is not one, as in JSON."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _is_finite(value: object) -> bool:
+    """A finite real number; an int beyond the float range is not one."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_finite(name: str, value: object, error: type = ValidationError) -> None:
+    """A float field's checks: a real number, then finite."""
+    if not _is_finite(value):
+        raise error(f"{name} must be {'finite' if _is_real(value) else 'a real number'}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +393,6 @@ def hubbard_sector_label(state: QuantumState, L: int) -> str:
     return f"n_up={vals[0]} n_dn={vals[1]}"
 
 
-def hubbard_sector_minimum(h: SumHamiltonian, L: int, n_up: int, n_dn: int) -> float:
-    """Lowest eigenvalue within a fixed (n_up, n_dn) particle-number sector,
-    from the sector block gathered from the structure of the total H."""
-    if 4**L != h.dim:
-        raise DimensionError(f"L={L} needs dim {4**L}, but H has dim {h.dim}")
-    ups, dns = _hubbard_counts(L)
-    idxs = np.flatnonzero((ups == n_up) & (dns == n_dn))
-    if not idxs.size:
-        raise ConfigError(f"empty sector n_up={n_up}, n_dn={n_dn} for L={L}")
-    return float(np.linalg.eigvalsh(h.total.block(idxs)).min())
-
-
 # ---------------------------------------------------------------------------
 # gamma policies
 
@@ -406,6 +410,9 @@ class NormBound:
 @dataclass(frozen=True)
 class Fixed:
     value: float
+
+    def __post_init__(self) -> None:
+        _check_finite("gamma", self.value)
 
 
 @dataclass(frozen=True)
@@ -428,7 +435,6 @@ def gamma_for(h: SumHamiltonian, policy: GammaPolicy) -> float:
     if isinstance(policy, NormBound):
         return float(sum(term.norm2() for _, term in h.terms))
     if isinstance(policy, Fixed):
-        _check_finite("gamma", policy.value)
         # E0 >= -sum ||H_m||, so a value at or above the bound cannot warn
         if policy.value >= gamma_for(h, NormBound()):
             return float(policy.value)

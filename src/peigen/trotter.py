@@ -1,4 +1,4 @@
-"""Second-order Trotter construction of the joint cooling unitary and the
+"""Second-order Trotter construction of the cooling unitary's branches and the
 two gate decompositions of the paper's Fig. 2
 (a CNOT ladder for exp(-i phi/2 XXX), a CNOT-conjugated analog block for
 exp(-i phi/2 (a+a^dag) X X)), checked as dense products of lifted gates.
@@ -10,7 +10,7 @@ strings) with one pattern that commute exactly fuse into one group, and the
 half steps at the seam of two sweeps merge. `apply_branches` runs the plan
 on a vector or a block, at one tau or at one tau per column, monomial
 groups in closed form at O(d) per column, dense terms through their cached
-eigensystem; `branch_unitaries` and `trotter_W` run it on the identity.
+eigensystem; `branch_unitaries` runs it on the identity.
 
 Wire convention everywhere: system factors first, ancilla qubit last."""
 
@@ -18,55 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import DimensionError, TruncationLeakageError, ValidationError
-from .models import I2, PAULI_X, PAULI_Y, PAULI_Z, SumHamiltonian, _check_integer
+from .models import I2, PAULI_X, PAULI_Y, PAULI_Z, SumHamiltonian, _check_finite, _check_integer
 from .operators import HermitianOperator
-
-_PX_PLUS = (I2 + PAULI_X) / 2  # ancilla sigma-x eigenprojectors
-_PX_MINUS = (I2 - PAULI_X) / 2
-
-UNITARITY_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class JointUnitary:
-    """Unitary on system (x) ancilla, ancilla factor ordered last."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.matrix, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got {a.shape}")
-        if a.shape[0] % 2 != 0 or a.shape[0] == 0:  # an empty defect has no max
-            raise DimensionError("joint dimension must be even and >= 2 (system x ancilla)")
-        if not np.isfinite(a).all():
-            raise ValidationError("matrix has non-finite entries")
-        defect = float(np.abs(a @ a.conj().T - np.eye(a.shape[0])).max())
-        if defect > UNITARITY_ATOL:
-            raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
-    def system_dim(self) -> int:
-        return self.dim // 2
-
-
-def _check_tau(tau: float) -> None:
-    """Refuse a non-finite tau: its p0 would be nan, and a draw never fails nan."""
-    if not math.isfinite(tau):
-        raise ValidationError(f"tau must be finite, got {tau}")
-
 
 # ---------------------------------------------------------------------------
 # branch construction of W_gamma(tau) = exp(-i (H + gamma) sigma_x tau)
@@ -157,13 +115,16 @@ def apply_branches(
     lambda} V^H y). One cos and one sin table of all slots are computed per
     call and shared by both branches (U_minus negates the sin table in
     place); their sum is formed per branch for the diagonal and dense
-    slots only, and factors update y in place through one scratch array."""
+    slots only, and factors update y in place through one scratch array.
+    A non-finite tau, or a tau array holding one, is refused."""
     _check_integer("Trotter steps r", r, 1)
     if x.shape[0] != h.dim:
         raise DimensionError(f"state dim {x.shape[0]} != operator dim {h.dim}")
     rows = isinstance(tau, np.ndarray)  # one tau per column of a block
     if rows and (tau.ndim != 1 or x.ndim != 2 or len(tau) != x.shape[1]):
         raise DimensionError(f"tau shape {tau.shape} != one tau per column of x {x.shape}")
+    for t in tau.tolist() if rows else (tau,):
+        _check_finite("tau", t)  # a nan p0 is a success that no draw fails
     steps, kmag, nunit, n_sum = _plan(h).program(r)
     cols = (1,) * (x.ndim - 1)  # tables broadcast over the columns of a block
     theta = (0.5 * tau / r) * kmag.reshape(kmag.shape + cols)
@@ -202,40 +163,25 @@ def branch_unitaries(h: SumHamiltonian, tau: float, r: int) -> tuple[np.ndarray,
 
     U_pm approximate exp(∓ i (H + gamma) tau) on the ancilla sigma-x = ±1
     branches: the model's sweep plan, times the exact gamma phase, run by
-    `apply_branches` on the identity. They serve the joint unitary, the
-    Trotter error and Trotter-mode mixed-state steps."""
+    `apply_branches` on the identity. They serve the Trotter error and
+    Trotter-mode mixed-state steps."""
     return apply_branches(h, tau, r, np.eye(h.dim, dtype=complex))
 
 
-def _assemble(u_plus: np.ndarray, u_minus: np.ndarray) -> np.ndarray:
-    return np.kron(u_plus, _PX_PLUS) + np.kron(u_minus, _PX_MINUS)
-
-
-def _exact_joint(op: HermitianOperator, shift: float, t: float) -> np.ndarray:
-    """exp(-i t (O + shift) sigma_x^A) on O's space (x) ancilla, from the
-    dense branches U_pm = V exp(∓ i (E + shift) t) V^H of O's eigensystem."""
+def _exact_branches(op: HermitianOperator, shift: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The dense branches U_pm = V exp(∓ i (E + shift) t) V^H of
+    exp(-i t (O + shift) sigma_x^A), from O's eigensystem."""
     evals, v = op.eigensystem()
     x, vh = (evals + shift) * t, v.conj().T
-    return _assemble((v * np.exp(-1j * x)) @ vh, (v * np.exp(1j * x)) @ vh)
-
-
-def exact_W(h: SumHamiltonian, tau: float) -> JointUnitary:
-    """Exact W_gamma(tau) on system (x) ancilla."""
-    _check_tau(tau)
-    return JointUnitary(_exact_joint(h.total, h.gamma, tau))
-
-
-def trotter_W(h: SumHamiltonian, tau: float, r: int) -> JointUnitary:
-    """Second-order Trotterized W_gamma(tau); unitary by construction."""
-    _check_tau(tau)
-    return JointUnitary(_assemble(*branch_unitaries(h, tau, r)))
+    return (v * np.exp(-1j * x)) @ vh, (v * np.exp(1j * x)) @ vh
 
 
 def trotter_error(h: SumHamiltonian, tau: float, r: int) -> float:
-    """Operator-norm distance between exact and Trotterized W_gamma(tau)."""
-    return float(
-        np.linalg.norm(exact_W(h, tau).matrix - trotter_W(h, tau, r).matrix, 2)
-    )
+    """Operator-norm distance between exact and Trotterized W_gamma(tau), both block
+    diagonal in ancilla sigma-x: the larger branch distance ||U_pm - U~_pm||_2."""
+    trotter = branch_unitaries(h, tau, r)
+    exact = _exact_branches(h.total, h.gamma, tau)
+    return max(float(np.linalg.norm(u - w, 2)) for u, w in zip(exact, trotter))
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +209,15 @@ def _cnot(dims: tuple[int, ...], c: int, t: int) -> np.ndarray:
     return _lift(dims, {c: p0}) + _lift(dims, {c: p1, t: PAULI_X})
 
 
+def _assemble(u_plus: np.ndarray, u_minus: np.ndarray) -> np.ndarray:
+    """The 2d x 2d joint with ancilla sigma-x = ±1 branches U_pm; only Fig. 2 forms one."""
+    return np.kron(u_plus, (I2 + PAULI_X) / 2) + np.kron(u_minus, (I2 - PAULI_X) / 2)
+
+
 def _coupled(o: np.ndarray, phi: float) -> np.ndarray:
     """exp(-i (phi/2) O sigma_x^A) on O's space (x) ancilla."""
-    if not np.isfinite(phi):
-        raise ValidationError(f"phi must be finite, got {phi!r}")
-    return _exact_joint(HermitianOperator(o), 0.0, phi / 2)
+    _check_finite("phi", phi)
+    return _assemble(*_exact_branches(HermitianOperator(o), 0.0, phi / 2))
 
 
 # V = exp(i pi sigma_y / 4) == R_y(-pi/2); V^H Z V = X, so conjugating each

@@ -22,7 +22,9 @@ from .cooling import (
     RunConfig,
     StageRecord,
     Variational,
+    _OPERATOR_MODES,
     _branch,
+    _check_kind,
     _check_state,
     _eigen_branch,
     _eigen_coefficients,
@@ -128,6 +130,7 @@ def minimize_stage(
     share one eigen-coefficient read, O(d) each; a Trotter pure state's
     coarse grid is one `apply_branches` block and each golden-section point
     one cooling step. Only the best trial's branch is kept, as ``branch``."""
+    _check_kind("operator_mode", operator_mode, _OPERATOR_MODES)
     trials: list[TrialRecord] = []
     evaluate, accept = _trials(state, h, operator_mode)
     best = kept_best = None  # the best trial so far by (energy, tau), and what it kept

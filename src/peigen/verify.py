@@ -131,19 +131,13 @@ def trotter_scaling_suite(
         h = build_model(spec)
         hg = h.with_gamma(gamma_for(h, Exact()))
         errs = [trotter_error(hg, tau, r) for r in rs]
-        if len(h.terms) == 1:
-            passed = max(errs) <= 1e-12
-            parts.append(f"{name} exact ({max(errs):.2g})")
-            checks.append(
-                {"model": name, "errors": errs, "slope": None, "exact": True, "passed": passed}
-            )
+        if exact := len(h.terms) == 1:
+            slope, passed = None, max(errs) <= 1e-12
         else:
             slope = float(np.polyfit(np.log(list(rs)), np.log(errs), 1)[0])
             passed = slope_window[0] <= slope <= slope_window[1]
-            parts.append(f"{name} slope {slope:.3f}")
-            checks.append(
-                {"model": name, "errors": errs, "slope": slope, "exact": False, "passed": passed}
-            )
+        parts.append(f"{name} exact ({max(errs):.2g})" if exact else f"{name} slope {slope:.3f}")
+        checks.append({"model": name, "errors": errs, "slope": slope, "exact": exact, "passed": passed})
     return {
         "name": "trotter-order",
         "checks": checks,

@@ -3,15 +3,19 @@
 Everything here is a plain d x d matrix: the branch unitaries
 U± = exp(∓i (H + gamma) tau) by `expm`, or their symmetric Trotter product
 from `expm` term exponentials, the ancilla blocks K0 and K1, the ejection
-operator by `cosm`, the branch map K psi or K rho K^H, and the split of the
-joint W_gamma(tau) into W(tau) and an ancilla x-rotation. It shares no
-code path with the eigenbasis-resident exact mode or the sweep-plan
-Trotter mode under test."""
+operator by `cosm`, the branch map K psi or K rho K^H, and the lowest
+energy of a Hubbard particle-number sector. The joint W_gamma(tau) on
+system (x) ancilla is the one 2d x 2d matrix, by `expm`, with its split
+into W(tau) and an ancilla x-rotation. It shares no code path with the
+eigenbasis-resident exact mode or the sweep-plan Trotter mode under test."""
 
 import math
 
 import numpy as np
 from scipy.linalg import cosm, expm
+
+from peigen import ConfigError, DimensionError
+from peigen.models import _hubbard_counts
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -26,10 +30,15 @@ def blocks(u_plus, u_minus):
     return (u_plus + u_minus) / 2, (u_plus - u_minus) / 2
 
 
+def exact_branches(h, tau):
+    """The exact U± = exp(∓i (H + gamma) tau)."""
+    a = (hamiltonian(h) + h.gamma * np.eye(h.dim)) * tau
+    return expm(-1j * a), expm(1j * a)
+
+
 def kraus(h, tau):
     """K0 and K1 of the exact U± = exp(∓i (H + gamma) tau)."""
-    a = (hamiltonian(h) + h.gamma * np.eye(h.dim)) * tau
-    return blocks(expm(-1j * a), expm(1j * a))
+    return blocks(*exact_branches(h, tau))
 
 
 def trotter_branches(h, tau, r):
@@ -84,6 +93,23 @@ def energy(data, h):
     if data.ndim == 1:
         return float(np.vdot(data, m @ data).real)
     return float(np.trace(m @ data).real)
+
+
+def hubbard_sector_minimum(h, L, n_up, n_dn):
+    """Lowest eigenvalue within a fixed (n_up, n_dn) particle-number sector
+    of a Hubbard chain of L sites, from the sector block of the total H."""
+    if 4**L != h.dim:
+        raise DimensionError(f"L={L} needs dim {4**L}, but H has dim {h.dim}")
+    ups, dns = _hubbard_counts(L)
+    idx = np.flatnonzero((ups == n_up) & (dns == n_dn))
+    if not idx.size:
+        raise ConfigError(f"empty sector n_up={n_up}, n_dn={n_dn} for L={L}")
+    return float(np.linalg.eigvalsh(h.total.block(idx)).min())
+
+
+def wgamma(h, tau):
+    """The joint W_gamma(tau) = exp(-i (H + gamma) sigma_x^A tau) on system (x) ancilla."""
+    return expm(-1j * tau * np.kron(hamiltonian(h) + h.gamma * np.eye(h.dim), PAULI_X))
 
 
 def ancilla_x_rotation(system_dim, angle):

@@ -37,9 +37,10 @@ from peigen import (
     thermal_state,
 )
 from peigen.cli import main
-from peigen.models import hubbard_basis_index, hubbard_sector_minimum, rabi_basis_index
+from peigen.models import hubbard_basis_index, rabi_basis_index
 from peigen.verify import appendix_a_suite, fig2a_suite, fig2b_suite, trotter_scaling_suite
 from tests.eigenbasis_suites import eject_overlap, spectral_weight_deviation
+from tests.reference import hubbard_sector_minimum
 
 HARMONIC_SPEC = HarmonicOscillator(omega=1.0, cutoff=30)
 RABI_SPEC = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)

@@ -1069,6 +1069,79 @@ def test_an_integer_field_checks_its_type_before_its_bound(name, value):
         _INTEGER_FIELDS[name](value)
 
 
+_KIND_FIELDS = {
+    "mode": "FixedStep or Variational",
+    "gamma_policy": "Exact or NormBound or Fixed or TargetLevel",
+    "operator_mode": "ExactW or TrotterW",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mode", None),
+        ("mode", 0.3),
+        ("mode", FixedStep),  # the class, not an instance
+        ("operator_mode", "trotter"),
+        ("operator_mode", None),
+        ("operator_mode", TrotterW),
+        ("gamma_policy", "exact"),
+        ("gamma_policy", 0.3),
+    ],
+)
+def test_run_config_refuses_a_field_of_the_wrong_kind(field, value):
+    """A wrong operator mode would run exact mode without a word, a wrong
+    mode or gamma policy fail inside `run`."""
+    kwargs = {"mode": FixedStep(tau=0.3), field: value}
+    message = f"{field} must be {_KIND_FIELDS[field]}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("optimizer", [None, {"tau_lo": 0.1}, OptimizerConfig])
+def test_variational_refuses_an_optimizer_of_the_wrong_kind(optimizer):
+    message = f"optimizer must be OptimizerConfig, got {optimizer!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Variational(optimizer=optimizer)
+
+
+@pytest.mark.parametrize("operator_mode", ["trotter", "exact", None, TrotterW, 3])
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_cooling_step_refuses_an_operator_mode_of_the_wrong_kind(operator_mode, mixed, harmonic, thermal_half):
+    state = thermal_half if mixed else _plus01()
+    message = f"operator_mode must be ExactW or TrotterW, got {operator_mode!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cooling_step(state, harmonic, 0.3, operator_mode)
+
+
+_FLOAT_FIELDS = {
+    "epsilon": lambda v: RunConfig(mode=FixedStep(tau=0.3), epsilon=v),
+    "f_tol": lambda v: RunConfig(mode=FixedStep(tau=0.3), f_tol=v),
+    "tau": lambda v: RunConfig(mode=FixedStep(tau=v)),
+    "tau_lo": lambda v: OptimizerConfig(tau_lo=v, tau_hi=3.0),
+    "tau_hi": lambda v: OptimizerConfig(tau_hi=v),
+    "x_tol": lambda v: OptimizerConfig(x_tol=v),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in _FLOAT_FIELDS for value in ("0.3", None, [0.3], True)],
+)
+def test_a_float_field_checks_its_type_before_its_bound(name, value):
+    """A string or None would fail the bound's comparison with a bare TypeError;
+    a bool is not a number, as in JSON."""
+    message = f"{name} must be a real number, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _FLOAT_FIELDS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_FIELDS))
+def test_a_float_field_takes_ints_and_numpy_reals(name):
+    for value in (np.float64(0.5), np.float32(0.5), 2, np.int64(2)):
+        _FLOAT_FIELDS[name](value)
+
+
 def test_run_config_takes_numpy_integers(harmonic, thermal_half):
     cfg = RunConfig(
         mode=Variational(OptimizerConfig(max_evals=np.int64(12), coarse_grid=np.int32(7))),

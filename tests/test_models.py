@@ -36,7 +36,6 @@ from peigen import (
     expectation,
     gamma_for,
     hubbard_sector_label,
-    hubbard_sector_minimum,
     run,
     stochastic_trajectory,
     thermal_state,
@@ -51,6 +50,7 @@ from peigen.models import (
     rabi_basis_index,
 )
 from tests.conftest import random_state_vector
+from tests.reference import hubbard_sector_minimum
 
 RABI_DSC = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
 
@@ -430,6 +430,38 @@ def test_integer_fields_refuse_what_the_json_reader_refuses(make, field, error, 
         make(value)
     assert type(info.value) is error
     assert str(info.value) == f"{field} must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("value", ["1.2", None, [2.0], True, np.True_], ids=["str", "none", "list", "bool", "np-bool"])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: HarmonicOscillator(v, 30), "omega"),
+        (lambda v: Rabi(v, 0.8, 1.0, 20), "omega0"),
+        (lambda v: Rabi(1.2, 0.8, v, 20), "g"),
+        (lambda v: Hubbard1D(2, v, 2.0), "t"),
+        (lambda v: Hubbard1D(2, 1.0, v), "u"),
+        (lambda v: Fixed(v), "gamma"),
+        (lambda v: build_model(HarmonicOscillator(1.0, 4)).with_gamma(v), "gamma"),
+        (lambda v: thermal_state(HarmonicOscillator(1.0, 30), v), "nbar"),
+    ],
+    ids=["harmonic-omega", "rabi-omega0", "rabi-g", "hubbard-t", "hubbard-u", "fixed-gamma", "with-gamma", "thermal-nbar"],
+)
+def test_float_fields_refuse_what_the_json_reader_refuses(make, field, value):
+    # a string or None reached numpy's isfinite as a bare TypeError, and a list passed it
+    with pytest.raises(ValidationError) as info:
+        make(value)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{field} must be a real number, got {value!r}"
+
+
+def test_float_fields_take_ints_and_numpy_reals_and_keep_their_messages():
+    assert build_model(Rabi(np.float32(1.2), 1, np.int64(1), 4)).dim == 8
+    assert Fixed(np.float64(0.5)).value == 0.5
+    with pytest.raises(ValidationError, match="^u must be finite, got inf$"):
+        Hubbard1D(2, 1.0, math.inf)
+    with pytest.raises(ValidationError, match=f"^gamma must be finite, got {10**400!r}$"):
+        Fixed(10**400)  # no float holds it
 
 
 def test_integer_fields_take_numpy_integers_and_keep_their_bounds():

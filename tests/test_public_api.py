@@ -1,9 +1,12 @@
 """The names that the benchmark, the scripts and CI read from peigen still
-resolve. The benchmark and scripts are parsed, not run, so the check is
-cheap and guards every pruning of the public API."""
+resolve. The benchmark, the scripts and the CI workflow's inline Python are
+parsed, not run, so the check is cheap and guards every pruning of the
+public API."""
 
 import ast
 import importlib.util
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,28 @@ import pytest
 import peigen
 
 ROOT = Path(__file__).resolve().parent.parent
-USERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def _heredocs(path):
+    """The dedented bodies of the workflow's ``python - ... <<'EOF'`` steps."""
+    bodies, body = [], None
+    for line in path.read_text().splitlines():
+        if body is None:
+            body = [] if re.search(r"\bpython3? - .*<<'EOF'$", line) else None
+        elif line.strip() == "EOF":
+            bodies.append(textwrap.dedent("\n".join(body)))
+            body = None
+        else:
+            body.append(line)
+    return bodies
+
+
+# (id, source) of every user: the benchmark, the scripts, and CI's heredocs
+USERS = [
+    (f"{p.parent.name}/{p.name}", p.read_text())
+    for p in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+] + [(f"{WORKFLOW.name}:heredoc{i}", body) for i, body in enumerate(_heredocs(WORKFLOW))]
 
 # names the benchmark's tracer and CI's inline checks rebind while they run
 REBOUND = [
@@ -26,10 +50,10 @@ REBOUND = [
 ]
 
 
-def _peigen_imports(path):
-    """(module, name) of each name ``path`` imports from peigen; name None
+def _peigen_imports(source, name):
+    """(module, name) of each name ``source`` imports from peigen; name None
     for a plain ``import peigen...``."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(source, filename=name)):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
             module = node.module or ""
             if module == "peigen" or module.startswith("peigen."):
@@ -43,13 +67,18 @@ def _peigen_imports(path):
 
 
 def test_the_benchmark_and_scripts_import_from_peigen():
-    assert USERS and any(list(_peigen_imports(p)) for p in USERS)
+    assert USERS and any(list(_peigen_imports(source, name)) for name, source in USERS)
 
 
-@pytest.mark.parametrize("path", USERS, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_every_name_a_user_imports_resolves(path):
+def test_every_workflow_heredoc_is_a_user():
+    heredocs = [source for name, source in USERS if name.startswith(WORKFLOW.name)]
+    assert heredocs and all(list(_peigen_imports(source, "heredoc")) for source in heredocs)
+
+
+@pytest.mark.parametrize("user, source", USERS, ids=[name for name, _ in USERS])
+def test_every_name_a_user_imports_resolves(user, source):
     missing = []
-    for module, name in _peigen_imports(path):
+    for module, name in _peigen_imports(source, user):
         try:
             owner = importlib.import_module(module)
         except ImportError:

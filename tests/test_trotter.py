@@ -24,17 +24,15 @@ from peigen import (
     branch_unitaries,
     build_model,
     cooling_step,
-    exact_W,
     run,
     stochastic_trajectory,
-    trotter_W,
     trotter_error,
     verify_fig2a,
     verify_fig2b,
 )
 from peigen import trotter
 from peigen.models import PAULI_X, PAULI_Y, PAULI_Z
-from peigen.trotter import DimensionError, JointUnitary, _coupled, _mode_x
+from peigen.trotter import DimensionError, _coupled, _mode_x
 from tests import reference
 from tests.conftest import failure_step, random_hermitian, random_state_vector
 
@@ -46,32 +44,17 @@ def _norm(a):
 
 
 # ---------------------------------------------------------------------------
-# joint unitary construction
-
-
-def test_joint_unitary_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        JointUnitary(np.diag([1.0, 2.0]))
-    with pytest.raises(DimensionError):
-        JointUnitary(np.eye(3))  # odd dimension: no ancilla factor
-    with pytest.raises(DimensionError, match=r"^expected a square matrix, got \(2, 3\)$"):
-        JointUnitary(np.zeros((2, 3)))
-    # empty: its unitarity defect would be the max of nothing
-    with pytest.raises(DimensionError, match=r"^joint dimension must be even and >= 2 \(system x ancilla\)$"):
-        JointUnitary(np.zeros((0, 0)))
-
-
-def test_joint_unitary_rejects_non_finite_entries():
-    # a nan defect is never above the unitarity bound
-    with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
-        JointUnitary(np.full((2, 2), math.nan))
+# branch unitaries and the Trotter error
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_joint_unitaries_refuse_a_non_finite_tau(tau, harmonic):
+    # a nan tau would give all-nan branches, an infinite one nan columns
+    psi = np.eye(30)[1]
     calls = [
-        lambda: exact_W(harmonic, tau),
-        lambda: trotter_W(harmonic, tau, 1),
+        lambda: branch_unitaries(harmonic, tau, 1),
+        lambda: apply_branches(harmonic, tau, 1, psi),
+        lambda: apply_branches(harmonic, np.array([0.3, tau, 0.5]), 1, np.eye(30)[:, :3]),
         lambda: trotter_error(harmonic, tau, 1),
     ]
     for call in calls:
@@ -149,12 +132,13 @@ def test_apply_branches_refuses_taus_that_are_not_one_per_column(tau, shape):
 
 
 def test_exact_w_is_unitary_and_block_diagonal_in_x(harmonic):
-    w = exact_W(harmonic, 0.3)
-    assert w.system_dim == 30
+    # the joint property that lets the library read W through its branches
+    w = reference.wgamma(harmonic, 0.3)
+    assert w.shape == (60, 60)
     # sigma-x ancilla eigenvectors must be preserved branch-wise
     plus = np.array([1, 1]) / math.sqrt(2)
     v = np.kron(np.eye(30)[0], plus)
-    out = w.matrix @ v
+    out = w @ v
     # still a product state with ancilla |+>
     m = out.reshape(30, 2)
     s = np.linalg.svd(m, compute_uv=False)
@@ -168,8 +152,8 @@ def test_single_term_trotter_is_exact(harmonic):
 
 def test_trotter_tau_zero_is_identity():
     h = build_model(RABI)
-    w = trotter_W(h, 0.0, 3)
-    assert _norm(w.matrix - np.eye(w.dim)) < 1e-12
+    for u in branch_unitaries(h, 0.0, 3):
+        assert _norm(u - np.eye(h.dim)) < 1e-12
 
 
 def test_trotter_second_order_scaling():
@@ -179,15 +163,59 @@ def test_trotter_second_order_scaling():
     assert 3.4 < ratio < 4.6
 
 
+def _random_terms(seed, real):
+    """Three random dense Hermitian terms on dim 6, real symmetric if ``real``."""
+    rng = np.random.default_rng(seed)
+    mats = [random_hermitian(rng, 6) for _ in range(3)]
+    return tuple((f"t{k}", m.real.astype(complex) if real else m) for k, m in enumerate(mats))
+
+
+_ERROR_MODELS = {
+    "rabi8": Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=8),
+    "rabi20": RABI,
+    "hubbard2": Hubbard1D(2, t=1.0, u=2.0),
+    "custom-real": Custom(_random_terms(1, real=True)),
+    "custom-complex": Custom(_random_terms(2, real=False)),
+}
+
+
+def _joint_distance(exact, trotterized):
+    """||W - W~||_2 of the joints assembled from their sigma-x branches."""
+    plus, minus = (np.eye(2) + PAULI_X) / 2, (np.eye(2) - PAULI_X) / 2
+    (e_plus, e_minus), (t_plus, t_minus) = exact, trotterized
+    return _norm(np.kron(e_plus - t_plus, plus) + np.kron(e_minus - t_minus, minus))
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(_ERROR_MODELS))
+def test_trotter_error_is_the_dense_joint_distance(name, r, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("trotter_error formed a 2d x 2d joint")
+
+    h = build_model(_ERROR_MODELS[name]).with_gamma(0.37)
+    for tau in (0.1, 0.3, 0.7):
+        # the joint of the library's own branches: the branch maximum is its norm
+        own = _joint_distance(trotter._exact_branches(h.total, h.gamma, tau), branch_unitaries(h, tau, r))
+        # the joint of the scipy reference's branches: they agree with the
+        # library's to about 2e-16 absolute, more than 1e-12 of an error of 1e-4
+        ref = _joint_distance(reference.exact_branches(h, tau), reference.trotter_branches(h, tau, r))
+        with monkeypatch.context() as m:
+            m.setattr(trotter, "_assemble", refuse)
+            got = trotter_error(h, tau, r)
+        assert abs(got - own) <= 1e-12 * own
+        assert abs(got - ref) <= 1e-12 * ref + 1e-15
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.floats(0.01, 1.5, allow_nan=False),
     st.integers(1, 6),
 )
 def test_trotter_w_always_unitary(tau, r):
+    # W is unitary exactly when both of its branches are
     h = build_model(Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=8))
-    w = trotter_W(h, tau, r).matrix
-    assert _norm(w @ w.conj().T - np.eye(w.shape[0])) < 1e-10
+    for u in branch_unitaries(h, tau, r):
+        assert _norm(u @ u.conj().T - np.eye(h.dim)) < 1e-10
 
 
 def test_wgamma_decomposition_identity(harmonic):
@@ -195,7 +223,7 @@ def test_wgamma_decomposition_identity(harmonic):
     for h in (harmonic, harmonic.with_gamma(0.7)):  # at gamma 0 the rotation is the identity
         w0, angle = reference.wgamma_decompose(h, tau)
         assert angle == pytest.approx(2 * h.gamma * tau)
-        lhs = exact_W(h, tau).matrix
+        lhs = reference.wgamma(h, tau)
         rhs = w0 @ reference.ancilla_x_rotation(30, angle)
         assert _norm(lhs - rhs) < 1e-12
         # the two factors commute

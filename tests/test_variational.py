@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -505,6 +506,16 @@ def test_an_exact_stage_refuses_a_zero_state_as_its_step_would():
     h = build_model(Hubbard1D(2, t=1.0, u=2.0))
     with pytest.raises(CertainFailureError, match="^both branch probabilities vanish; state is corrupt$"):
         minimize_stage(QuantumState(np.zeros(16)), h, OptimizerConfig(), operator_mode=ExactW())
+
+
+@pytest.mark.parametrize("operator_mode", ["trotter", None, TrotterW, 2], ids=["str", "none", "class", "int"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_minimize_stage_refuses_an_operator_mode_of_the_wrong_kind(operator_mode, mixed, harmonic, thermal_half):
+    # a string failed on `.r` with an AttributeError
+    state = thermal_half if mixed else basis_vector(30, 2)
+    message = f"operator_mode must be ExactW or TrotterW, got {operator_mode!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        minimize_stage(state, harmonic, OptimizerConfig(), operator_mode=operator_mode)
 
 
 # (seed, dim, complex, degenerate): seeded Custom models for the shared read
