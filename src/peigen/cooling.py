@@ -132,6 +132,7 @@ class RunConfig:
         _check_kind("mode", self.mode, (FixedStep, Variational))
         _check_kind("gamma_policy", self.gamma_policy, get_args(GammaPolicy))
         _check_kind("operator_mode", self.operator_mode, _OPERATOR_MODES)
+        _check_kind("eject_shifted", self.eject_shifted, (bool,))
         _positive("epsilon", self.epsilon)
         _at_least("max_stages", self.max_stages, 1)
         if isinstance(self.mode, FixedStep):
@@ -243,6 +244,7 @@ def ejection_step(h: SumHamiltonian, e_s: float, shifted: bool = False) -> tuple
     ``shifted`` W_gamma(pi / 2 (E_s + gamma)), the only variant defined at
     E_s = 0. The kept branch scales eigen-coefficients by cos((E_j + gamma')
     tau_s), zero on the E_s eigenspace. Raises where tau_s is undefined."""
+    _check_kind("shifted", shifted, (bool,))
     h_s = h if shifted else h.with_gamma(0.0)
     denom = e_s + h_s.gamma
     if abs(denom) < 1e-12:
@@ -261,8 +263,9 @@ def _ejection_failed(level: int, e_s: float, p: float) -> CertainFailureError:
 
 def ejected_energies(h: SumHamiltonian, config: RunConfig) -> tuple[float, ...]:
     """The energies a run ejects, in order: the levels below its target level
-    (none without one). Raises if that level is out of range or an ejection
-    also annihilates it (a zero of its kept factor at the target energy)."""
+    (none without one), a degenerate level once per copy: a repeat is one more
+    cos² filter on the other levels, not a no-op. Raises if that level is out of
+    range or an ejection also annihilates it (a zero of its kept factor at E_target)."""
     target = config.target_level
     if not target:
         return ()

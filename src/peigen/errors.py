@@ -6,7 +6,7 @@ class PeigenError(Exception):
 
 
 class DimensionError(PeigenError):
-    """Shape/dimension mismatch, or a tensor-product size overflow."""
+    """Shape/dimension mismatch, or arrays over the memory budget."""
 
 
 class ValidationError(PeigenError):

@@ -19,7 +19,7 @@ from .errors import (
     NegativeShiftWarning,
     ValidationError,
 )
-from .operators import HermitianOperator, QuantumState, basis_vector
+from .operators import HermitianOperator, QuantumState, _within_budget, basis_vector
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,11 +67,6 @@ class Hubbard1D:
 
     def __post_init__(self) -> None:
         _check_integer("sites", self.sites, 1)
-        if 2 * self.sites > 12:
-            raise DimensionError(
-                f"sites must be <= 6 (the eigensystem keeps a dense 4^L x 4^L eigenvector "
-                f"matrix: 268 MB at L=6, 4.3 GB at L=7), got {self.sites}"
-            )
         _check_finite("t", self.t)
         _check_finite("u", self.u)
 
@@ -243,6 +238,8 @@ def _build_hubbard_jw(spec: Hubbard1D) -> SumHamiltonian:
     is the diagonal u * occ_up * occ_dn.
     """
     L, t, u = spec.sites, spec.t, spec.u
+    # occ's 2L int64 rows, then each of the 5L - 4 terms' perm and complex vals
+    _within_budget(f"Hubbard chain of {L} sites", (16 * L + 24 * (5 * L - 4)) * 4**L)
     n = 2 * L
     occ = _hubbard_occupations(L)
     idx = np.arange(2**n)

@@ -17,6 +17,14 @@ from .errors import DimensionError, EigenDecompositionError, ValidationError
 HERMITICITY_ATOL = 1e-12
 # how far a state's norm or trace may miss 1, and rho's least eigenvalue fall below 0
 NORMALIZATION_TOL = 1e-6
+MEMORY_BUDGET_BYTES = 2**31  # bytes one eigensolve, model build or Trotter call may allocate
+
+
+def _within_budget(what: str, need: int) -> None:
+    """Refuse, before they are allocated, arrays of ``need`` bytes above the budget."""
+    if need > MEMORY_BUDGET_BYTES:
+        budget = f"over the {MEMORY_BUDGET_BYTES:,}-byte budget"
+        raise DimensionError(f"{what} needs at least {need:,} bytes, {budget}")
 
 
 def _as_square_matrix(m: object) -> np.ndarray:
@@ -68,7 +76,8 @@ def _block_eigh(
     size and then by kind, with the entries of ``mat`` bit for bit. The
     blocks of a group share one stacked call, real ones the real solver, so
     a matrix that is one complex component gets exactly ``eigh(mat)``;
-    ``vectors=False`` calls ``eigvalsh`` instead and returns no eigenvectors."""
+    ``vectors=False`` calls ``eigvalsh`` instead and returns no eigenvectors.
+    A buffer (16 Σ size² bytes) plus eigenvectors (16 d²) over the budget is refused first."""
     lower = r > c
     er, ec = r[lower], c[lower]
     root = np.arange(d)
@@ -88,6 +97,7 @@ def _block_eigh(
     same = root[r] == root[c]
     r, c, v = r[same], c[same], v[same]
     size = np.bincount(root)[root]
+    _within_budget(f"eigensolve of dim {d}", 16 * (int(size.sum()) + d * d * vectors))
     cplx = np.zeros(d, dtype=bool)  # cplx[x]: the block rooted at x is complex
     cplx[root[r[v.imag != 0]]] = True
     group = 2 * size + cplx[root]  # blocks of one size, real before complex

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, TruncationLeakageError, ValidationError
 from .models import I2, PAULI_X, PAULI_Y, PAULI_Z, SumHamiltonian, _check_finite, _check_integer
-from .operators import HermitianOperator
+from .operators import HermitianOperator, _within_budget
 
 # ---------------------------------------------------------------------------
 # branch construction of W_gamma(tau) = exp(-i (H + gamma) sigma_x tau)
@@ -116,7 +116,7 @@ def apply_branches(
     call and shared by both branches (U_minus negates the sin table in
     place); their sum is formed per branch for the diagonal and dense
     slots only, and factors update y in place through one scratch array.
-    A non-finite tau, or a tau array holding one, is refused."""
+    A non-finite tau, or a tau array holding one, is refused, as are tables over the budget."""
     _check_integer("Trotter steps r", r, 1)
     if x.shape[0] != h.dim:
         raise DimensionError(f"state dim {x.shape[0]} != operator dim {h.dim}")
@@ -126,6 +126,8 @@ def apply_branches(
     for t in tau.tolist() if rows else (tau,):
         _check_finite("tau", t)  # a nan p0 is a success that no draw fails
     steps, kmag, nunit, n_sum = _plan(h).program(r)
+    cells = kmag.size * (len(tau) if rows else 1)  # a cos or sin table: (slots, d) or (slots, d, m)
+    _within_budget(f"Trotter step of dim {h.dim}", 16 * (2 * cells + 3 * x.size))  # + y, scratch, U_+ x
     cols = (1,) * (x.ndim - 1)  # tables broadcast over the columns of a block
     theta = (0.5 * tau / r) * kmag.reshape(kmag.shape + cols)
     s = np.sin(theta) * nunit.reshape(nunit.shape + cols)
@@ -177,11 +179,10 @@ def _exact_branches(op: HermitianOperator, shift: float, t: float) -> tuple[np.n
 
 
 def trotter_error(h: SumHamiltonian, tau: float, r: int) -> float:
-    """Operator-norm distance between exact and Trotterized W_gamma(tau), both block
-    diagonal in ancilla sigma-x: the larger branch distance ||U_pm - U~_pm||_2."""
-    trotter = branch_unitaries(h, tau, r)
-    exact = _exact_branches(h.total, h.gamma, tau)
-    return max(float(np.linalg.norm(u - w, 2)) for u, w in zip(exact, trotter))
+    """Operator-norm distance ||U_+ - U~_+||_2 of exact and Trotterized W_gamma(tau), block
+    diagonal in ancilla sigma-x; U_-(tau) = U_+(-tau) and U~(-tau) = U~(tau)^-1 give the same."""
+    u_plus = branch_unitaries(h, tau, r)[0]
+    return float(np.linalg.norm(_exact_branches(h.total, h.gamma, tau)[0] - u_plus, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,17 @@ def thermal_half():
     return thermal_state(HARMONIC, 0.5)
 
 
+@pytest.fixture
+def no_eigensolver(monkeypatch):
+    """numpy's eigensolvers raise: a refusal over the memory budget must come first."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran over the budget")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
 def failure_step(state, h, tau, operator_mode=ExactW()):
     """Outcome 1 of `cooling_step` as (state1, p1): the kept branch of the step
     at gamma - pi / (2 tau), whose K0 is i K1 (a pure state1 carries the phase i)."""

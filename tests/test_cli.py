@@ -19,7 +19,7 @@ from peigen import (
     run,
     stochastic_trajectory,
 )
-from peigen import cli
+from peigen import cli, models
 from peigen.cli import main
 from peigen.config import build_initial_state, bundled_config_dir, parse_experiment
 
@@ -371,6 +371,26 @@ def test_invalid_model_or_state_values_exit_one(doc, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "sites, need", [(12, "25,769,803,776"), (40, "6,460,499,580,020,578,309,629,804,544")]
+)
+def test_a_hubbard_chain_over_the_budget_exits_one_before_it_is_built(
+    sites, need, tmp_path, capsys, monkeypatch
+):
+    def refuse(L):
+        raise AssertionError("the build allocated over the budget")
+
+    monkeypatch.setattr(models, "_hubbard_occupations", refuse)  # the first array the build makes
+    model = {"kind": "hubbard", "sites": sites, "t": 1.0, "u": 2.0}
+    cfg = _write_cfg(tmp_path, "big.json", _basis_cfg(model, {"kind": "basis", "label": "ud" * sites}))
+    assert _run_cli(cfg, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: Hubbard chain of {sites} sites needs at least {need} bytes, "
+        "over the 2,147,483,648-byte budget\n"
+    )
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_hubbard_json_reports_sector_and_hopping_unit(tmp_path):
     argv = ["run", "--config", "hubbard2_variational", "--out", str(tmp_path), "--format", "json"]
     assert main(argv) == 0
@@ -444,7 +464,9 @@ def test_a_zero_natural_unit_reports_raw_energies(model, label, tmp_path):
                 {"kind": "hubbard", "sites": 7, "t": 1.0, "u": 2.0},
                 {"kind": "basis", "label": "ud" * 7},
             ),
-            "model.sites",
+            # no size limit in the model: exact mode's eigensolve is refused before any stage
+            "error: eigensolve of dim 16384 needs at least 4,483,425,280 bytes, "
+            "over the 2,147,483,648-byte budget\n",
         ),
         (
             _basis_cfg(HARMONIC_5, {"kind": "ground_of", "model": {**HARMONIC_5, "cutoff": 1}}),

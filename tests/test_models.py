@@ -40,6 +40,7 @@ from peigen import (
     stochastic_trajectory,
     thermal_state,
 )
+from peigen import models, operators
 from peigen.models import (
     I2,
     PAULI_X,
@@ -351,9 +352,57 @@ def test_exact_spectrum_forms_no_dense_total():
     assert all(term._mat is None for _, term in h.terms)
 
 
-def test_hubbard_size_guard():
-    with pytest.raises(DimensionError, match=r"4\.3 GB at L=7\), got 7$"):
-        Hubbard1D(sites=7, t=1.0, u=2.0)  # its dense eigenvectors would not fit
+def _over_budget(what, need):
+    return f"^{what} needs at least {need} bytes, over the 2,147,483,648-byte budget$"
+
+
+def test_hubbard_size_guard(no_eigensolver):
+    """The one size rule is the memory budget: L=7 builds, but its
+    eigenvectors (16 * 16384² bytes) plus the block buffer (16 * 3432², the sum
+    of its (N_up, N_dn) sector sizes squared) are refused before either exists."""
+    h = build_model(Hubbard1D(sites=7, t=1.0, u=2.0))
+    with pytest.raises(DimensionError, match=_over_budget("eigensolve of dim 16384", "4,483,425,280")):
+        h.total.eigensystem()
+    assert h.total._eig is None and h.total._evals is None
+
+
+def test_hubbard_build_is_refused_over_the_budget_before_it_allocates(monkeypatch):
+    """occ's 2L int64 rows and each of the 5L - 4 terms' perm and complex vals:
+    (16 L + 24 (5L - 4)) 4^L bytes, 2,816 at L=2 (test_cli refuses L=12 and 40)."""
+
+    def refuse(L):
+        raise AssertionError("the build allocated over the budget")
+
+    with monkeypatch.context() as m:
+        m.setattr(models, "_hubbard_occupations", refuse)  # the first array the build makes
+        m.setattr(operators, "MEMORY_BUDGET_BYTES", 2815)
+        with pytest.raises(DimensionError, match="^Hubbard chain of 2 sites needs at least 2,816 bytes, "):
+            build_model(Hubbard1D(sites=2, t=1.0, u=2.0))
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_BYTES", 2816)
+    assert build_model(Hubbard1D(sites=2, t=1.0, u=2.0)).dim == 16
+
+
+def test_hubbard_8_exact_gamma_is_refused_by_the_values_only_buffer(no_eigensolver):
+    # L=8's values-only block buffer alone, 16 * 12870² bytes, is over the budget:
+    # Exact gamma and Fixed gamma below the norm bound (its warning reads E0) need it
+    h = build_model(Hubbard1D(sites=8, t=1.0, u=2.0))
+    for policy in (Exact(), Fixed(0.5)):
+        with pytest.raises(DimensionError, match=_over_budget("eigensolve of dim 65536", "2,650,190,400")):
+            gamma_for(h, policy)
+    assert gamma_for(h, Fixed(100.0)) == 100.0  # at or above the norm bound: no solve
+    assert h.total._eig is None and h.total._evals is None
+
+
+def test_hubbard_7_trotter_run_solves_no_eigensystem():
+    spec = Hubbard1D(sites=7, t=1.0, u=2.0)
+    h = build_model(spec)
+    config = RunConfig(
+        mode=Variational(), gamma_policy=NormBound(), max_stages=1, operator_mode=TrotterW(3)
+    )
+    trace = run(basis_state(spec, "udduudduudduud"), h, config)
+    assert trace.n_stages == 1 and len(trace.stages[0].trials) == 12
+    assert h.total._eig is None and h.total._evals is None
+    assert all(term._eig is None and term._evals is None for _, term in h.terms)
 
 
 @pytest.mark.parametrize(

@@ -477,6 +477,34 @@ def test_eigenvalues_of_real_complex_degenerate_and_diagonal_matrices():
     assert np.array_equal(_check_eigenvalues(np.zeros((3, 3))), np.zeros(3))
 
 
+def test_the_eigensolve_budget_counts_the_block_buffer_and_the_eigenvectors(
+    no_eigensolver, monkeypatch
+):
+    """A 3 x 3 and a 1 x 1 block: a buffer of 16 * (3² + 1²) bytes, and 16 * 4²
+    more for the eigenvectors. Every path to the solve is refused above the
+    budget before any solver runs, the PSD check of a mixed state included."""
+    a = np.zeros((4, 4), dtype=complex)
+    a[:3, :3], a[3, 3] = random_hermitian(np.random.default_rng(3), 3), 2.0
+    values_only, with_vectors = 16 * 10, 16 * (10 + 16)
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_BYTES", 16 * 4 - 1)  # under four 1 x 1 blocks
+    for solve in (
+        lambda: HermitianOperator(a).eigensystem(),
+        lambda: HermitianOperator(a).eigenvalues(),
+        lambda: validate_and_normalize(QuantumState(np.eye(4) / 4)),  # 4 blocks of 1
+    ):
+        with pytest.raises(DimensionError, match="^eigensolve of dim 4 needs at least "):
+            solve()
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_BYTES", with_vectors - 1)
+    message = f"needs at least {with_vectors} bytes, over the {with_vectors - 1}-byte budget$"
+    with pytest.raises(DimensionError, match=message):
+        HermitianOperator(a).eigensystem()
+    monkeypatch.undo()  # the solvers back: at the budget, each solve runs
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_BYTES", values_only)
+    assert HermitianOperator(a).eigenvalues().shape == (4,)
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_BYTES", with_vectors)
+    assert HermitianOperator(a).eigensystem()[1].shape == (4, 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_eigenvalues_are_the_eigensystems_once_it_is_solved(seed):

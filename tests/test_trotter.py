@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from peigen import (
     Custom,
+    Exact,
     FixedStep,
     HarmonicOscillator,
     Hubbard1D,
@@ -24,15 +25,17 @@ from peigen import (
     branch_unitaries,
     build_model,
     cooling_step,
+    gamma_for,
     run,
     stochastic_trajectory,
     trotter_error,
     verify_fig2a,
     verify_fig2b,
 )
-from peigen import trotter
+from peigen import operators, trotter
 from peigen.models import PAULI_X, PAULI_Y, PAULI_Z
 from peigen.trotter import DimensionError, _coupled, _mode_x
+from peigen.verify import BENCHMARK_MODELS
 from tests import reference
 from tests.conftest import failure_step, random_hermitian, random_state_vector
 
@@ -131,6 +134,24 @@ def test_apply_branches_refuses_taus_that_are_not_one_per_column(tau, shape):
         apply_branches(h, tau, 3, np.ones(shape, dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "tau, shape, need",
+    [(0.3, (16,), 2816), (np.array([0.1, 0.2, 0.3]), (16, 3), 8448), (0.3, (16, 16), 14336)],
+    ids=["vector", "one-tau-per-column", "identity"],
+)
+def test_apply_branches_is_refused_over_the_budget_before_its_tables(tau, shape, need, monkeypatch):
+    """Hubbard L=2 at r=3 has 4 slots of 16 rows: a cos and a sin table of
+    16 * 4 * 16 (* m) complex entries, then y, scratch and U_+ x, 3 * 16 * x.size."""
+    h, x = build_model(Hubbard1D(2, t=1.0, u=2.0)), np.ones(shape, dtype=complex)
+    with monkeypatch.context() as m:
+        m.setattr(operators, "MEMORY_BUDGET_BYTES", need - 1)
+        m.setattr(np, "sin", None)  # the first table
+        with pytest.raises(DimensionError, match=f"^Trotter step of dim 16 needs at least {need:,} "):
+            apply_branches(h, tau, 3, x)
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_BYTES", need)
+    assert apply_branches(h, tau, 3, x)[0].shape == shape
+
+
 def test_exact_w_is_unitary_and_block_diagonal_in_x(harmonic):
     # the joint property that lets the library read W through its branches
     w = reference.wgamma(harmonic, 0.3)
@@ -204,6 +225,25 @@ def test_trotter_error_is_the_dense_joint_distance(name, r, monkeypatch):
             got = trotter_error(h, tau, r)
         assert abs(got - own) <= 1e-12 * own
         assert abs(got - ref) <= 1e-12 * ref + 1e-15
+
+
+_BRANCH_MODELS = {
+    **dict(BENCHMARK_MODELS),
+    "custom-complex": Custom(_random_terms(3, real=False)),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+@pytest.mark.parametrize("name", list(_BRANCH_MODELS))
+def test_trotter_error_reads_one_branch(name, r):
+    """The symmetric sweep has U~(-tau) = U~(tau)^-1 and U_-(tau) = U_+(-tau), so
+    both branch distances are one number; `trotter_error` reads the U_+ one."""
+    h = build_model(_BRANCH_MODELS[name])
+    h = h.with_gamma(gamma_for(h, Exact()))
+    exact, trotterized = trotter._exact_branches(h.total, h.gamma, 0.3), branch_unitaries(h, 0.3, r)
+    plus, minus = (_norm(e - t) for e, t in zip(exact, trotterized))
+    assert trotter_error(h, 0.3, r) == plus
+    assert abs(minus - plus) <= 1e-12 * plus
 
 
 @settings(max_examples=25, deadline=None)
