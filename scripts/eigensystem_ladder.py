@@ -8,8 +8,9 @@ H: `gamma_for(h, Exact())`, which reads the eigenvalues alone, and the full
 to L = 5 it then forms the dense total H (timed) and times one dense complex
 `np.linalg.eigh` of it (ratio = dense eigh / eigensystem), and checks that
 both block spectra and gamma = -E0 agree with it within 1e-12 * max(1, |H|).
-BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set. Exits 1 on a
-disagreement.
+A rung whose eigenvectors are over the memory budget prints its values-only
+time and the refusal, and the ladder goes on. BLAS runs on one thread unless
+OPENBLAS_NUM_THREADS is set. Exits 1 on a disagreement.
 """
 
 import os
@@ -22,7 +23,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from peigen import Exact, Hubbard1D, build_model, gamma_for  # noqa: E402
+from peigen import DimensionError, Exact, Hubbard1D, build_model, gamma_for  # noqa: E402
 
 T, U = 1.0, 2.0
 DENSE_MAX = 5  # largest L also given a dense eigh
@@ -42,9 +43,14 @@ def main(argv=None):
         gamma = gamma_for(h, Exact())
         t1 = time.perf_counter()
         values_only = h.total.eigenvalues()
-        evals, _ = h.total.eigensystem()
+        line = f"{L:<2} {h.dim:6d}   {t1 - t0:13.4f}"
+        try:
+            evals, _ = h.total.eigensystem()
+        except DimensionError as exc:
+            print(f"{line}   refused: {exc}")
+            continue
         t_eig = time.perf_counter() - t1
-        line = f"{L:<2} {h.dim:6d}   {t1 - t0:13.4f}   {t_eig:15.4f}"
+        line += f"   {t_eig:15.4f}"
         if L <= DENSE_MAX:
             t0 = time.perf_counter()
             m = h.total.mat

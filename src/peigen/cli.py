@@ -43,7 +43,7 @@ def _energy_unit(spec) -> dict:
     without one, or whose unit is 0, is labelled raw."""
     label = {Rabi: "g", HarmonicOscillator: "omega", Hubbard1D: "t"}.get(type(spec))
     unit = getattr(spec, label) if label else 0
-    return {"divisor": unit, "label": label} if unit else {"divisor": 1.0, "label": "raw"}
+    return {"divisor": float(unit), "label": label} if unit else {"divisor": 1.0, "label": "raw"}
 
 
 def _state_dict(state: QuantumState) -> dict:
@@ -324,13 +324,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (CertainFailureError, UndefinedOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PeigenError as exc:  # invalid model or state values
+    except PeigenError as exc:  # a config, model or state refused
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,7 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .models import (
     NormBound,
     Rabi,
     TargetLevel,
-    _is_finite,
+    _check_finite,
     basis_state,
     build_model,
     model_dim,
@@ -38,10 +38,17 @@ SCHEMA_VERSION = 1
 class InitialThermal:
     nbar: float
 
+    def __post_init__(self) -> None:
+        _check_finite("nbar", self.nbar, ConfigError)
+
 
 @dataclass(frozen=True)
 class InitialBasis:
     label: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ConfigError(f"label must be a string, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         initial, dim = self.initial, model_dim(self.model)
         if isinstance(initial, InitialThermal) and not isinstance(self.model, HarmonicOscillator):
-            kind = next(k for k, (cls, _) in _MODELS.items() if isinstance(self.model, cls))
+            kind = next(k for k, cls in _MODELS.items() if isinstance(self.model, cls))
             raise ConfigError(f"initial_state.kind thermal needs a harmonic model, got {kind}")
         if isinstance(initial, InitialAmplitudes) and np.shape(initial.amplitudes)[:1] != (dim,):
             shape = np.shape(initial.amplitudes)
@@ -106,28 +113,11 @@ class _Node:
             raise ConfigError(f"unknown key(s): {extra}")
 
 
-def _reader(ok: Callable[[Any], bool], what: str, convert: Callable = lambda raw: raw):
-    """Reader of ``node[key]`` that refuses a value failing ``ok``, naming its path."""
-
-    def read(node: _Node, key: str, default: Any = ...) -> Any:
-        raw = node.take(key, default)
-        if not ok(raw):
-            raise ConfigError(f"'{node.path}.{key}' must be {what}, got {raw!r}")
-        return convert(raw)
-
-    return read
-
-
-def _is_int(raw: Any) -> bool:
-    return isinstance(raw, int) and not isinstance(raw, bool)
-
-
-# Python's json reader accepts Infinity, NaN and huge integers
-_number = _reader(_is_finite, "a finite number", float)
-_integer = _reader(_is_int, "an integer", int)
-_boolean = _reader(lambda raw: isinstance(raw, bool), "a boolean")
-_string = _reader(lambda raw: isinstance(raw, str), "a string")
-_seed = _reader(lambda raw: raw is None or _is_int(raw), "an integer or null")
+def _string(node: _Node, key: str, default: Any = ...) -> str:
+    raw = node.take(key, default)
+    if not isinstance(raw, str):
+        raise ConfigError(f"'{node.path}.{key}' must be a string, got {raw!r}")
+    return raw
 
 
 def _array(node: _Node, key: str) -> np.ndarray:
@@ -150,17 +140,18 @@ def _complex_array(node: _Node, key: str) -> np.ndarray:
     return re + 1j * im
 
 
-def _build(node: _Node, cls: type, readers: dict, **given: Any) -> Any:
-    """``cls`` from ``node`` and ``given``: ``readers`` maps each JSON key to its
-    reader, or to (field name, reader) where the names differ. An absent key
-    keeps its field's default, or is missing if the field has none. The
-    constructor's checks name their field first, so they get the node's path."""
-    no_default = (f for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
-    required = {f.name for f in no_default}
-    for key, reader in readers.items():
-        name, read = reader if isinstance(reader, tuple) else (key, reader)
-        if key in node.data or name in required:
-            given[name] = read(node, key)
+def _build(node: _Node, cls: type, **given: Any) -> Any:
+    """``cls`` from ``node`` and ``given``. A field not given is the raw value of
+    the JSON key of its name, unless ``_READERS[cls]`` maps it to (JSON key,
+    reader). An absent key keeps its field's default, or is missing if the
+    field has none. The constructor checks the values and names the field
+    first, so its message gets the node's path."""
+    readers = _READERS.get(cls, {})
+    for f in fields(cls):
+        key, read = readers.get(f.name, (f.name, _Node.take))
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.name not in given and (key in node.data or required):
+            given[f.name] = read(node, key)
     node.close()
     try:
         return cls(**given)
@@ -173,7 +164,7 @@ def _tagged(node: _Node, tag: str, kinds: dict) -> Any:
     kind = _string(node, tag)
     if kind not in kinds:
         raise ConfigError(f"'{node.path}.{tag}' must be {'|'.join(kinds)}, got {kind!r}")
-    return _build(node, *kinds[kind])
+    return _build(node, kinds[kind])
 
 
 def _section(tag: str, kinds: dict):
@@ -182,7 +173,8 @@ def _section(tag: str, kinds: dict):
 
 
 # ---------------------------------------------------------------------------
-# sections: each kind is a dataclass and the readers of its JSON keys, in read order
+# sections: each kind names its dataclass, and `_READERS` reads the fields that
+# are not plain JSON values
 
 
 def _terms(node: _Node, key: str) -> tuple:
@@ -197,28 +189,15 @@ def _terms(node: _Node, key: str) -> tuple:
     return tuple(terms)
 
 
-_MODELS = {
-    "harmonic": (HarmonicOscillator, dict(omega=_number, cutoff=_integer)),
-    "rabi": (Rabi, dict(omega0=_number, omega=_number, g=_number, cutoff=_integer)),
-    "hubbard": (Hubbard1D, dict(sites=_integer, t=_number, u=_number)),
-    "custom": (Custom, dict(terms=_terms)),
-}
-
+_MODELS = {"harmonic": HarmonicOscillator, "rabi": Rabi, "hubbard": Hubbard1D, "custom": Custom}
 _INITIAL_STATES = {
-    "thermal": (InitialThermal, dict(nbar=_number)),
-    "basis": (InitialBasis, dict(label=_string)),
-    "ground_of": (InitialGroundOf, dict(model=_section("kind", _MODELS))),
-    "amplitudes": (InitialAmplitudes, dict(re=("amplitudes", _complex_array))),
+    "thermal": InitialThermal,
+    "basis": InitialBasis,
+    "ground_of": InitialGroundOf,
+    "amplitudes": InitialAmplitudes,
 }
-
-_GAMMA_POLICIES = {
-    "exact": (Exact, {}),
-    "norm_bound": (NormBound, {}),
-    "fixed": (Fixed, dict(value=_number)),
-    "target_level": (TargetLevel, dict(level=_integer)),
-}
-
-_OPERATORS = {"exact": (ExactW, {}), "trotter": (TrotterW, dict(r=_integer))}
+_GAMMA_POLICIES = {"exact": Exact, "norm_bound": NormBound, "fixed": Fixed, "target_level": TargetLevel}
+_OPERATORS = {"exact": ExactW, "trotter": TrotterW}
 
 
 def _operator(node: _Node, key: str):
@@ -228,22 +207,17 @@ def _operator(node: _Node, key: str):
     return _tagged(_Node(raw, f"{node.path}.{key}"), "kind", _OPERATORS)
 
 
-_OPTIMIZER_READERS = dict(
-    tau_lo=_number, tau_hi=_number, x_tol=_number, max_evals=_integer, coarse_grid=_integer
-)
-
-
 def _mode(node: _Node) -> Union[FixedStep, Variational]:
     """The run mode and its own key, read from the run object itself."""
     name = _string(node, "mode")
     if name == "fixed":
-        mode: Union[FixedStep, Variational] = FixedStep(tau=_number(node, "tau"))
+        mode: Union[FixedStep, Variational] = FixedStep(tau=node.take("tau"))
         if "optimizer" in node.data:
             raise ConfigError(f"'{node.path}.optimizer' is only valid in variational mode")
     elif name == "variational":
         mode = Variational()
         if "optimizer" in node.data:
-            mode = Variational(_build(node.child("optimizer"), OptimizerConfig, _OPTIMIZER_READERS))
+            mode = Variational(_build(node.child("optimizer"), OptimizerConfig))
         if "tau" in node.data:
             raise ConfigError(f"'{node.path}.tau' is only valid in fixed mode")
     else:
@@ -251,21 +225,9 @@ def _mode(node: _Node) -> Union[FixedStep, Variational]:
     return mode
 
 
-_RUN_READERS = {
-    "gamma": ("gamma_policy", _section("policy", _GAMMA_POLICIES)),
-    "epsilon": _number,
-    "max_stages": _integer,
-    "operator": ("operator_mode", _operator),
-    "seed": _seed,
-    "target_level": _integer,
-    "eject_shifted": _boolean,
-    "f_tol": _number,
-}
-
-
 def _run(node: _Node, key: str) -> RunConfig:
     run = node.child(key)
-    return _build(run, RunConfig, _RUN_READERS, mode=_mode(run))
+    return _build(run, RunConfig, mode=_mode(run))
 
 
 def _stem(node: _Node, key: str) -> str:
@@ -277,18 +239,29 @@ def _stem(node: _Node, key: str) -> str:
     return stem
 
 
+_READERS = {
+    Custom: dict(terms=("terms", _terms)),
+    InitialGroundOf: dict(model=("model", _section("kind", _MODELS))),
+    InitialAmplitudes: dict(amplitudes=("re", _complex_array)),
+    RunConfig: dict(
+        gamma_policy=("gamma", _section("policy", _GAMMA_POLICIES)),
+        operator_mode=("operator", _operator),
+    ),
+    ExperimentConfig: dict(
+        model=("model", _section("kind", _MODELS)),
+        initial=("initial_state", _section("kind", _INITIAL_STATES)),
+        run=("run", _run),
+        output_stem=("output", _stem),
+    ),
+}
+
+
 def parse_experiment(data: Any, source: str = "config") -> ExperimentConfig:
     root = _Node(data, source)
     schema = root.take("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"'{source}.schema' must be {SCHEMA_VERSION}, got {schema!r}")
-    readers = {
-        "model": _section("kind", _MODELS),
-        "initial_state": ("initial", _section("kind", _INITIAL_STATES)),
-        "run": _run,
-        "output": ("output_stem", _stem),
-    }
-    return _build(root, ExperimentConfig, readers)
+    return _build(root, ExperimentConfig)
 
 
 def read_json(path: Path) -> Any:

@@ -184,6 +184,7 @@ def _diagonal(vals: np.ndarray) -> HermitianOperator:
 
 
 def _build_harmonic(spec: HarmonicOscillator) -> SumHamiltonian:
+    _within_budget(f"harmonic mode of cutoff {spec.cutoff}", 24 * spec.cutoff)  # perm, complex vals
     n = np.arange(spec.cutoff, dtype=float)
     return SumHamiltonian((("omega*n", _diagonal(spec.omega * n)),))
 
@@ -196,9 +197,10 @@ def _build_rabi(spec: Rabi) -> SumHamiltonian:
     so cutoff 2 keeps one part and g = 0 none (the coupling is then a zero
     diagonal). Several parts make a dense-eigensystem Trotter group."""
     nfock, d = spec.cutoff, 2 * spec.cutoff
+    _within_budget(f"Rabi model of cutoff {nfock}", 3 * 24 * d)  # three monomials' perm, complex vals
     idx = np.arange(d)
     q, n = np.divmod(idx, nfock)
-    h1 = 0.5 * spec.omega0 * (1 - 2 * q) + spec.omega * n
+    h1 = 0.5 * spec.omega0 * (1 - 2 * q) + float(spec.omega) * n  # an int omega times int64 n may overflow
     parts = []
     for parity in (0, 1):
         m = np.where(n % 2 == parity, n + 1, n - 1)  # bond partner of n
@@ -237,7 +239,7 @@ def _build_hubbard_jw(spec: Hubbard1D) -> SumHamiltonian:
     the Z string, times -1 for Y Y when bits p and q agree; an on-site term
     is the diagonal u * occ_up * occ_dn.
     """
-    L, t, u = spec.sites, spec.t, spec.u
+    L, t, u = spec.sites, spec.t, float(spec.u)  # an int u times int64 occ may overflow
     # occ's 2L int64 rows, then each of the 5L - 4 terms' perm and complex vals
     _within_budget(f"Hubbard chain of {L} sites", (16 * L + 24 * (5 * L - 4)) * 4**L)
     n = 2 * L
@@ -294,6 +296,7 @@ def thermal_state(spec: HarmonicOscillator, nbar: float) -> QuantumState:
         raise CutoffError(
             f"cutoff {spec.cutoff} truncates {tail:.3e} thermal weight (> 1e-6) at nbar={nbar}"
         )
+    _within_budget(f"thermal state of cutoff {spec.cutoff}", 16 * spec.cutoff**2)  # complex rho
     p = (1.0 - q) * q ** np.arange(spec.cutoff)
     p = p / p.sum()
     return QuantumState(np.diag(p.astype(complex)))

@@ -143,7 +143,8 @@ def minimize_stage(
                 best, kept_best = trials[-1], kept
         return trials[-1].energy
 
-    xs = [float(x) for x in np.linspace(opt.tau_lo, opt.tau_hi, opt.coarse_grid)]
+    # float ends: numpy keeps an int beyond int64 as an object array
+    xs = [float(x) for x in np.linspace(float(opt.tau_lo), float(opt.tau_hi), opt.coarse_grid)]
     ev(xs)
     i_best = best.trial_index  # the grid's best
     a = xs[max(i_best - 1, 0)]

@@ -13,6 +13,16 @@ import pytest
 
 from peigen import (
     ConfigError,
+    Fixed,
+    FixedStep,
+    HarmonicOscillator,
+    Hubbard1D,
+    OptimizerConfig,
+    PeigenError,
+    Rabi,
+    RunConfig,
+    TargetLevel,
+    TrotterW,
     build_model,
     exact_spectrum,
     expectation,
@@ -21,7 +31,13 @@ from peigen import (
 )
 from peigen import cli, models
 from peigen.cli import main
-from peigen.config import build_initial_state, bundled_config_dir, parse_experiment
+from peigen.config import (
+    InitialBasis,
+    InitialThermal,
+    build_initial_state,
+    bundled_config_dir,
+    parse_experiment,
+)
 
 BUNDLED = bundled_config_dir()
 
@@ -216,18 +232,15 @@ def _fixed_cfg(**changes):
             "cfg.json.run.target_level must be <= max_stages = 1, got 3",
         ),
         (_fixed_cfg(**{"run.seed": -1}), "cfg.json.run.seed must be >= 0, got -1"),
-        (_fixed_cfg(**{"run.seed": 2.5}), "'cfg.json.run.seed' must be an integer or null, got 2.5"),
-        (_fixed_cfg(**{"run.seed": True}), "'cfg.json.run.seed' must be an integer or null, got True"),
-        (
-            _fixed_cfg(**{"run.epsilon": math.inf}),
-            "'cfg.json.run.epsilon' must be a finite number, got inf",
-        ),
-        (_fixed_cfg(**{"run.f_tol": math.inf}), "'cfg.json.run.f_tol' must be a finite number, got inf"),
+        (_fixed_cfg(**{"run.seed": 2.5}), "cfg.json.run.seed must be an integer, got 2.5"),
+        (_fixed_cfg(**{"run.seed": True}), "cfg.json.run.seed must be an integer, got True"),
+        (_fixed_cfg(**{"run.epsilon": math.inf}), "cfg.json.run.epsilon must be finite, got inf"),
+        (_fixed_cfg(**{"run.f_tol": math.inf}), "cfg.json.run.f_tol must be finite, got inf"),
         (
             _fixed_cfg(
                 **{"run.mode": "variational", "run.tau": None, "run.optimizer": {"x_tol": math.inf}}
             ),
-            "'cfg.json.run.optimizer.x_tol' must be a finite number, got inf",
+            "cfg.json.run.optimizer.x_tol must be finite, got inf",
         ),
     ],
     ids=[
@@ -251,6 +264,109 @@ def test_config_rejection_names_the_key(doc, message):
     with pytest.raises(ConfigError) as info:
         parse_experiment(doc, source="cfg.json")
     assert str(info.value) == message
+
+
+_HARMONIC = dict(omega=1.0, cutoff=5)
+_RABI = dict(omega0=1.2, omega=0.8, g=1.0, cutoff=4)
+_HUBBARD = dict(sites=2, t=1.0, u=2.0)
+
+
+def _field(key, make, wrong, *out_of_range, where=None, id=None, **section):
+    """A leaf field: its dotted JSON key, the Python constructor of its value,
+    its bad values and the sections it needs; the JSON message is the
+    constructor's with the path of ``where`` (default: the key's object) in front."""
+    where = where or key.rpartition(".")[0]
+    values = (wrong, *out_of_range)
+    return pytest.param(key, make, section, where, values, id=id or key.replace(".", "-"))
+
+
+def _model_field(cls, kind, base, name, wrong, *out_of_range):
+    make = lambda v: cls(**{**base, name: v})  # noqa: E731
+    model = {"kind": kind, **base}
+    return _field(f"model.{name}", make, wrong, *out_of_range, id=f"{kind}-{name}", model=model)
+
+
+def _run_field(name, wrong, *out_of_range):
+    make = lambda v: RunConfig(FixedStep(0.3), **{name: v})  # noqa: E731
+    return _field(f"run.{name}", make, wrong, *out_of_range)
+
+
+def _optimizer_field(name, wrong, *out_of_range):
+    make = lambda v: OptimizerConfig(**{name: v})  # noqa: E731
+    section = {"run.mode": "variational", "run.tau": None, "run.optimizer": {}}
+    return _field(f"run.optimizer.{name}", make, wrong, *out_of_range, **section)
+
+
+@pytest.mark.parametrize(
+    "key, make, section, where, values",
+    [
+        _model_field(HarmonicOscillator, "harmonic", _HARMONIC, "omega", "1", math.inf),
+        _model_field(HarmonicOscillator, "harmonic", _HARMONIC, "cutoff", 5.0, 1),
+        _model_field(Rabi, "rabi", _RABI, "omega0", "1.2", -math.inf),
+        _model_field(Rabi, "rabi", _RABI, "omega", [1.0], math.inf),
+        _model_field(Rabi, "rabi", _RABI, "g", True, 10**400),
+        _model_field(Rabi, "rabi", _RABI, "cutoff", "4", 0),
+        _model_field(Hubbard1D, "hubbard", _HUBBARD, "sites", 2.5, 0),
+        _model_field(Hubbard1D, "hubbard", _HUBBARD, "t", {}, math.inf),
+        _model_field(Hubbard1D, "hubbard", _HUBBARD, "u", False, -math.inf),
+        _field(
+            "initial_state.nbar", InitialThermal, "0.5", math.inf,
+            initial_state={"kind": "thermal", "nbar": 0.5},
+        ),
+        _field("initial_state.label", InitialBasis, 3),  # 3 reached basis_state's label.split
+        _field("run.gamma.value", Fixed, "0.3", math.inf, **{"run.gamma": {"policy": "fixed"}}),
+        _field("run.gamma.level", TargetLevel, 0.0, -1, **{"run.gamma": {"policy": "target_level"}}),
+        _field(
+            "run.operator.r", lambda v: RunConfig(FixedStep(0.3), operator_mode=TrotterW(v)), 3.0, 0,
+            where="run", **{"run.operator": {"kind": "trotter"}},
+        ),
+        _field("run.tau", lambda v: RunConfig(FixedStep(v)), "0.3", 0, where="run"),
+        _run_field("epsilon", [1e-3], 0.0),
+        _run_field("max_stages", 1.5, 0),
+        _run_field("seed", "7", -1),
+        _run_field("target_level", True, -1),
+        _run_field("eject_shifted", 1),
+        _run_field("f_tol", "0.1", -1e-3),
+        _optimizer_field("tau_lo", "0.01", 0.0),
+        _optimizer_field("tau_hi", {}, 0.005),
+        _optimizer_field("x_tol", [], 0),
+        _optimizer_field("max_evals", 12.0, 2),
+        _optimizer_field("coarse_grid", False, 1),
+    ],
+)
+def test_a_field_is_checked_by_its_dataclass_and_named_by_its_path(key, make, section, where, values):
+    # every refusal of a JSON leaf is the Python constructor's message with the path in front
+    for value in values:
+        with pytest.raises(PeigenError) as python:
+            make(value)
+        with pytest.raises(ConfigError) as parsed:
+            parse_experiment(_fixed_cfg(**section, **{key: value}), source="cfg.json")
+        assert str(parsed.value) == f"cfg.json.{where}.{python.value}"
+
+
+def _ints(doc):
+    """``doc`` with every integral float written as an int, as a JSON writer may."""
+    if isinstance(doc, dict):
+        return {k: _ints(v) for k, v in doc.items()}
+    if isinstance(doc, float) and doc.is_integer():
+        return int(doc)
+    return doc
+
+
+@pytest.mark.parametrize("name", ["rabi_variational", "hubbard2_variational", "harmonic_fixed"])
+def test_integer_valued_numbers_write_the_bytes_of_their_float_twin(name, tmp_path):
+    # "g": 1, "t": 1, "omega": 1 and "tau_hi": 1 in place of 1.0: only the echoed config differs
+    twin = json.loads((BUNDLED / f"{name}.json").read_text())
+    if twin["run"]["mode"] == "variational":
+        twin["run"]["optimizer"] = {"tau_lo": 0.01, "tau_hi": 1.0}
+    out = {}
+    for kind, doc in (("float", twin), ("int", _ints(twin))):
+        assert _run_cli(_write_cfg(tmp_path, f"{kind}.json", doc), tmp_path / kind) in (0, 3)
+        trace = json.loads((tmp_path / kind / f"{name}.json").read_text())
+        assert trace.pop("config") == doc
+        out[kind] = json.dumps(trace), (tmp_path / kind / f"{name}.csv").read_bytes()
+    assert json.dumps(_ints(twin)) != json.dumps(twin)
+    assert out["int"] == out["float"]
 
 
 def _ground_of_cfg(sites: int, u: float) -> dict:
@@ -387,6 +503,48 @@ def test_a_hubbard_chain_over_the_budget_exits_one_before_it_is_built(
     assert capsys.readouterr().err == (
         f"error: Hubbard chain of {sites} sites needs at least {need} bytes, "
         "over the 2,147,483,648-byte budget\n"
+    )
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+RABI = {"kind": "rabi", "omega0": 1.2, "omega": 0.8, "g": 1.0}
+
+
+@pytest.mark.parametrize(
+    "model, initial, what, need",
+    [
+        (
+            {"kind": "harmonic", "omega": 1.0, "cutoff": 10**13},
+            {"kind": "basis", "label": "0"},
+            "harmonic mode of cutoff 10000000000000",
+            "240,000,000,000,000",
+        ),
+        (
+            {**RABI, "cutoff": 10**13},
+            {"kind": "basis", "label": "up,0"},
+            "Rabi model of cutoff 10000000000000",
+            "1,440,000,000,000,000",
+        ),
+        (
+            {"kind": "harmonic", "omega": 1.0, "cutoff": 20_000},
+            {"kind": "thermal", "nbar": 0.5},
+            "thermal state of cutoff 20000",
+            "6,400,000,000",
+        ),
+    ],
+    ids=["harmonic", "rabi", "thermal"],
+)
+def test_a_harmonic_or_rabi_model_or_thermal_state_over_the_budget_exits_one(
+    model, initial, what, need, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the thermal state allocated over the budget")
+
+    monkeypatch.setattr(models.np, "diag", refuse)  # its d x d rho
+    cfg = _write_cfg(tmp_path, "big.json", _basis_cfg(model, initial))
+    assert _run_cli(cfg, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {what} needs at least {need} bytes, over the 2,147,483,648-byte budget\n"
     )
     assert list(tmp_path.iterdir()) == [cfg]
 

@@ -513,6 +513,17 @@ def test_float_fields_take_ints_and_numpy_reals_and_keep_their_messages():
         Fixed(10**400)  # no float holds it
 
 
+@pytest.mark.parametrize(
+    "spec, twin",
+    [(Rabi(1, 10**20, 1, 4), Rabi(1.0, 1e20, 1.0, 4)), (Hubbard1D(2, 1, 10**20), Hubbard1D(2, 1.0, 1e20))],
+    ids=["rabi-omega", "hubbard-u"],
+)
+def test_an_int_field_beyond_int64_builds_as_its_float(spec, twin):
+    # the int times an int64 index array overflowed; a JSON reader keeps such an int
+    got, want = build_model(spec).terms, build_model(twin).terms
+    assert all(np.array_equal(a.mat, b.mat) for (_, a), (_, b) in zip(got, want, strict=True))
+
+
 def test_integer_fields_take_numpy_integers_and_keep_their_bounds():
     assert model_dim(HarmonicOscillator(1.0, cutoff=np.int64(3))) == 3
     assert model_dim(Hubbard1D(np.int32(2), 1.0, 2.0)) == 16
@@ -521,6 +532,30 @@ def test_integer_fields_take_numpy_integers_and_keep_their_bounds():
         Rabi(1.2, 0.8, 1.0, cutoff=1)
     with pytest.raises(ConfigError, match="^level must be >= 0, got -1$"):
         TargetLevel(-1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_model(Exact()), ConfigError, "unknown model spec Exact"),
+        (lambda: model_dim("harmonic"), ConfigError, "unknown model spec str"),
+        (
+            lambda: gamma_for(build_model(HarmonicOscillator(1.0, 3)), HarmonicOscillator(1.0, 3)),
+            ConfigError,
+            "unknown gamma policy HarmonicOscillator",
+        ),
+        (  # a non-Hermitian rho, built directly: tr(rho Y) = i rho[0, 1]
+            lambda: expectation(QuantumState([[0.5, 1.0], [0.0, 0.5]]), HermitianOperator(PAULI_Y)),
+            ValidationError,
+            "expectation has imaginary residue 1.000e+00",
+        ),
+    ],
+    ids=["build_model", "model_dim", "gamma_for", "expectation"],
+)
+def test_a_foreign_object_or_a_complex_expectation_is_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

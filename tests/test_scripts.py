@@ -72,3 +72,19 @@ def test_eigensystem_ladder_checks_both_solves_against_a_dense_eigh(monkeypatch,
     assert "gamma_for (s)" in header and "eigensystem (s)" in header
     assert [row.split()[:2] for row in rows] == [["2", "16"], ["3", "64"]]
     assert all(float(row.split()[-1]) <= 1e-12 for row in rows)
+
+
+def test_eigensystem_ladder_reports_a_refused_rung_and_goes_on(monkeypatch, capsys):
+    from peigen import operators
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # L=3 builds (19,968 bytes) and solves its values (6,400), but not its 64 x 64 eigenvectors
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_BYTES", 30_000)
+    assert _script("eigensystem_ladder").main(["--sites", "2", "3", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows] == [["2", "16"], ["3", "64"], ["2", "16"]]
+    assert float(rows[1].split()[2]) >= 0  # the values-only time
+    assert rows[1].endswith(
+        "refused: eigensolve of dim 64 needs at least 71,936 bytes, over the 30,000-byte budget"
+    )
+    assert all(float(row.split()[-1]) <= 1e-12 for row in (rows[0], rows[2]))

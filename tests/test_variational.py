@@ -145,6 +145,14 @@ def test_minimize_tie_break_prefers_smaller_tau(harmonic):
     assert res.best.tau == pytest.approx(0.01, abs=1e-12)
 
 
+def test_an_int_search_domain_beyond_int64_grids_as_its_float(harmonic):
+    # numpy keeps such an int, which a JSON reader passes on, as an object array
+    state = basis_vector(30, 2)
+    got = minimize_stage(state, harmonic, OptimizerConfig(tau_lo=1, tau_hi=10**20))
+    want = minimize_stage(state, harmonic, OptimizerConfig(tau_lo=1.0, tau_hi=1e20))
+    assert got.trials == want.trials
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(tau_lo=0.5, tau_hi=0.2)
