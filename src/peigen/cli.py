@@ -182,7 +182,7 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     names = [n.strip() for n in args.only.split(",")] if args.only else None
     try:
-        report = run_all(names, break_circuits=args.debug_break_circuits)
+        report = run_all(names)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
@@ -291,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", help="comma-separated subset: fig2a, fig2b, trotter, appendix-a"
     )
     p_ver.add_argument("--out", help="also write report.json here")
-    p_ver.add_argument(
-        "--debug-break-circuits", action="store_true", help=argparse.SUPPRESS
-    )
     p_ver.set_defaults(func=cmd_verify)
 
     p_sw = sub.add_parser("sweep", help="sweep one scalar config field")

@@ -40,6 +40,8 @@ class InitialThermal:
 
     def __post_init__(self) -> None:
         _check_finite("nbar", self.nbar, ConfigError)
+        if self.nbar < 0:  # thermal_state's check, here with the key's path
+            raise ConfigError(f"nbar must be >= 0, got {self.nbar}")
 
 
 @dataclass(frozen=True)

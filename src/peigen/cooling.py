@@ -1,7 +1,8 @@
 """The protocol's physics: the conditional cooling step, the ejection of a
-selected eigenstate as one such step (`ejection_step`), the stage and trace
-records, and a stochastic restart-on-failure trajectory mode. The classical
-outer loop that drives them lives in `variational.run`.
+selected eigenstate as one such step (`ejection_step`) and a run's ejection
+prefix (`_ejections`), the stage and trace records, and a stochastic
+restart-on-failure trajectory mode. The classical outer loop that drives
+them lives in `variational.run`.
 
 Traces follow the post-selected (ancilla |0>) branch deterministically and
 record its probability; a step forms that branch only, and the failure
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union, get_args
+from typing import Iterator, Optional, Union, get_args
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .operators import QuantumState, check_dim, validate_and_normalize
 from .trotter import apply_branches, branch_unitaries
 
 BRANCH_PROB_FLOOR = 1e-14
+MAX_SHOTS = 1_000_000  # a stochastic trajectory's shot budget
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +110,9 @@ class ExactW:
 class TrotterW:
     r: int
 
+    def __post_init__(self) -> None:
+        _at_least("r", self.r, 1)
+
 
 OperatorMode = Union[ExactW, TrotterW]
 _OPERATOR_MODES = get_args(OperatorMode)
@@ -137,8 +142,6 @@ class RunConfig:
         _at_least("max_stages", self.max_stages, 1)
         if isinstance(self.mode, FixedStep):
             _positive("tau", self.mode.tau)
-        if isinstance(self.operator_mode, TrotterW):
-            _at_least("operator.r (Trotter steps)", self.operator_mode.r, 1)
         if (target := self.target_level) is not None:
             _at_least("target_level", target, 0)
             most = self.max_stages  # each level below the target is one ejection stage
@@ -255,12 +258,6 @@ def ejection_step(h: SumHamiltonian, e_s: float, shifted: bool = False) -> tuple
     return h_s, math.pi / (2.0 * denom)
 
 
-def _ejection_failed(level: int, e_s: float, p: float) -> CertainFailureError:
-    return CertainFailureError(
-        f"ejection of level {level} at E_s={e_s:.6g} has zero success probability (p={p:.3e})"
-    )
-
-
 def ejected_energies(h: SumHamiltonian, config: RunConfig) -> tuple[float, ...]:
     """The energies a run ejects, in order: the levels below its target level
     (none without one), a degenerate level once per copy: a repeat is one more
@@ -282,6 +279,22 @@ def ejected_energies(h: SumHamiltonian, config: RunConfig) -> tuple[float, ...]:
                 f"(weight left {kept:.3e})"
             )
     return tuple(float(e) for e in evals[:target])
+
+
+def _ejections(
+    state: QuantumState, h: SumHamiltonian, config: RunConfig
+) -> Iterator[tuple[float, QuantumState, float]]:
+    """A run's ejections from ``state`` on its gamma-shifted model ``h``, in
+    order: for each `ejected_energies` energy E_s, the exact `cooling_step`
+    at its `ejection_step`, yielded as (E_s, state0, p0). Raises where a
+    kept branch is below the floor."""
+    for level, e_s in enumerate(ejected_energies(h, config)):
+        state, p0 = cooling_step(state, *ejection_step(h, e_s, config.eject_shifted))
+        if state is None:
+            raise CertainFailureError(
+                f"ejection of level {level} at E_s={e_s:.6g} has zero success probability (p={p0:.3e})"
+            )
+        yield e_s, state, p0
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +375,8 @@ def trajectory_probabilities(
     schedule: tuple[float, ...],
 ) -> np.ndarray:
     """Deterministic p0 of each stage of a run, as its trace records them: one
-    per `ejected_energies` ejection (a `cooling_step` at its `ejection_step`),
-    then one per ``schedule`` tau. Exact-mode cooling reads the
+    per ejection (`_ejections`, as `variational.run` makes them), then one
+    per ``schedule`` tau. Exact-mode cooling reads the
     eigen-populations P once, then per stage p0 = w·P and P <- w⊙P / p0 with
     w = cos²((E + gamma) tau); Trotter mode replays each stage with
     `cooling_step`. A schedule holding a non-finite tau is refused whole."""
@@ -371,10 +384,7 @@ def trajectory_probabilities(
         _check_finite("tau", tau)
     state, hg = _start(initial, h, config)
     p0s = []
-    for level, e_s in enumerate(ejected_energies(hg, config)):
-        state, p0 = cooling_step(state, *ejection_step(hg, e_s, config.eject_shifted))
-        if state is None:
-            raise _ejection_failed(level, e_s, p0)
+    for _, state, p0 in _ejections(state, hg, config):
         p0s.append(p0)
     if exact := isinstance(config.operator_mode, ExactW):
         evals, pops = eigen_populations(state, hg)
@@ -396,24 +406,21 @@ def stochastic_trajectory(
     h: SumHamiltonian,
     config: RunConfig,
     schedule: tuple[float, ...],
-    *,
-    max_shots: int = 1_000_000,
 ) -> TrajectoryResult:
     """Sample ancilla outcomes Bernoulli(p0), ejections included; restart
     from scratch on a 1.
 
     Since every failure restarts from the same initial state, the per-stage
     probabilities come once from `trajectory_probabilities`; see there.
-    At most ``max_shots`` shots are drawn, an integer >= 1."""
+    At most `MAX_SHOTS` shots are drawn."""
     if config.seed is None:
         raise ConfigError("stochastic_trajectory requires a seed in the run config")
-    _at_least("max_shots", max_shots, 1)
     p0s = trajectory_probabilities(initial, h, config, tuple(schedule))
     rng = np.random.default_rng(config.seed)
     restarts = shots = 0
-    while shots < max_shots:
+    while shots < MAX_SHOTS:
         for p0 in p0s:
-            if shots >= max_shots:
+            if shots >= MAX_SHOTS:
                 break
             shots += 1
             if rng.random() >= p0:

@@ -412,7 +412,7 @@ class Fixed:
     value: float
 
     def __post_init__(self) -> None:
-        _check_finite("gamma", self.value)
+        _check_finite("value", self.value)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ class HermitianOperator:
     strings), else the remainder. `sum` fuses the structure of several
     operators. The dense ``mat`` is formed only when first read: the
     eigensystem or eigenvalues (solved per block of the nonzero pattern by
-    `_block_eigh`), `block` and `expectation` read the structure. Each cache
+    `_block_eigh`) and `expectation` read the structure. Each cache
     (``mat``, eigensystem, eigenvalues) is written once, read-only and never
     mutated; concurrent readers observe either no cache or the completed value.
     """
@@ -247,24 +247,13 @@ class HermitianOperator:
         """The dense read-only matrix, materialised from the structure on
         first access."""
         if self._mat is None:
-            a = self.block(np.arange(self.dim))
+            r, c, v = self._entries()
+            a = np.zeros(self.dim * self.dim, dtype=complex)
+            np.add.at(a, r * self.dim + c, v)  # zeros, then each part's entries, then the remainder's
+            a = a.reshape(self.dim, self.dim)
             a.setflags(write=False)
             self._mat = a
         return self._mat
-
-    def block(self, idx: object) -> np.ndarray:
-        """``mat[np.ix_(idx, idx)]`` for distinct indices ``idx``, gathered
-        from the structure without forming ``mat``: zeros, then each part's
-        entries in order, then the remainder's."""
-        idx = np.asarray(idx, dtype=np.intp)
-        n = idx.size
-        loc = np.full(self.dim, -1, dtype=np.intp)
-        loc[idx] = np.arange(n)
-        r, c, v = self._entries()
-        keep = (loc[r] >= 0) & (loc[c] >= 0)
-        out = np.zeros(n * n, dtype=complex)
-        np.add.at(out, loc[r[keep]] * n + loc[c[keep]], v[keep])
-        return out.reshape(n, n)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and matching orthonormal complex columns, a

@@ -1,9 +1,9 @@
 """The classical outer loop: per-stage bounded scalar minimization of the
 post-selected average energy over tau (coarse grid + golden-section
-refinement), and `run`, the one protocol driver. A run is one loop of
-ancilla-conditioned stages: ejections of the levels below an optional
-target, then cooling steps at a fixed or optimized tau until the stage
-energy settles. An optimized stage forms one branch, its best trial's."""
+refinement), and `run`, the one protocol driver. A run is the ejections of
+the levels below an optional target (`cooling._ejections`), then one loop of
+cooling steps at a fixed or optimized tau until the stage energy settles.
+An optimized stage forms one branch, its best trial's."""
 
 from __future__ import annotations
 
@@ -28,12 +28,10 @@ from .cooling import (
     _check_state,
     _eigen_branch,
     _eigen_coefficients,
-    _ejection_failed,
+    _ejections,
     _start,
     cooling_step,
     eigen_populations,
-    ejected_energies,
-    ejection_step,
 )
 from .errors import CertainFailureError
 from .models import SumHamiltonian
@@ -182,57 +180,43 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
 
     With a config ``target_level`` j, the first j stages eject the levels
     below j (oracle energies), each an exact cooling step at its
-    `ejection_step`; the trace then reports the fidelity with the target
-    eigenspace and whether the run converged onto it (within f_tol). Every
-    further stage is a cooling step at the fixed tau or at the minimizer of
-    that stage's post-selected energy, whose trial log the stage carries,
-    until a cooling stage moves the energy by at most epsilon. A stage at
-    the minimizer takes its state, p0 and energy from the best trial's
-    branch (`MinimizeResult.branch`), bitwise the `cooling_step` it stands
-    for; every other stage makes its `cooling_step`.
+    `ejection_step` (`cooling._ejections`, which the trajectory replay
+    shares); the trace then reports the fidelity with the target eigenspace
+    and whether the run converged onto it (within f_tol). Every further
+    stage is a cooling step at the fixed tau or at the minimizer of that
+    stage's post-selected energy, whose trial log the stage carries, until a
+    cooling stage moves the energy by at most epsilon. A stage at the
+    minimizer takes its state, p0 and energy from the best trial's branch
+    (`MinimizeResult.branch`), bitwise the `cooling_step` it stands for; a
+    fixed stage makes its `cooling_step`.
     Non-convergence at max_stages yields converged=False, not an exception."""
     state, hg = _start(initial, h, config)
-    ejected = ejected_energies(hg, config)
     total = hg.total
-    e0 = e_prev = expectation(state, total)
+    e0 = expectation(state, total)
     stages: list[StageRecord] = []
-    p_cum = 1.0
+
+    def record(p0: float, energy: float, **fields) -> None:
+        p_suc = stages[-1].p_suc * p0 if stages else p0  # cumulative over all stages so far
+        stages.append(StageRecord(k=len(stages) + 1, energy=energy, p0=p0, p_suc=p_suc, **fields))
+
+    shifted = config.eject_shifted
+    for e_s, state, p0 in _ejections(state, hg, config):
+        record(p0, expectation(state, total), kind="eject", tau=None, e_s=e_s, shifted=shifted)
+    e_prev = stages[-1].energy if stages else e0
     converged = False
-    while len(stages) < config.max_stages:
-        accepted = None  # the best trial's kept branch: (state, p0, energy)
-        if (level := len(stages)) < len(ejected):
-            h_s, tau, operator_mode = *ejection_step(hg, ejected[level], config.eject_shifted), ExactW()
-            record = dict(kind="eject", tau=None, e_s=ejected[level], shifted=config.eject_shifted)
+    while not converged and len(stages) < config.max_stages:
+        if isinstance(config.mode, Variational):
+            res = minimize_stage(state, hg, config.mode.optimizer, operator_mode=config.operator_mode)
+            tau, trials, exhausted, branch = res.best.tau, res.trials, res.budget_exhausted, res.branch
         else:
-            if not isinstance(config.mode, Variational):
-                tau, trials, exhausted = config.mode.tau, (), False
-            else:
-                res = minimize_stage(
-                    state, hg, config.mode.optimizer, operator_mode=config.operator_mode
-                )
-                tau, trials, exhausted = res.best.tau, res.trials, res.budget_exhausted
-                accepted = res.branch
-            h_s, operator_mode = hg, config.operator_mode
-            record = dict(
-                kind="cool", tau=float(tau), trials=trials, opt_budget_exhausted=exhausted
-            )
-        if accepted is None:
-            state, p0 = cooling_step(state, h_s, tau, operator_mode)
-            if state is None:
-                if record["kind"] == "eject":
-                    raise _ejection_failed(level, ejected[level], p0)
-                raise CertainFailureError(
-                    f"cooling stage at tau={tau:.6g} has zero success probability"
-                )
-            energy = expectation(state, total)
-        else:
-            state, p0, energy = accepted
-        p_cum *= p0
-        stages.append(StageRecord(k=len(stages) + 1, energy=energy, p0=p0, p_suc=p_cum, **record))
-        if record["kind"] == "cool" and abs(e_prev - energy) <= config.epsilon:
-            converged = True
-            break
-        e_prev = energy
+            tau, trials, exhausted = config.mode.tau, (), False
+            kept, p0 = cooling_step(state, hg, tau, config.operator_mode)
+            branch = None if kept is None else (kept, p0, expectation(kept, total))
+        if branch is None:
+            raise CertainFailureError(f"cooling stage at tau={tau:.6g} has zero success probability")
+        state, p0, energy = branch
+        record(p0, energy, kind="cool", tau=float(tau), trials=trials, opt_budget_exhausted=exhausted)
+        converged, e_prev = abs(e_prev - energy) <= config.epsilon, energy
 
     fidelity = None
     target = config.target_level
@@ -246,7 +230,7 @@ def run(initial: QuantumState, h: SumHamiltonian, config: RunConfig) -> CoolingT
         final_state=state,
         final_energy=stages[-1].energy,
         initial_energy=e0,
-        p_success=p_cum,
+        p_success=stages[-1].p_suc,
         gamma=hg.gamma,
         target_level=target,
         target_fidelity=fidelity,

@@ -97,14 +97,14 @@ def energy(data, h):
 
 def hubbard_sector_minimum(h, L, n_up, n_dn):
     """Lowest eigenvalue within a fixed (n_up, n_dn) particle-number sector
-    of a Hubbard chain of L sites, from the sector block of the total H."""
+    of a Hubbard chain of L sites, from the sector block of the dense total H."""
     if 4**L != h.dim:
         raise DimensionError(f"L={L} needs dim {4**L}, but H has dim {h.dim}")
     ups, dns = _hubbard_counts(L)
     idx = np.flatnonzero((ups == n_up) & (dns == n_dn))
     if not idx.size:
         raise ConfigError(f"empty sector n_up={n_up}, n_dn={n_dn} for L={L}")
-    return float(np.linalg.eigvalsh(h.total.block(idx)).min())
+    return float(np.linalg.eigvalsh(h.total.mat[np.ix_(idx, idx)]).min())
 
 
 def wgamma(h, tau):

@@ -29,7 +29,7 @@ from peigen import (
     run,
     stochastic_trajectory,
 )
-from peigen import cli, models
+from peigen import cli, models, verify
 from peigen.cli import main
 from peigen.config import (
     InitialBasis,
@@ -310,16 +310,13 @@ def _optimizer_field(name, wrong, *out_of_range):
         _model_field(Hubbard1D, "hubbard", _HUBBARD, "t", {}, math.inf),
         _model_field(Hubbard1D, "hubbard", _HUBBARD, "u", False, -math.inf),
         _field(
-            "initial_state.nbar", InitialThermal, "0.5", math.inf,
+            "initial_state.nbar", InitialThermal, "0.5", math.inf, -1,
             initial_state={"kind": "thermal", "nbar": 0.5},
         ),
         _field("initial_state.label", InitialBasis, 3),  # 3 reached basis_state's label.split
         _field("run.gamma.value", Fixed, "0.3", math.inf, **{"run.gamma": {"policy": "fixed"}}),
         _field("run.gamma.level", TargetLevel, 0.0, -1, **{"run.gamma": {"policy": "target_level"}}),
-        _field(
-            "run.operator.r", lambda v: RunConfig(FixedStep(0.3), operator_mode=TrotterW(v)), 3.0, 0,
-            where="run", **{"run.operator": {"kind": "trotter"}},
-        ),
+        _field("run.operator.r", TrotterW, 3.0, 0, **{"run.operator": {"kind": "trotter"}}),
         _field("run.tau", lambda v: RunConfig(FixedStep(v)), "0.3", 0, where="run"),
         _run_field("epsilon", [1e-3], 0.0),
         _run_field("max_stages", 1.5, 0),
@@ -825,10 +822,9 @@ def test_verify_unknown_check(capsys):
     assert main(["verify", "--only", "bogus"]) == 1
 
 
-def test_verify_broken_circuits_exit_four(tmp_path, capsys):
-    code = main(
-        ["verify", "--only", "fig2a", "--debug-break-circuits", "--out", str(tmp_path)]
-    )
+def test_verify_broken_circuits_exit_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(verify._SUITES, "fig2a", lambda: verify.fig2a_suite(broken=True))
+    code = main(["verify", "--only", "fig2a", "--out", str(tmp_path)])
     assert code == 4
     captured = capsys.readouterr()
     assert "FAIL" in captured.out

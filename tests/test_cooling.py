@@ -2,6 +2,7 @@ import math
 import re
 import statistics
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -441,22 +442,13 @@ def test_targeted_restart_mean_matches_geometric_law(harmonic, thermal_half, tar
     assert abs(statistics.fmean(restarts) - (1 / tr.p_success - 1)) <= 5 * se
 
 
-def test_trajectory_shot_budget(harmonic, thermal_half):
+def test_trajectory_shot_budget(harmonic, thermal_half, monkeypatch):
     # a 1-shot budget cannot complete a 2-stage schedule
+    monkeypatch.setattr("peigen.cooling.MAX_SHOTS", 1)
     cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3, seed=7)
-    res = stochastic_trajectory(thermal_half, harmonic, cfg, (0.3, 0.5), max_shots=1)
+    res = stochastic_trajectory(thermal_half, harmonic, cfg, (0.3, 0.5))
     assert not res.success
     assert res.shots_used == 1
-
-
-@pytest.mark.parametrize("schedule", [(0.3, 0.5), ()], ids=["two-stages", "empty"])
-@pytest.mark.parametrize("max_shots", [0, -5, 2.5, 1.0, True])
-def test_trajectory_refuses_a_bad_shot_budget(harmonic, thermal_half, max_shots, schedule):
-    """No result is made up: a budget below one shot, or one that is not an
-    integer, is a ConfigError, whatever the schedule."""
-    cfg = RunConfig(mode=FixedStep(tau=0.3), epsilon=1e-3, seed=7)
-    with pytest.raises(ConfigError, match="^max_shots must be "):
-        stochastic_trajectory(thermal_half, harmonic, cfg, schedule, max_shots=max_shots)
 
 
 @pytest.mark.parametrize("operator_mode", [ExactW(), TrotterW(2)], ids=["exact", "trotter2"])
@@ -1026,32 +1018,38 @@ def test_run_config_rejects_bad_values(kwargs):
 
 
 
+def _run_config(**kwargs):
+    """The RunConfig of ``kwargs`` at a fixed tau, built when called."""
+    return partial(RunConfig, **{"mode": FixedStep(tau=0.3), **kwargs})
+
+
 @pytest.mark.parametrize(
-    "kwargs, message",
+    "make, message",
     [
-        (dict(max_stages=2.5), "max_stages must be an integer, got 2.5"),
-        (dict(max_stages=True), "max_stages must be an integer, got True"),
-        (dict(operator_mode=TrotterW(2.5)), "operator.r (Trotter steps) must be an integer, got 2.5"),
-        (dict(operator_mode=TrotterW(True)), "operator.r (Trotter steps) must be an integer, got True"),
-        (dict(target_level=1.5), "target_level must be an integer, got 1.5"),
-        (dict(target_level=True), "target_level must be an integer, got True"),
-        (dict(mode=FixedStep(tau=math.inf)), "tau must be finite, got inf"),
+        (_run_config(max_stages=2.5), "max_stages must be an integer, got 2.5"),
+        (_run_config(max_stages=True), "max_stages must be an integer, got True"),
+        # TrotterW checks its own r, before a RunConfig can hold it
+        (partial(TrotterW, 2.5), "r must be an integer, got 2.5"),
+        (partial(TrotterW, True), "r must be an integer, got True"),
+        (_run_config(target_level=1.5), "target_level must be an integer, got 1.5"),
+        (_run_config(target_level=True), "target_level must be an integer, got True"),
+        (_run_config(mode=FixedStep(tau=math.inf)), "tau must be finite, got inf"),
         # an infinite epsilon would stop after one stage as converged
-        (dict(epsilon=math.inf), "epsilon must be finite, got inf"),
-        (dict(f_tol=math.inf), "f_tol must be finite, got inf"),
+        (_run_config(epsilon=math.inf), "epsilon must be finite, got inf"),
+        (_run_config(f_tol=math.inf), "f_tol must be finite, got inf"),
         # numpy's generator would refuse these only when a trajectory is sampled
-        (dict(seed=2.5), "seed must be an integer, got 2.5"),
-        (dict(seed=True), "seed must be an integer, got True"),
-        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (_run_config(seed=2.5), "seed must be an integer, got 2.5"),
+        (_run_config(seed=True), "seed must be an integer, got True"),
+        (_run_config(seed=-1), "seed must be >= 0, got -1"),
     ],
     ids=[
         "float-stages", "bool-stages", "float-r", "bool-r", "float-target", "bool-target", "inf-tau",
         "inf-epsilon", "inf-f-tol", "float-seed", "bool-seed", "negative-seed",
     ],
 )
-def test_run_config_refuses_what_the_json_reader_refuses(kwargs, message):
+def test_run_config_refuses_what_the_json_reader_refuses(make, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        RunConfig(**{"mode": FixedStep(tau=0.3), **kwargs})
+        make()
 
 
 @pytest.mark.parametrize(
@@ -1074,12 +1072,9 @@ _INTEGER_FIELDS = {
     "max_stages": lambda v: RunConfig(mode=FixedStep(tau=0.3), max_stages=v),
     "target_level": lambda v: RunConfig(mode=FixedStep(tau=0.3), target_level=v),
     "seed": lambda v: RunConfig(mode=FixedStep(tau=0.3), seed=v),
-    "operator.r (Trotter steps)": lambda v: RunConfig(mode=FixedStep(tau=0.3), operator_mode=TrotterW(v)),
+    "r": TrotterW,
     "max_evals": lambda v: OptimizerConfig(max_evals=v),
     "coarse_grid": lambda v: OptimizerConfig(coarse_grid=v),
-    "max_shots": lambda v: stochastic_trajectory(
-        basis_vector(30, 0), None, RunConfig(mode=FixedStep(tau=0.3), seed=0), (), max_shots=v
-    ),
 }
 
 

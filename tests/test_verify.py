@@ -95,13 +95,6 @@ def test_run_all_runs_names_in_order_and_refuses_an_unknown_one_first(monkeypatc
     assert ran == ["trotter", "fig2a"]  # nothing ran before the refusal
 
 
-def test_run_all_break_circuits_fails_only_circuit_suites():
-    rep = run_all(["fig2a"], break_circuits=True)
-    assert not rep["all_passed"]
-    trotter = run_all(["trotter"], break_circuits=True)
-    assert trotter["all_passed"]  # flag only touches the circuit identities
-
-
 def test_every_report_carries_its_summary_line():
     assert re.fullmatch(r"max distance \S+ over 4 points", fig2a_suite(n_points=4)["summary"])
     inconclusive = fig2b_suite(phis=(6.0,), cutoff=8)
