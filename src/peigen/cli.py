@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,8 +72,9 @@ def _trace_json(
         }
         if s.trials:
             row["budget_exhausted"] = s.opt_budget_exhausted
-            row["trials"] = [
-                {"trial": t.trial_index, "tau": t.tau, "energy": t.energy, "p0": t.p0}
+            row["trials"] = [  # a trial below the 1e-14 floor has energy +inf: JSON null
+                {"trial": t.trial_index, "tau": t.tau,
+                 "energy": t.energy if math.isfinite(t.energy) else None, "p0": t.p0}
                 for t in s.trials
             ]
         if s.kind == "eject":
@@ -99,7 +101,7 @@ def _trace_json(
         doc["target_level"] = trace.target_level
         doc["target_fidelity"] = trace.target_fidelity
         doc["converged_to_target"] = trace.converged_to_target
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _trace_csv(trace: CoolingTrace) -> str:

@@ -10,7 +10,9 @@ strings) with one pattern that commute exactly fuse into one group, and the
 half steps at the seam of two sweeps merge. `apply_branches` runs the plan
 on a vector or a block, at one tau or at one tau per column, monomial
 groups in closed form at O(d) per column, dense terms through their cached
-eigensystem; `branch_unitaries` runs it on the identity.
+eigensystem; `branch_unitaries` runs it on the identity. A real plan on a
+real x (every bundled model and state) runs one signed sweep: U_minus x is
+conj(U_plus x), bit for bit up to the sign of a zero.
 
 Wire convention everywhere: system factors first, ancilla qubit last."""
 
@@ -39,7 +41,7 @@ class _SweepPlan:
     coupling) or with a remainder is a dense group. A group is ``(perm, eig,
     mag, unit)``: ``perm`` if a non-diagonal monomial, ``(V, V^H)`` if
     dense, else None; ``|vals|`` and ``vals / |vals|`` (0 at zeros), or
-    eigenvalues and ones."""
+    eigenvalues and ones. ``real``: every ``unit`` and every V is real."""
 
     def __init__(self, terms) -> None:
         runs: list = []  # (perm, [vals, ...]) per monomial run, (None, term) per dense term
@@ -63,6 +65,7 @@ class _SweepPlan:
             mag = np.abs(vals)
             unit = np.divide(vals, mag, out=np.zeros_like(vals), where=mag > 0)
             self.groups.append((None if (p == np.arange(p.size)).all() else p, None, mag, unit))
+        self.real = not any(np.imag(g[3] if g[1] is None else g[1][0]).any() for g in self.groups)
         self._programs: dict = {}
 
     def program(self, r: int):
@@ -115,7 +118,11 @@ def apply_branches(
     lambda} V^H y). One cos and one sin table of all slots are computed per
     call and shared by both branches (U_minus negates the sin table in
     place); their sum is formed per branch for the diagonal and dense
-    slots only, and factors update y in place through one scratch array.
+    slots only. A real plan on an x with no imaginary part runs the U_plus
+    sweep only and returns its conjugate as U_minus x, bit for bit the
+    U_minus sweep up to the sign of a zero: that sweep negates a purely
+    imaginary sin table, its gamma phase is exp of the opposite angle, and
+    each factor with real m / |m| or real V maps conj(y) to conj(its image).
     A non-finite tau, or a tau array holding one, is refused, as are tables over the budget."""
     _check_integer("Trotter steps r", r, 1)
     if x.shape[0] != h.dim:
@@ -125,7 +132,8 @@ def apply_branches(
         raise DimensionError(f"tau shape {tau.shape} != one tau per column of x {x.shape}")
     for t in tau.tolist() if rows else (tau,):
         _check_finite("tau", t)  # a nan p0 is a success that no draw fails
-    steps, kmag, nunit, n_sum = _plan(h).program(r)
+    plan = _plan(h)
+    steps, kmag, nunit, n_sum = plan.program(r)
     cells = kmag.size * (len(tau) if rows else 1)  # a cos or sin table: (slots, d) or (slots, d, m)
     _within_budget(f"Trotter step of dim {h.dim}", 16 * (2 * cells + 3 * x.size))  # + y, scratch, U_+ x
     cols = (1,) * (x.ndim - 1)  # tables broadcast over the columns of a block
@@ -133,31 +141,38 @@ def apply_branches(
     s = np.sin(theta) * nunit.reshape(nunit.shape + cols)
     c = np.cos(theta, out=theta).astype(complex)  # complex: faster y *= c
     del theta  # a block's tables are (slots, d, m): keep no third one
+    real = plan.real and not np.imag(x).any()  # U_minus x = conj(U_plus x)
     out = []
-    for sign in (+1.0, -1.0):
+    for sign in (+1.0,) if real else (+1.0, -1.0):
         if sign < 0:
             np.negative(s, out=s)
-        e = c[:n_sum] + s[:n_sum]
-        y = np.array(x, dtype=complex)
-        scratch = np.empty_like(y)
-        for perm, eig, i in steps:
-            if eig is not None:
-                np.matmul(eig[1], y, out=scratch)
-                scratch *= e[i]
-                np.matmul(eig[0], scratch, out=y)
-            elif perm is None:
-                y *= e[i]
-            else:
-                y.take(perm, axis=0, out=scratch)
-                scratch *= s[i]
-                y *= c[i]
-                y += scratch
+        y = _sweep(steps, c, s, n_sum, x)
         if rows:
             y *= np.array([cmath.exp(-1j * sign * h.gamma * t) for t in tau.tolist()])
         else:
             y *= cmath.exp(-1j * sign * h.gamma * tau)
         out.append(y)
-    return out[0], out[1]
+    return out[0], out[0].conj() if real else out[1]
+
+
+def _sweep(steps, c, s, n_sum: int, x: np.ndarray) -> np.ndarray:
+    """One signed sweep on a copy of x; factors update it in place through one scratch array."""
+    e = c[:n_sum] + s[:n_sum]
+    y = np.array(x, dtype=complex)
+    scratch = np.empty_like(y)
+    for perm, eig, i in steps:
+        if eig is not None:
+            np.matmul(eig[1], y, out=scratch)
+            scratch *= e[i]
+            np.matmul(eig[0], scratch, out=y)
+        elif perm is None:
+            y *= e[i]
+        else:
+            y.take(perm, axis=0, out=scratch)
+            scratch *= s[i]
+            y *= c[i]
+            y += scratch
+    return y
 
 
 def branch_unitaries(h: SumHamiltonian, tau: float, r: int) -> tuple[np.ndarray, np.ndarray]:

@@ -565,6 +565,25 @@ def test_custom_model_reports_raw_energy_unit(tmp_path):
     assert "sector_info" not in doc
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_trial_below_the_floor_writes_its_energy_as_null(tmp_path):
+    # (E + gamma) tau is pi / 2 and 67 pi / 2 at the grid points tau = 0.01 and 0.67:
+    # cos^2 falls below the 1e-14 floor, so those trials record energy +inf
+    cfg = _basis_cfg(
+        {"kind": "custom", "terms": [{"re": [[1.0, 0.0], [0.0, 157.07963267948966]]}]},
+        {"kind": "amplitudes", "re": [0.0, 1.0]},
+    )
+    cfg["run"] = {"mode": "variational", "gamma": {"policy": "fixed", "value": 0.0}, "max_stages": 1}
+    assert _run_cli(_write_cfg(tmp_path, "floor.json", cfg), tmp_path, "--format", "json") == 0
+    text = (tmp_path / "t.json").read_text()
+    doc = json.loads(text, parse_constant=_refuse_constant)  # no Infinity, -Infinity or NaN
+    lost = [t for t in doc["stages"][0]["trials"] if t["energy"] is None]
+    assert [(t["tau"], t["p0"]) for t in lost] == [(0.01, 0.0), (0.67, 0.0)]
+
+
 @pytest.mark.parametrize(
     "model, label",
     [

@@ -402,12 +402,92 @@ def test_trotter_apply_matches_dense_product_formula(name, r):
     rho = w @ w.conj().T
     rho /= np.trace(rho).real
 
+    real_psi = psi.real / np.linalg.norm(psi.real)  # one signed sweep on a real model
+
     u_plus, u_minus = _check_step(QuantumState(psi), h, tau, r)
+    _check_step(QuantumState(real_psi), h, tau, r, branches=(u_plus, u_minus))
     _check_step(QuantumState(rho), h, tau, r, branches=(u_plus, u_minus))
     for got, want in zip(branch_unitaries(h, tau, r), (u_plus, u_minus)):
         assert np.abs(got - want).max() <= 1e-10
-    for got, want in zip(apply_branches(h, tau, r, psi), (u_plus @ psi, u_minus @ psi)):
-        assert np.abs(got - want).max() <= 1e-10
+    for x in (psi, real_psi):
+        for got, want in zip(apply_branches(h, tau, r, x), (u_plus @ x, u_minus @ x)):
+            assert np.abs(got - want).max() <= 1e-10
+
+
+def _count_sweeps(monkeypatch):
+    """The list that each signed sweep of `apply_branches` appends to."""
+    sweeps, sweep = [], trotter._sweep
+
+    def counting(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(trotter, "_sweep", counting)
+    return sweeps
+
+
+_REAL_MODELS = {
+    name: DIFFERENTIAL_MODELS[name]
+    for name in ("hubbard2", "hubbard3", "hubbard4", "rabi8", "diagonal_tail")
+} | {"rabi20": RABI}
+_COMPLEX_MODELS = ("custom", "noncommuting", "single_term")
+
+
+def _real_calls(h):
+    """(tau, x) of each call shape on real x: one tau on a vector (complex
+    dtype, as `QuantumState` holds it, and float), one tau per column of a
+    block, and the identity of `branch_unitaries`."""
+    rng = np.random.default_rng(h.dim)
+    psi = rng.normal(size=h.dim)
+    psi /= np.linalg.norm(psi)
+    block = rng.normal(size=(h.dim, 3))
+    return [
+        (0.83, psi.astype(complex)),
+        (0.83, psi),
+        (np.array([0.2, 0.5, 1.1]), block / np.linalg.norm(block, axis=0)),
+        (0.83, np.eye(h.dim, dtype=complex)),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_MODELS))
+def test_a_real_model_on_a_real_state_runs_one_signed_sweep(name, monkeypatch):
+    h = build_model(_REAL_MODELS[name]).with_gamma(0.37)
+    plan = trotter._plan(h)
+    assert plan.real
+    sweeps = _count_sweeps(monkeypatch)
+    for tau, x in _real_calls(h):
+        del sweeps[:]
+        u_plus, u_minus = apply_branches(h, tau, 3, x)
+        assert len(sweeps) == 1
+        monkeypatch.setattr(plan, "real", False)  # both signed sweeps, each on its own
+        two = apply_branches(h, tau, 3, x)
+        monkeypatch.setattr(plan, "real", True)
+        assert len(sweeps) == 3
+        assert np.array_equal(u_plus, two[0]) and np.array_equal(u_minus, two[1])
+    del sweeps[:]
+    u = branch_unitaries(h, 0.83, 3)
+    assert len(sweeps) == 1 and np.array_equal(u[1], u[0].conj())
+
+
+@pytest.mark.parametrize("name", _COMPLEX_MODELS)
+def test_a_complex_model_runs_both_signed_sweeps(name, monkeypatch):
+    h = build_model(DIFFERENTIAL_MODELS[name]).with_gamma(0.37)
+    assert not trotter._plan(h).real
+    sweeps = _count_sweeps(monkeypatch)
+    for tau, x in _real_calls(h):
+        del sweeps[:]
+        apply_branches(h, tau, 3, x)
+        assert len(sweeps) == 2
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_MODELS))
+def test_a_real_model_on_a_complex_state_runs_both_signed_sweeps(name, monkeypatch):
+    h = build_model(_REAL_MODELS[name]).with_gamma(0.37)
+    sweeps = _count_sweeps(monkeypatch)
+    psi = random_state_vector(np.random.default_rng(4), h.dim)
+    apply_branches(h, 0.83, 3, psi)
+    apply_branches(h, np.array([0.3, 0.7]), 3, np.stack([psi.real, psi], axis=1))
+    assert len(sweeps) == 4
 
 
 def test_custom_terms_structure():
