@@ -349,13 +349,14 @@ def basis_state(spec: ModelSpec, label: str) -> QuantumState:
     if isinstance(spec, Hubbard1D):
         return basis_vector(dim, hubbard_basis_index(spec, label))
     rabi = isinstance(spec, Rabi)
-    try:
-        qubit, level = label.split(",") if rabi else ("", label)
-        n = int(level)
-    except ValueError:  # a wrong number of fields, or a level that is not an integer
+    fields = label.split(",") if rabi else ["", label]
+    level = fields[-1].strip()
+    # ASCII digits only: int() also reads "1_0", "+3" and non-ASCII digits
+    if len(fields) != 2 or not (level.isascii() and level.isdigit()):
         form = "'up|down,<n>'" if rabi else "an integer level"
-        raise ConfigError(f"basis label must be {form}, got {label!r}") from None
-    return basis_vector(dim, rabi_basis_index(spec, qubit, n) if rabi else n)
+        raise ConfigError(f"basis label must be {form}, got {label!r}")
+    n = int(level)
+    return basis_vector(dim, rabi_basis_index(spec, fields[0], n) if rabi else n)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def appendix_a_suite(n_instances: int = 1000, seed: int = 7) -> dict:
 # Trotter-order scaling
 
 
-BENCHMARK_MODELS: tuple[tuple[str, object], ...] = (
+TROTTER_ORDER_MODELS: tuple[tuple[str, object], ...] = (
     ("harmonic", HarmonicOscillator(omega=1.0, cutoff=30)),
     ("rabi", Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)),
     ("hubbard-2", Hubbard1D(sites=2, t=1.0, u=2.0)),
@@ -127,7 +127,7 @@ def trotter_scaling_suite(tau: float = 0.3, rs: Sequence[int] = (1, 2, 4, 8)) ->
     checked for exactness (error <= 1e-12) instead of a slope fitted to
     rounding noise."""
     checks, parts = [], []
-    for name, spec in BENCHMARK_MODELS:
+    for name, spec in TROTTER_ORDER_MODELS:
         h = build_model(spec)
         hg = h.with_gamma(gamma_for(h, Exact()))
         errs = [trotter_error(hg, tau, r) for r in rs]

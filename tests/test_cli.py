@@ -800,8 +800,20 @@ def test_spectrum_json_output(tmp_path):
     assert abs(doc["gamma"]["exact"] - (math.sqrt(5) - 1)) < 1e-9
 
 
-@pytest.mark.parametrize("name", ["hubbard3_variational", "rabi_variational"])
-def test_spectrum_forms_no_eigenvector_matrix(name, monkeypatch, capsys):
+_HUBBARD6 = {  # d = 4096: its eigenvector matrix alone would be 268 MB
+    "schema": 1,
+    "model": {"kind": "hubbard", "sites": 6, "t": 1.0, "u": 2.0},
+    "initial_state": {"kind": "basis", "label": "udududududud"},
+    "run": {"mode": "fixed", "tau": 0.3},
+}
+
+
+@pytest.mark.parametrize(
+    "name, dim",
+    [("hubbard3_variational", 64), ("rabi_variational", 40), ("hubbard6", 4096)],
+    ids=["hubbard3_variational", "rabi_variational", "hubbard6"],
+)
+def test_spectrum_forms_no_eigenvector_matrix(name, dim, monkeypatch, capsys, tmp_path):
     built = []
 
     def recording(spec):
@@ -809,10 +821,12 @@ def test_spectrum_forms_no_eigenvector_matrix(name, monkeypatch, capsys):
         return built[-1]
 
     monkeypatch.setattr(cli, "build_model", recording)
-    assert main(["spectrum", "--config", str(BUNDLED / f"{name}.json"), "--format", "json"]) == 0
+    path = _write_cfg(tmp_path, "h6.json", _HUBBARD6) if name == "hubbard6" else BUNDLED / f"{name}.json"
+    assert main(["spectrum", "--config", str(path), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     (h,) = built
     assert h.total._eig is None
+    assert len(doc["eigenvalues"]) == doc["dim"] == dim
     assert doc["eigenvalues"] == h.total.eigenvalues().tolist()
     assert doc["gamma"]["exact"] == -doc["eigenvalues"][0]
 

@@ -48,7 +48,7 @@ from peigen.config import (
     parse_experiment,
 )
 from peigen.cooling import BRANCH_PROB_FLOOR, _branch, eigen_populations, ejected_energies
-from peigen.models import build_model
+from peigen.models import build_model, rabi_basis_index
 from peigen.verify import random_pure_state
 from tests import reference
 from tests.conftest import (
@@ -346,6 +346,27 @@ def test_a_degenerate_level_is_ejected_once_per_copy():
     assert tr.p_success == pytest.approx(2.259e-3, rel=1e-3)
 
 
+@pytest.mark.parametrize("cutoff", [30, 200])
+def test_a_targeted_exact_run_follows_the_cos2_law(cutoff):
+    """A thermal state's closed-form weights p_n, through shifted ejections of
+    levels 0 and 1 and then fixed-step cooling: every stage multiplies p_n by
+    cos²((n + 0.3) tau_s), at tau_s = pi / 2 (E_s + 0.3) for an ejection."""
+    spec = HarmonicOscillator(omega=1.0, cutoff=cutoff)
+    config = RunConfig(
+        mode=FixedStep(0.3), gamma_policy=Fixed(0.3), eject_shifted=True, target_level=2,
+        operator_mode=ExactW(),
+    )
+    trace = run(thermal_state(spec, 0.5), build_model(spec), config)
+    ejections = [s for s in trace.stages if s.kind == "eject"]
+    assert [s.e_s for s in ejections] == [0.0, 1.0]
+    n = np.arange(cutoff)
+    p = (1 / 1.5) * (0.5 / 1.5) ** n
+    p /= p.sum()
+    taus = [math.pi / (2 * (s.e_s + 0.3)) if s.kind == "eject" else s.tau for s in trace.stages]
+    want = float(sum(p * np.prod([np.cos((n + 0.3) * t) ** 2 for t in taus], axis=0)))
+    assert abs(trace.p_success - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------------------------
 # stochastic trajectories
 
@@ -482,6 +503,36 @@ def test_restarts_on_one_shared_state_match_a_fresh_copy_per_seed(
         assert np.array_equal(p_shared, p_fresh)
         assert (t_shared.restarts, t_shared.shots_used) == (t_fresh.restarts, t_fresh.shots_used)
     assert any(t.restarts for _, t in shared)
+
+
+@pytest.mark.parametrize("cutoff", [20, 200])
+def test_a_diagonal_mixture_is_checked_once_in_1x1_blocks_by_a_run_and_not_by_its_trajectories(
+    monkeypatch, cutoff
+):
+    """A rank-8 diagonal rho on the Rabi model (d = 2 cutoff): the PSD check of
+    a 2-stage exact run solves rho's 1 x 1 blocks, never a dense d x d, and its
+    50 restart trajectories read that kept check instead of solving again."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    spec = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=cutoff)
+    h = build_model(spec)
+    levels = [rabi_basis_index(spec, q, n) for q in ("up", "down") for n in range(4)]
+    rho = np.zeros((h.dim, h.dim), dtype=complex)
+    rho[levels, levels] = np.linspace(1.0, 2.0, len(levels)) / 12.0
+    state = QuantumState(rho)
+    config = RunConfig(mode=Variational(), epsilon=1e-9, max_stages=2, operator_mode=ExactW())
+    trace = run(state, h, config)
+    in_run = len(sizes)
+    for seed in range(50):
+        stochastic_trajectory(state, h, replace(config, seed=seed), trace.schedule)
+    assert sizes and max(sizes) == 1
+    assert len(sizes) == in_run
 
 
 def test_trajectory_certain_failure_raises(harmonic):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from functools import reduce
@@ -50,7 +51,7 @@ from peigen.models import (
     model_dim,
     rabi_basis_index,
 )
-from tests.conftest import random_state_vector
+from tests.conftest import HARMONIC, random_state_vector
 from tests.reference import hubbard_sector_minimum
 
 RABI_DSC = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=20)
@@ -133,6 +134,29 @@ def test_rabi_basis_label():
 def test_rabi_bad_label():
     with pytest.raises(ConfigError):
         basis_state(RABI_DSC, "sideways,0")
+
+
+@pytest.mark.parametrize(
+    "spec, label, form",
+    [
+        (HARMONIC, "1_0", "an integer level"),  # int() reads level 10
+        (HARMONIC, "+3", "an integer level"),
+        (HARMONIC, "٣", "an integer level"),  # ARABIC-INDIC DIGIT THREE
+        (RABI_DSC, "down,1_0", "'up|down,<n>'"),
+        (RABI_DSC, "up,+3", "'up|down,<n>'"),
+        (RABI_DSC, "up,٣", "'up|down,<n>'"),
+    ],
+    ids=[f"{model}-{kind}" for model in ("harmonic", "rabi") for kind in ("underscore", "plus", "arabic-indic")],
+)
+def test_a_basis_level_is_ascii_decimal_digits(spec, label, form):
+    message = f"basis label must be {form}, got {label!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        basis_state(spec, label)
+
+
+def test_a_basis_level_may_be_padded_with_whitespace():
+    assert np.array_equal(basis_state(HARMONIC, " 3 ").data, np.eye(30)[3])
+    assert np.array_equal(basis_state(RABI_DSC, "down, 0").data, basis_state(RABI_DSC, "down,0").data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
-"""The names that the benchmark, the scripts and CI read from peigen still
-resolve. The benchmark, the scripts and the CI workflow's inline Python are
-parsed, not run, so the check is cheap and guards every pruning of the
-public API."""
+"""The names that the benchmark and the scripts read from peigen still
+resolve. The benchmark and the scripts are parsed, not run, so the check is
+cheap and guards every pruning of the public API."""
 
 import ast
 import importlib.util
-import re
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -14,30 +11,15 @@ import pytest
 import peigen
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
-
-def _heredocs(path):
-    """The dedented bodies of the workflow's ``python - ... <<'EOF'`` steps."""
-    bodies, body = [], None
-    for line in path.read_text().splitlines():
-        if body is None:
-            body = [] if re.search(r"\bpython3? - .*<<'EOF'$", line) else None
-        elif line.strip() == "EOF":
-            bodies.append(textwrap.dedent("\n".join(body)))
-            body = None
-        else:
-            body.append(line)
-    return bodies
-
-
-# (id, source) of every user: the benchmark, the scripts, and CI's heredocs
+# (id, source) of every user: the benchmark and the scripts
 USERS = [
     (f"{p.parent.name}/{p.name}", p.read_text())
     for p in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-] + [(f"{WORKFLOW.name}:heredoc{i}", body) for i, body in enumerate(_heredocs(WORKFLOW))]
+]
 
-# names the benchmark's tracer and CI's inline checks rebind while they run
+# names rebound while peigen runs: by the benchmark's tracer, and by the tests
+# that count calls (the last two)
 REBOUND = [
     ("peigen.cooling", "branch_unitaries"),
     ("peigen.cooling", "cooling_step"),
@@ -68,11 +50,6 @@ def _peigen_imports(source, name):
 
 def test_the_benchmark_and_scripts_import_from_peigen():
     assert USERS and any(list(_peigen_imports(source, name)) for name, source in USERS)
-
-
-def test_every_workflow_heredoc_is_a_user():
-    heredocs = [source for name, source in USERS if name.startswith(WORKFLOW.name)]
-    assert heredocs and all(list(_peigen_imports(source, "heredoc")) for source in heredocs)
 
 
 @pytest.mark.parametrize("user, source", USERS, ids=[name for name, _ in USERS])

@@ -36,7 +36,7 @@ from peigen import (
 from peigen import operators, trotter
 from peigen.models import PAULI_X, PAULI_Y, PAULI_Z
 from peigen.trotter import DimensionError, _coupled, _mode_x
-from peigen.verify import BENCHMARK_MODELS
+from peigen.verify import TROTTER_ORDER_MODELS
 from tests import reference
 from tests.conftest import failure_step, random_hermitian, random_state_vector
 
@@ -226,7 +226,7 @@ def test_trotter_error_is_the_dense_joint_distance(name, r, monkeypatch):
 
 
 _BRANCH_MODELS = {
-    **dict(BENCHMARK_MODELS),
+    **dict(TROTTER_ORDER_MODELS),
     "custom-complex": Custom(_random_terms(3, real=False)),
 }
 

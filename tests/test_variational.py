@@ -1,6 +1,8 @@
 import importlib
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from peigen import (
     FixedStep,
     HarmonicOscillator,
     Hubbard1D,
+    NormBound,
     OptimizerConfig,
     QuantumState,
     Rabi,
@@ -443,14 +446,32 @@ def test_trotter_trials_equal_per_tau_stage_objective_calls(name):
             assert abs(t.energy - energy) <= tol and abs(t.p0 - p0) <= tol
 
 
-def test_a_trotter_stage_makes_six_sweep_plan_calls_and_none_to_accept(monkeypatch):
-    h, initial, config = _bundled("hubbard3_variational")
+def _hubbard_trotter(label, gamma_policy=Exact()):
+    """One variational TrotterW(3) stage on the Hubbard chain of the label's sites."""
+    spec = Hubbard1D(len(label) // 2, t=1.0, u=2.0)
+    config = RunConfig(
+        mode=Variational(), gamma_policy=gamma_policy, max_stages=1, operator_mode=TrotterW(3)
+    )
+    return build_model(spec), basis_state(spec, label), config
+
+
+_TROTTER_STAGES = {
+    "hubbard3": lambda: _bundled("hubbard3_variational"),
+    "hubbard6": lambda: _hubbard_trotter("udduudduuddu", NormBound()),  # half filled, d = 4096
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TROTTER_STAGES))
+def test_a_trotter_stage_makes_six_sweep_plan_calls_and_none_to_accept(monkeypatch, name):
+    h, initial, config = _TROTTER_STAGES[name]()
     plans = _count_calls(monkeypatch, "peigen.trotter._plan")  # one per apply_branches call
+    sweeps = _count_calls(monkeypatch, "peigen.trotter._sweep")
     steps = _count_calls(monkeypatch, "peigen.variational.cooling_step")
     energies = _count_calls(monkeypatch, "peigen.variational.expectation")
     tr = run(initial, h, replace(config, max_stages=1))
     assert len(tr.stages[0].trials) == 12
     assert len(plans) == 6  # the 7-point grid as one block, then 5 golden-section steps
+    assert len(sweeps) == 6  # a real model on a real state: U_minus x is conj(U_plus x)
     assert len(steps) == 5
     assert len(energies) == 13  # the initial energy and one per trial
 
@@ -571,17 +592,11 @@ def test_a_trotter_grid_refuses_a_zero_state_as_each_step_would(max_evals):
 # gamma from eigenvalues alone: a run solves eigenvectors only if it reads them
 
 
-def _hubbard4_trotter():
-    spec = Hubbard1D(4, t=1.0, u=2.0)
-    config = RunConfig(mode=Variational(), max_stages=1, operator_mode=TrotterW(3))
-    return build_model(spec), basis_state(spec, "uudduddu"), config
-
-
 # Trotter runs with Exact gamma, on Hubbard L=2-4 and Rabi cutoff 20
 _TROTTER_EXACT_GAMMA = {
     "hubbard2": lambda: _bundled("hubbard2_variational"),
     "hubbard3": lambda: _bundled("hubbard3_variational"),
-    "hubbard4": _hubbard4_trotter,
+    "hubbard4": lambda: _hubbard_trotter("uudduddu"),
     "rabi20": lambda: _bundled("rabi_variational"),
 }
 
@@ -595,13 +610,44 @@ def _trace_numbers(trace) -> np.ndarray:
     return np.array(out)
 
 
-@pytest.mark.parametrize("name", sorted(_TROTTER_EXACT_GAMMA))
+def _rabi200_trotter():
+    spec = Rabi(omega0=1.2, omega=0.8, g=1.0, cutoff=200)  # d = 400
+    config = RunConfig(mode=Variational(), max_stages=1, operator_mode=TrotterW(3))
+    return build_model(spec), basis_state(spec, "down,0"), config
+
+
+# and at the sizes where a dense total (268 MB at Hubbard L=6) would show
+_STRUCTURED_EXACT_GAMMA = {
+    **_TROTTER_EXACT_GAMMA,
+    "hubbard6": lambda: _hubbard_trotter("udduudduuddu"),
+    "rabi200": _rabi200_trotter,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRUCTURED_EXACT_GAMMA))
 def test_a_trotter_run_with_exact_gamma_forms_no_eigenvectors(name):
-    h, initial, config = _TROTTER_EXACT_GAMMA[name]()
+    h, initial, config = _STRUCTURED_EXACT_GAMMA[name]()
     assert isinstance(config.gamma_policy, Exact) and isinstance(config.operator_mode, TrotterW)
     trace = run(initial, h, config)
+    # gamma, the energies and the steps read the terms' structure: no operator
+    # formed a dense matrix, and the total solved its eigenvalues alone
+    assert all(op._mat is None and op._rest is None for op in (h.total, *(t for _, t in h.terms)))
     assert h.total._eig is None
     assert trace.gamma == -h.total.eigenvalues()[0]
+
+
+def test_exact_gamma_at_hubbard6_peaks_below_600_mb():
+    """The values-only solve of the L=6 chain (d = 4096), in a fresh
+    interpreter, so the peak is that of this one solve."""
+    code = (
+        "import resource\n"
+        "from peigen import Exact, Hubbard1D, build_model, gamma_for\n"
+        "gamma_for(build_model(Hubbard1D(6, 1.0, 2.0)), Exact())\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) / 1024 < 600  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.parametrize("name", sorted(_TROTTER_EXACT_GAMMA))
